@@ -2,8 +2,8 @@
 attention, surrogate-gradient training, and theoretical energy profiling."""
 
 from .attention import SDSAConfig, gen_qkv, sdsa1, sdsa2, sdsa3, sdsa4, vsa_reference
-from .blocks import (BlockSpec, ChannelConv, ChannelMLP, ConvBlock, Downsample,
-                     SepConv, TransformerBlock, apply_shortcut, repconv_fold)
+from .blocks import (ChannelConv, ChannelMLP, ConvBlock, Downsample, SepConv,
+                     TransformerBlock, apply_shortcut, repconv_fold)
 from .config import ModelConfig, TrainConfig, parse_config
 from .energy import (EnergyReport, FiringRateReport, estimate_energy, flops_conv,
                      flops_mlp, load_rate_fixture, record_rates, sdsa_flops, vsa_flops)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import binary_matmul, hadamard_mask, sum_columns
-from .neuron import LIFParams, heaviside
+from .kernels import binary_matmul, conv2d_raw, hadamard_mask, sum_columns
+from .neuron import LIFParams, heaviside, sn_forward
 from .tensors import DenseTensor, SpikeTensor, check_same_shape
 
 __all__ = [
@@ -76,24 +76,16 @@ def gen_qkv(u: DenseTensor, rep1, rep2, rep3, params: LIFParams | None = None):
     Each stream is conv -> stateful spiking neuron, then reshaped to token
     layout (T, B, N, D) with N = H*W and D = C.
     """
-    from .kernels import conv2d_raw  # local to avoid cycle at import time
-
     if u.data.ndim != 5:
         raise ShapeError(f"gen_qkv expects (T, B, C, H, W), got {u.shape}")
     params = params or LIFParams()
-    t_len, b, c, h, w = u.data.shape
+    t_len, b = u.data.shape[:2]
     outs = []
     for kern in (rep1, rep2, rep3):
-        state = np.full((b, kern.c_out, h, w), params.v_reset)
-        spikes = np.empty((t_len, b, kern.c_out, h, w), dtype=np.uint8)
-        for t in range(t_len):
-            cur = conv2d_raw(u.data[t], kern.weights, kern.bias, kern.stride,
-                             kern.padding, kern.groups)
-            mem = state + cur
-            s = heaviside(mem - params.threshold)
-            state = params.v_reset * s + params.beta * mem * (1.0 - s)
-            spikes[t] = s.astype(np.uint8)
-        d_out = spikes.shape[2]
+        cur = np.stack([conv2d_raw(u.data[t], kern.weights, kern.bias, kern.stride,
+                                   kern.padding, kern.groups) for t in range(t_len)])
+        spikes = sn_forward(params, DenseTensor(cur)).data
+        d_out, h, w = spikes.shape[2:]
         tokens = spikes.reshape(t_len, b, d_out, h * w).transpose(0, 1, 3, 2)
         outs.append(SpikeTensor(tokens))
     return tuple(outs)

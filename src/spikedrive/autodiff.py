@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TapeError
+from .kernels import im2col_conv
 
 __all__ = ["Var", "Tape", "backward"]
 
@@ -187,19 +188,9 @@ def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
     """Batched (B, C, H, W) convolution via im2col; exact adjoints."""
     bsz, c, h, wd = x.data.shape
     c_out, c_in_g, k, _ = w.data.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wd + 2 * padding - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((bsz, c, k, k, ho, wo), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    out, cols = im2col_conv(x.data, w.data, stride, padding, groups)
+    ho, wo = out.shape[2:]
     og = c_out // groups
-    out = np.empty((bsz, c_out, ho, wo), dtype=np.float64)
-    for g_i in range(groups):
-        cg = cols[:, g_i * c_in_g:(g_i + 1) * c_in_g].reshape(bsz, c_in_g * k * k, ho * wo)
-        wg = w.data[g_i * og:(g_i + 1) * og].reshape(og, c_in_g * k * k)
-        out[:, g_i * og:(g_i + 1) * og] = (wg @ cg).reshape(bsz, og, ho, wo)
     if b is not None:
         out += b.data[None, :, None, None]
     ov = Var(out)
@@ -214,7 +205,7 @@ def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
             wg = w.data[gi * og:(gi + 1) * og].reshape(og, c_in_g * k * k)
             gcols[:, gi * c_in_g:(gi + 1) * c_in_g] = (
                 wg.T @ gg).reshape(bsz, c_in_g, k, k, ho, wo)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((bsz, c, h + 2 * padding, wd + 2 * padding))
         for i in range(k):
             for j in range(k):
                 gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]

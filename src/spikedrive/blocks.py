@@ -8,6 +8,14 @@ only exception is the stage-1 encoding conv, which reads raw pixels.
 The depthwise 7x7 and the pointwise conv that follows it form one fused
 spike-driven unit (no neuron between them); instrumentation and the energy
 model treat the pair at that granularity.
+
+Every layer derives from :class:`Module`, which finds what a layer holds by
+walking its public instance attributes in assignment order: a ``Var`` is a
+parameter (saved under its own ``.name``), a float array is a buffer named
+``<layer name>.<attribute>``, and a ``Module`` -- or a flat list of them -- is
+a child walked in turn. Anything else, ``None`` and attributes whose name
+starts with an underscore (such as a neuron's carried membrane state) are
+skipped. Assignment order is therefore checkpoint order.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .tensors import DenseTensor, IntTensor, SpikeTensor
 
 __all__ = [
     "ForwardContext",
-    "BlockSpec",
+    "Module",
     "SN",
     "ConvBN",
     "RepConv",
@@ -63,24 +71,57 @@ class ForwardContext:
             self.probe.observe(layer, a, kind=kind, rate=rate)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    kind: str  # conv_block | transformer_block | downsample
-    dim: int
-    mlp_ratio: int = 4
-    sdsa: SDSAConfig | None = None
-    shortcut: str = "MS"
+class Module:
+    """Base of every layer: parameters, buffers and carried state are found by
+    walking the public instance attributes (see the module docstring)."""
 
-    def __post_init__(self):
-        if self.kind not in ("conv_block", "transformer_block", "downsample"):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.dim <= 0 or self.mlp_ratio <= 0:
-            raise ValueError("dims and ratios must be positive")
-        if self.shortcut not in SHORTCUTS:
-            raise ValueError(f"shortcut must be one of {SHORTCUTS}")
+    def _members(self):
+        for attr, value in vars(self).items():
+            if not attr.startswith("_"):
+                for item in value if isinstance(value, list) else (value,):
+                    yield attr, item
+
+    def named_params(self):
+        for _, m in self._members():
+            if isinstance(m, Var):
+                yield m.name, m
+            elif isinstance(m, Module):
+                yield from m.named_params()
+
+    def named_buffers(self):
+        for attr, m in self._members():
+            if isinstance(m, np.ndarray) and m.dtype.kind == "f":
+                yield f"{self.name}.{attr}", m
+            elif isinstance(m, Module):
+                yield from m.named_buffers()
+
+    def reset_state(self):
+        for _, m in self._members():
+            if isinstance(m, Module):
+                m.reset_state()
+
+    def parameters(self) -> list[Var]:
+        return [v for _, v in self.named_params()]
+
+    def zero_grad(self):
+        for p in self.parameters():
+            p.zero_grad()
+
+    def apply(self, u: DenseTensor) -> DenseTensor:
+        """Single-step eval-mode pass for the typed functional surface."""
+        a = np.asarray(u.data, dtype=np.float64)
+        squeeze = a.ndim == 3
+        if squeeze:
+            a = a[None]
+        if a.ndim != 4:
+            raise ShapeError(f"expected (C, H, W) or (B, C, H, W), got {u.shape}")
+        self.reset_state()
+        out = self.forward(Var(a), ForwardContext()).data
+        self.reset_state()
+        return DenseTensor(out[0] if squeeze else out)
 
 
-class SN:
+class SN(Module):
     """Stateful spiking neuron layer over arbitrary feature shapes."""
 
     def __init__(self, params: LIFParams, name: str = "sn", learnable: bool = False):
@@ -88,22 +129,18 @@ class SN:
         self.name = name
         self.threshold = Var(np.asarray(params.threshold), name=f"{name}.threshold") \
             if learnable else None
-        self.state: Var | None = None
-
-    def named_params(self):
-        if self.threshold is not None:
-            yield self.threshold.name, self.threshold
+        self._state: Var | None = None
 
     def reset_state(self):
-        self.state = None
+        self._state = None
 
     def step(self, x: Var, ctx: ForwardContext) -> Var:
         tape = ctx.tape
-        if self.state is None:
-            self.state = Var(np.full(x.shape, self.params.v_reset))
-        if self.state.shape != x.shape:
-            raise ShapeError(f"{self.name}: state {self.state.shape} vs input {x.shape}")
-        u = ad.add(tape, self.state, x)
+        if self._state is None:
+            self._state = Var(np.full(x.shape, self.params.v_reset))
+        if self._state.shape != x.shape:
+            raise ShapeError(f"{self.name}: state {self._state.shape} vs input {x.shape}")
+        u = ad.add(tape, self._state, x)
         if self.threshold is not None:
             pre = ad.sub(tape, u, self.threshold)
         else:
@@ -112,11 +149,11 @@ class SN:
         silent = ad.shift(tape, ad.scale(tape, s, -1.0), 1.0)
         h = ad.add(tape, ad.scale(tape, s, self.params.v_reset),
                    ad.mul(tape, ad.scale(tape, u, self.params.beta), silent))
-        self.state = h
+        self._state = h
         return s
 
 
-class ConvBN:
+class ConvBN(Module):
     """Bias-free convolution followed by per-channel normalization."""
 
     def __init__(self, rng, cin, cout, k, stride=1, groups=1, name="conv"):
@@ -129,15 +166,6 @@ class ConvBN:
         self.run_var = np.ones(cout)
         self.stride, self.groups, self.k, self.name = stride, groups, k, name
         self.padding = k // 2
-
-    def named_params(self):
-        yield self.w.name, self.w
-        yield self.gamma.name, self.gamma
-        yield self.beta.name, self.beta
-
-    def named_buffers(self):
-        yield f"{self.name}.run_mean", self.run_mean
-        yield f"{self.name}.run_var", self.run_var
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         y = ad.conv2d(ctx.tape, x, self.w, None, self.stride, self.padding, self.groups)
@@ -163,7 +191,7 @@ def fold_bn(w, gamma, beta, mean, var, stride=1, padding=None, groups=1,
                       stride=stride, padding=padding, groups=groups)
 
 
-class RepConv:
+class RepConv(Module):
     """Re-parameterizable 3x3 unit: pointwise, depthwise 3x3, pointwise.
 
     Deploys as one dense 3x3 kernel (see :meth:`fold`); the training form
@@ -176,15 +204,6 @@ class RepConv:
         self.dw = ConvBN(rng, dim, dim, 3, groups=dim, name=f"{name}.dw")
         self.pw2 = ConvBN(rng, dim, dim, 1, name=f"{name}.pw2")
         self.dim, self.name = dim, name
-
-    def named_params(self):
-        yield self.pw1.name, self.pw1
-        yield from self.dw.named_params()
-        yield from self.pw2.named_params()
-
-    def named_buffers(self):
-        yield from self.dw.named_buffers()
-        yield from self.pw2.named_buffers()
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         y = ad.conv2d(ctx.tape, x, self.pw1, None, 1, 0)
@@ -202,12 +221,12 @@ class RepConv:
         w1 = self.pw1.data[:, :, 0, 0]    # (D, D)
         p2 = kp.weights[:, :, 0, 0]       # (D, D)
         chain = p2[:, :, None, None] * kd.weights[None, :, 0]   # (D_out, D_mid, 3, 3)
-        weights = np.einsum("omuv,mi->oiuv", chain, w1)
+        weights = np.einsum("omuv,mi->oiuv", chain, w1, optimize=True)
         bias = p2 @ kd.bias + kp.bias
         return ConvKernel(weights=weights, bias=bias, stride=1, padding=1)
 
 
-class SepConv:
+class SepConv(Module):
     """Inverted separable token mixer: expand 1x1, depthwise 7x7, project 1x1."""
 
     RATIO = 2
@@ -221,18 +240,6 @@ class SepConv:
         self.pw2 = ConvBN(rng, mid, dim, 1, name=f"{name}.pw2")
         self.name = name
 
-    def named_params(self):
-        for m in (self.sn1, self.pw1, self.sn2, self.dw, self.pw2):
-            yield from m.named_params()
-
-    def named_buffers(self):
-        for m in (self.pw1, self.dw, self.pw2):
-            yield from m.named_buffers()
-
-    def reset_state(self):
-        self.sn1.reset_state()
-        self.sn2.reset_state()
-
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         s = self.sn1.step(x, ctx)
         ctx.observe(f"{self.name}.pw1", s)
@@ -242,11 +249,8 @@ class SepConv:
         y = self.dw.forward(s, ctx)
         return self.pw2.forward(y, ctx)
 
-    def apply(self, u: DenseTensor) -> DenseTensor:
-        return _apply_typed(self, u)
 
-
-class ChannelConv:
+class ChannelConv(Module):
     """Channel mixer for conv stages: two 3x3 convs around an expansion."""
 
     RATIO = 4
@@ -259,18 +263,6 @@ class ChannelConv:
         self.conv2 = ConvBN(rng, mid, dim, 3, name=f"{name}.conv2")
         self.name = name
 
-    def named_params(self):
-        for m in (self.sn1, self.conv1, self.sn2, self.conv2):
-            yield from m.named_params()
-
-    def named_buffers(self):
-        for m in (self.conv1, self.conv2):
-            yield from m.named_buffers()
-
-    def reset_state(self):
-        self.sn1.reset_state()
-        self.sn2.reset_state()
-
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         s = self.sn1.step(x, ctx)
         ctx.observe(f"{self.name}.conv1", s)
@@ -279,11 +271,8 @@ class ChannelConv:
         ctx.observe(f"{self.name}.conv2", s)
         return self.conv2.forward(s, ctx)
 
-    def apply(self, u: DenseTensor) -> DenseTensor:
-        return _apply_typed(self, u)
 
-
-class ChannelMLP:
+class ChannelMLP(Module):
     """Token-wise two-layer MLP, realized as 1x1 convs on the spatial layout."""
 
     RATIO = 4
@@ -295,18 +284,6 @@ class ChannelMLP:
         self.sn2 = SN(lif, name=f"{name}.sn2")
         self.fc2 = ConvBN(rng, mid, dim, 1, name=f"{name}.fc2")
         self.name = name
-
-    def named_params(self):
-        for m in (self.sn1, self.fc1, self.sn2, self.fc2):
-            yield from m.named_params()
-
-    def named_buffers(self):
-        for m in (self.fc1, self.fc2):
-            yield from m.named_buffers()
-
-    def reset_state(self):
-        self.sn1.reset_state()
-        self.sn2.reset_state()
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         s = self.sn1.step(x, ctx)
@@ -323,25 +300,29 @@ class ChannelMLP:
             raise ShapeError(f"expected (N, D) tokens, got {a.shape}")
         n, d = a.shape
         spatial = DenseTensor(a.T.reshape(d, n, 1))
-        out = _apply_typed(self, spatial)
+        out = super().apply(spatial)
         return DenseTensor(out.data.reshape(d, n).T)
 
 
-def _apply_typed(layer, u: DenseTensor) -> DenseTensor:
-    """Single-step eval-mode pass for the typed functional surface."""
-    a = np.asarray(u.data, dtype=np.float64)
-    squeeze = a.ndim == 3
-    if squeeze:
-        a = a[None]
-    if a.ndim != 4:
-        raise ShapeError(f"expected (C, H, W) or (B, C, H, W), got {u.shape}")
-    layer.reset_state()
-    out = layer.forward(Var(a), ForwardContext()).data
-    layer.reset_state()
-    return DenseTensor(out[0] if squeeze else out)
+def _residual(block, x: Var, ctx: ForwardContext, mixer, channel) -> Var:
+    """Run a block's token mixer then its channel mixer around the configured
+    shortcut: MS adds membrane potentials, SEW adds the fired branch output to
+    the block input, VS fires the membrane-plus-spike sum at the block
+    boundary."""
+    tape = ctx.tape
+    if block.shortcut == "MS":
+        u1 = ad.add(tape, x, mixer(x, ctx))
+        return ad.add(tape, u1, channel(u1, ctx))
+    if block.shortcut == "SEW":
+        s1 = block.out_sn1.step(mixer(x, ctx), ctx)
+        y1 = ad.add(tape, s1, x)
+        s2 = block.out_sn2.step(channel(y1, ctx), ctx)
+        return ad.add(tape, s2, y1)
+    s1 = block.out_sn1.step(ad.add(tape, mixer(x, ctx), x), ctx)
+    return block.out_sn2.step(ad.add(tape, channel(s1, ctx), s1), ctx)
 
 
-class ConvBlock:
+class ConvBlock(Module):
     """Stage-1/2 block: separable token mixer plus channel convs, with the
     configured residual style."""
 
@@ -355,38 +336,11 @@ class ConvBlock:
         self.out_sn1 = SN(lif, name=f"{name}.out_sn1") if shortcut != "MS" else None
         self.out_sn2 = SN(lif, name=f"{name}.out_sn2") if shortcut != "MS" else None
 
-    def named_params(self):
-        for m in (self.token, self.channel):
-            yield from m.named_params()
-
-    def named_buffers(self):
-        for m in (self.token, self.channel):
-            yield from m.named_buffers()
-
-    def reset_state(self):
-        for m in (self.token, self.channel, self.out_sn1, self.out_sn2):
-            if m is not None:
-                m.reset_state()
-
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
-        tape = ctx.tape
-        if self.shortcut == "MS":
-            u1 = ad.add(tape, x, self.token.forward(x, ctx))
-            return ad.add(tape, u1, self.channel.forward(u1, ctx))
-        if self.shortcut == "SEW":
-            s1 = self.out_sn1.step(self.token.forward(x, ctx), ctx)
-            y1 = ad.add(tape, s1, x)
-            s2 = self.out_sn2.step(self.channel.forward(y1, ctx), ctx)
-            return ad.add(tape, s2, y1)
-        # VS: membrane-plus-spike sum, fired at the block boundary
-        s1 = self.out_sn1.step(ad.add(tape, self.token.forward(x, ctx), x), ctx)
-        return self.out_sn2.step(ad.add(tape, self.channel.forward(s1, ctx), s1), ctx)
-
-    def apply(self, u: DenseTensor) -> DenseTensor:
-        return _apply_typed(self, u)
+        return _residual(self, x, ctx, self.token.forward, self.channel.forward)
 
 
-class TransformerBlock:
+class TransformerBlock(Module):
     """Stage-3/4 block: spike Q/K/V generation, the configured spike-driven
     attention operator, an output RepConv, and a channel MLP."""
 
@@ -417,25 +371,6 @@ class TransformerBlock:
         self.out_sn1 = SN(lif, name=f"{name}.out_sn1") if shortcut != "MS" else None
         self.out_sn2 = SN(lif, name=f"{name}.out_sn2") if shortcut != "MS" else None
         self.dim, self.name = dim, name
-
-    def _members(self):
-        return [m for m in (self.sn_in, self.rep_q, self.rep_k, self.rep_v, self.sn_q,
-                            self.sn_k, self.sn_v, self.sn_gate, self.sn_attn, self.rep4,
-                            self.mlp, self.out_sn1, self.out_sn2) if m is not None]
-
-    def named_params(self):
-        for m in self._members():
-            yield from m.named_params()
-
-    def named_buffers(self):
-        for m in self._members():
-            if hasattr(m, "named_buffers"):
-                yield from m.named_buffers()
-
-    def reset_state(self):
-        for m in self._members():
-            if hasattr(m, "reset_state"):
-                m.reset_state()
 
     def _attend(self, x: Var, ctx: ForwardContext) -> Var:
         tape = ctx.tape
@@ -483,23 +418,10 @@ class TransformerBlock:
         return self.rep4.forward(spatial, ctx)
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
-        tape = ctx.tape
-        if self.shortcut == "MS":
-            u1 = ad.add(tape, x, self._attend(x, ctx))
-            return ad.add(tape, u1, self.mlp.forward(u1, ctx))
-        if self.shortcut == "SEW":
-            s1 = self.out_sn1.step(self._attend(x, ctx), ctx)
-            y1 = ad.add(tape, s1, x)
-            s2 = self.out_sn2.step(self.mlp.forward(y1, ctx), ctx)
-            return ad.add(tape, s2, y1)
-        s1 = self.out_sn1.step(ad.add(tape, self._attend(x, ctx), x), ctx)
-        return self.out_sn2.step(ad.add(tape, self.mlp.forward(s1, ctx), s1), ctx)
-
-    def apply(self, u: DenseTensor) -> DenseTensor:
-        return _apply_typed(self, u)
+        return _residual(self, x, ctx, self._attend, self.mlp.forward)
 
 
-class Downsample:
+class Downsample(Module):
     """Strided conv stage entry; fires the input first except for the raw-pixel
     encoding layer."""
 
@@ -510,18 +432,6 @@ class Downsample:
         self.first = first
         self.name = name
 
-    def named_params(self):
-        if self.sn is not None:
-            yield from self.sn.named_params()
-        yield from self.conv.named_params()
-
-    def named_buffers(self):
-        yield from self.conv.named_buffers()
-
-    def reset_state(self):
-        if self.sn is not None:
-            self.sn.reset_state()
-
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         if self.first:
             # raw-pixel encoding: charged as dense MAC at rate 1
@@ -530,9 +440,6 @@ class Downsample:
         s = self.sn.step(x, ctx)
         ctx.observe(self.name, s)
         return self.conv.forward(s, ctx)
-
-    def apply(self, u: DenseTensor) -> DenseTensor:
-        return _apply_typed(self, u)
 
 
 def repconv_fold(branch3x3: ConvKernel | None, branch1x1: ConvKernel | None,

@@ -1,23 +1,20 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 data error. ``MSF_THREADS`` caps worker-thread parallelism for the
-numeric backend.
+3 data error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, TrainConfig, parse_config
-from .energy import charged_ops, estimate_energy, load_rate_fixture, record_rates
+from .config import ModelConfig, TrainConfig, parse_config, stages
+from .energy import estimate_energy, load_rate_fixture, record_rates
 from .errors import ConfigError, ParseError, ReportError, SpikeDriveError
-from .kernels import conv_output_size
 from .model import build_model, count_params, load_checkpoint, save_checkpoint
 from .tensors import load_event_file
 from .train import Dataset, finetune_timesteps, make_blobs, train_toy
@@ -26,14 +23,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MSF_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _load_configs(path) -> tuple[ModelConfig, TrainConfig]:
@@ -45,13 +34,8 @@ def _load_configs(path) -> tuple[ModelConfig, TrainConfig]:
 def cmd_info(args) -> int:
     cfg, _ = _load_configs(args.config)
     model = build_model(cfg)
-    dims = cfg.dims
-    h = cfg.resolution
-    sizes = []
-    for k, s in ((7, 2), (3, 2), (3, 2), (3, 2), (3, 1)):
-        h = conv_output_size(h, k, s, k // 2)
-        sizes.append(h)
-    print(f"stage dims: {dims}")
+    sizes = [st.size for st in stages(cfg)]
+    print(f"stage dims: {cfg.dims}")
     print(f"block counts: {cfg.depths}")
     print(f"stage feature maps: {[f'{s}x{s}' for s in sizes]}")
     print(f"tokens per transformer stage: {sizes[3] ** 2} / {sizes[4] ** 2}")
@@ -93,8 +77,12 @@ def _load_dataset(path, cfg: ModelConfig, seed: int) -> Dataset:
         return make_blobs(256, resolution=cfg.resolution, classes=cfg.num_classes,
                           seed=seed, channels=cfg.in_channels)
     data = np.load(path)
-    return Dataset(images=np.asarray(data["images"], dtype=np.float64),
-                   labels=np.asarray(data["labels"], dtype=np.int64))
+    images = np.asarray(data["images"], dtype=np.float64)
+    want = (cfg.in_channels, cfg.resolution, cfg.resolution)
+    if images.ndim != 4 or images.shape[1:] != want:
+        raise ValueError(f"images have shape {images.shape}, the config needs (N, {want[0]}, "
+                         f"{want[1]}, {want[2]})")
+    return Dataset(images=images, labels=np.asarray(data["labels"], dtype=np.int64))
 
 
 def cmd_train(args) -> int:
@@ -204,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,12 +7,24 @@ import io
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .kernels import conv_output_size
 from .neuron import LIFParams
 
 __all__ = ["ModelConfig", "TrainConfig", "parse_config", "parse_config_text",
-           "config_to_text", "stage_dims"]
+           "config_to_text", "stage_dims", "Stage", "stages"]
 
 STAGE4_TABLE = {32: 360, 48: 480, 64: 640}
+
+# The stage pyramid, one row per downsampling conv and the blocks after it:
+# (stage number, downsample label, kernel, stride, block kind). Rows share a
+# stage number when a stage has two downsamples; its blocks number on.
+PYRAMID = (
+    (1, "ds1", 7, 2, "conv"),
+    (1, "ds2", 3, 2, "conv"),
+    (2, "ds", 3, 2, "conv"),
+    (3, "ds", 3, 2, "transformer"),
+    (4, "ds", 3, 1, "transformer"),
+)
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,34 @@ def stage_dims(c: int, stage4: int | None = None) -> tuple[int, int, int, int, i
     channel counts and to 10C otherwise.
     """
     return (c, 2 * c, 4 * c, 8 * c, stage4 or STAGE4_TABLE.get(c, 10 * c))
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pyramid row: a downsampling conv and the blocks that follow it."""
+
+    ds: str  # layer id of the downsampling conv
+    k: int
+    stride: int
+    c_in: int
+    dim: int
+    size: int  # feature-map side after the downsample
+    blocks: tuple[str, ...]  # layer ids of the blocks
+    kind: str  # conv | transformer
+
+
+def stages(cfg: ModelConfig) -> tuple[Stage, ...]:
+    """The pyramid of ``cfg`` in forward order; the raw-pixel encoding conv
+    is the first row's downsample."""
+    rows, c_in, size, numbered = [], cfg.in_channels, cfg.resolution, {}
+    for (st, label, k, stride, kind), dim, depth in zip(PYRAMID, cfg.dims, cfg.depths):
+        size = conv_output_size(size, k, stride, k // 2)
+        first = numbered.get(st, 0)
+        numbered[st] = first + depth
+        blocks = tuple(f"stage{st}.block{first + i}" for i in range(1, depth + 1))
+        rows.append(Stage(f"stage{st}.{label}", k, stride, c_in, dim, size, blocks, kind))
+        c_in = dim
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ import io
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .config import ModelConfig
+from .config import ModelConfig, stages
 from .errors import ArgError, ParseError, ReportError
 from .instrument import Probe
-from .kernels import conv_output_size
 
 __all__ = [
     "E_AC_PJ",
@@ -186,16 +185,6 @@ class ChargedOp:
     variant: int = 0
 
 
-def _stage_sizes(cfg: ModelConfig):
-    h = cfg.resolution
-    h1 = conv_output_size(h, 7, 2, 3)
-    h2 = conv_output_size(h1, 3, 2, 1)
-    h3 = conv_output_size(h2, 3, 2, 1)
-    h4 = conv_output_size(h3, 3, 2, 1)
-    h5 = conv_output_size(h4, 3, 1, 1)
-    return h1, h2, h3, h4, h5
-
-
 def _conv_block_ops(name: str, h: int, dim: int):
     mid = 2 * dim
     yield ChargedOp(f"{name}.sepconv.pw1", "conv",
@@ -234,33 +223,16 @@ def charged_ops(cfg: ModelConfig) -> list[ChargedOp]:
     Layer ids match the names the forward pass reports to its probe, so a
     measured report and this enumeration join directly on the id.
     """
-    d = cfg.dims
-    h1, h2, h3, h4, h5 = _stage_sizes(cfg)
     ops: list[ChargedOp] = []
-    ops.append(ChargedOp("stage1.ds1", "encoding",
-                         flops_conv(7, h1, h1, cfg.in_channels, d[0]), ("stage1.ds1",)))
-    blk = 0
-    for _ in range(cfg.depths[0]):
-        blk += 1
-        ops.extend(_conv_block_ops(f"stage1.block{blk}", h1, d[0]))
-    ops.append(ChargedOp("stage1.ds2", "conv", flops_conv(3, h2, h2, d[0], d[1]),
-                         ("stage1.ds2",)))
-    for _ in range(cfg.depths[1]):
-        blk += 1
-        ops.extend(_conv_block_ops(f"stage1.block{blk}", h2, d[1]))
-    ops.append(ChargedOp("stage2.ds", "conv", flops_conv(3, h3, h3, d[1], d[2]),
-                         ("stage2.ds",)))
-    for i in range(cfg.depths[2]):
-        ops.extend(_conv_block_ops(f"stage2.block{i+1}", h3, d[2]))
-    ops.append(ChargedOp("stage3.ds", "conv", flops_conv(3, h4, h4, d[2], d[3]),
-                         ("stage3.ds",)))
-    for i in range(cfg.depths[3]):
-        ops.extend(_transformer_ops(f"stage3.block{i+1}", h4, d[3], cfg.sdsa_variant))
-    ops.append(ChargedOp("stage4.ds", "conv", flops_conv(3, h5, h5, d[3], d[4]),
-                         ("stage4.ds",)))
-    for i in range(cfg.depths[4]):
-        ops.extend(_transformer_ops(f"stage4.block{i+1}", h5, d[4], cfg.sdsa_variant))
-    ops.append(ChargedOp("head.fc", "mlp", flops_mlp(d[4], cfg.num_classes), ("head.fc",)))
+    for i, st in enumerate(stages(cfg)):
+        h = st.size
+        ops.append(ChargedOp(st.ds, "conv" if i else "encoding",
+                             flops_conv(st.k, h, h, st.c_in, st.dim), (st.ds,)))
+        for name in st.blocks:
+            ops.extend(_conv_block_ops(name, h, st.dim) if st.kind == "conv" else
+                       _transformer_ops(name, h, st.dim, cfg.sdsa_variant))
+    ops.append(ChargedOp("head.fc", "mlp", flops_mlp(cfg.dims[4], cfg.num_classes),
+                         ("head.fc",)))
     return ops
 
 

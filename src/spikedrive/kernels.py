@@ -131,17 +131,15 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p)))
 
 
-def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-               stride: int, padding: int, groups: int = 1) -> np.ndarray:
-    """im2col convolution over a batched (B, C, H, W) float array."""
+def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
+                groups: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Bias-free convolution of a (B, C, H, W) array with zero padding: one
+    matmul per group over the (B, C, k, k, Ho, Wo) patch tensor. Returns the
+    output and the patch tensor (the autodiff adjoint reuses it)."""
     b, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
-    if c != c_in_g * groups:
-        raise ShapeError(f"input has {c} channels, kernel expects {c_in_g * groups}")
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv output would be empty for input {x.shape}")
     xp = _pad2d(x, padding)
     cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
     for i in range(k):
@@ -153,6 +151,20 @@ def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
         cg = cols[:, g * c_in_g:(g + 1) * c_in_g].reshape(b, c_in_g * k * k, ho * wo)
         wg = weights[g * og:(g + 1) * og].reshape(og, c_in_g * k * k)
         out[:, g * og:(g + 1) * og] = (wg @ cg).reshape(b, og, ho, wo)
+    return out, cols
+
+
+def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
+               stride: int, padding: int, groups: int = 1) -> np.ndarray:
+    """im2col convolution over a batched (B, C, H, W) float array."""
+    _, c, h, w = x.shape
+    c_out, c_in_g, k, _ = weights.shape
+    if c != c_in_g * groups:
+        raise ShapeError(f"input has {c} channels, kernel expects {c_in_g * groups}")
+    if conv_output_size(h, k, stride, padding) <= 0 or \
+            conv_output_size(w, k, stride, padding) <= 0:
+        raise ShapeError(f"conv output would be empty for input {x.shape}")
+    out, _ = im2col_conv(x, weights, stride, padding, groups)
     if bias is not None:
         out += bias[None, :, None, None]
     return out

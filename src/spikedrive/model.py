@@ -11,11 +11,10 @@ import numpy as np
 from . import autodiff as ad
 from .attention import SDSAConfig
 from .autodiff import Tape, Var
-from .blocks import SN, ConvBlock, Downsample, ForwardContext, TransformerBlock
-from .config import ModelConfig, TrainConfig, config_to_text
-from .errors import CheckpointError, ConfigError, ShapeError
+from .blocks import SN, ConvBlock, Downsample, ForwardContext, Module, TransformerBlock
+from .config import ModelConfig, TrainConfig, config_to_text, stages
+from .errors import CheckpointError, ShapeError
 from .instrument import Probe
-from .kernels import conv_output_size
 from .tensors import DenseTensor
 
 __all__ = ["Model", "build_model", "count_params", "forward",
@@ -25,104 +24,44 @@ CHECKPOINT_MAGIC = b"MSF2"
 CHECKPOINT_VERSION = 1
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, rng, cin, cout, name="fc"):
         self.w = Var(rng.normal(0.0, 1.0 / np.sqrt(cin), (cin, cout)), name=f"{name}.w")
         self.b = Var(np.zeros(cout), name=f"{name}.b")
         self.name = name
 
-    def named_params(self):
-        yield self.w.name, self.w
-        yield self.b.name, self.b
-
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         return ad.add(ctx.tape, ad.matmul(ctx.tape, x, self.w), self.b)
 
 
-class Model:
+# attribute holding the block list of each pyramid row; row i's downsample
+# is attribute ``ds{i}``
+BLOCK_LISTS = ("stage1a", "stage1b", "stage2", "stage3", "stage4")
+
+
+class Model(Module):
     """The assembled network. Construction is deterministic given the config
     seed; parameters are float64 throughout."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        d = cfg.dims
-        lif = cfg.lif
-        sc = cfg.shortcut
-        sdsa3 = SDSAConfig(variant=cfg.sdsa_variant, heads=cfg.heads, dim=d[3],
-                           threshold_scale=cfg.threshold_scale)
-        sdsa4 = SDSAConfig(variant=cfg.sdsa_variant, heads=cfg.heads, dim=d[4],
-                           threshold_scale=cfg.threshold_scale)
-
-        self.ds1 = Downsample(rng, cfg.in_channels, d[0], 7, 2, lif, first=True,
-                              name="stage1.ds1")
-        self.stem_sn = SN(lif, name="stem.sn") if sc != "MS" else None
-        blk = 0
-        self.stage1a = []
-        for _ in range(cfg.depths[0]):
-            blk += 1
-            self.stage1a.append(ConvBlock(rng, d[0], lif, sc, name=f"stage1.block{blk}"))
-        self.ds2 = Downsample(rng, d[0], d[1], 3, 2, lif, name="stage1.ds2")
-        self.stage1b = []
-        for _ in range(cfg.depths[1]):
-            blk += 1
-            self.stage1b.append(ConvBlock(rng, d[1], lif, sc, name=f"stage1.block{blk}"))
-        self.ds3 = Downsample(rng, d[1], d[2], 3, 2, lif, name="stage2.ds")
-        self.stage2 = [ConvBlock(rng, d[2], lif, sc, name=f"stage2.block{i+1}")
-                       for i in range(cfg.depths[2])]
-        self.ds4 = Downsample(rng, d[2], d[3], 3, 2, lif, name="stage3.ds")
-        self.stage3 = [TransformerBlock(rng, d[3], lif, sdsa3, sc, name=f"stage3.block{i+1}")
-                       for i in range(cfg.depths[3])]
-        self.ds5 = Downsample(rng, d[3], d[4], 3, 1, lif, name="stage4.ds")
-        self.stage4 = [TransformerBlock(rng, d[4], lif, sdsa4, sc, name=f"stage4.block{i+1}")
-                       for i in range(cfg.depths[4])]
+        lif, sc = cfg.lif, cfg.shortcut
+        for i, (st, attr) in enumerate(zip(stages(cfg), BLOCK_LISTS), 1):
+            setattr(self, f"ds{i}", Downsample(rng, st.c_in, st.dim, st.k, st.stride, lif,
+                                               first=i == 1, name=st.ds))
+            if i == 1:
+                self.stem_sn = SN(lif, name="stem.sn") if sc != "MS" else None
+            if st.kind == "conv":
+                blocks = [ConvBlock(rng, st.dim, lif, sc, name=b) for b in st.blocks]
+            else:
+                sdsa = SDSAConfig(variant=cfg.sdsa_variant, heads=cfg.heads, dim=st.dim,
+                                  threshold_scale=cfg.threshold_scale)
+                blocks = [TransformerBlock(rng, st.dim, lif, sdsa, sc, name=b)
+                          for b in st.blocks]
+            setattr(self, attr, blocks)
         self.head_sn = SN(lif, name="head.sn")
-        self.head = Linear(rng, d[4], cfg.num_classes, name="head.fc")
-        self._check_resolution()
-
-    def _check_resolution(self):
-        h = self.cfg.resolution
-        for k, s in ((7, 2), (3, 2), (3, 2), (3, 2), (3, 1)):
-            h = conv_output_size(h, k, s, k // 2)
-            if h < 1:
-                raise ConfigError(f"resolution {self.cfg.resolution} too small for the pyramid")
-
-    def _layers(self):
-        yield self.ds1
-        if self.stem_sn is not None:
-            yield self.stem_sn
-        yield from self.stage1a
-        yield self.ds2
-        yield from self.stage1b
-        yield self.ds3
-        yield from self.stage2
-        yield self.ds4
-        yield from self.stage3
-        yield self.ds5
-        yield from self.stage4
-        yield self.head_sn
-        yield self.head
-
-    def named_params(self):
-        for layer in self._layers():
-            yield from layer.named_params()
-
-    def parameters(self):
-        return [v for _, v in self.named_params()]
-
-    def named_buffers(self):
-        for layer in self._layers():
-            if hasattr(layer, "named_buffers"):
-                yield from layer.named_buffers()
-
-    def reset_state(self):
-        for layer in self._layers():
-            if hasattr(layer, "reset_state"):
-                layer.reset_state()
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+        self.head = Linear(rng, cfg.dims[4], cfg.num_classes, name="head.fc")
 
     def forward(self, x, timesteps: int | None = None, tape: Tape | None = None,
                 probe: Probe | None = None, training: bool = False,
@@ -152,23 +91,12 @@ class Model:
             if probe is not None:
                 probe.t = t + 1
             z = Var(np.asarray(frame, dtype=np.float64))
-            z = self.ds1.forward(z, ctx)
-            if self.stem_sn is not None:
-                z = self.stem_sn.step(z, ctx)
-            for b in self.stage1a:
-                z = b.forward(z, ctx)
-            z = self.ds2.forward(z, ctx)
-            for b in self.stage1b:
-                z = b.forward(z, ctx)
-            z = self.ds3.forward(z, ctx)
-            for b in self.stage2:
-                z = b.forward(z, ctx)
-            z = self.ds4.forward(z, ctx)
-            for b in self.stage3:
-                z = b.forward(z, ctx)
-            z = self.ds5.forward(z, ctx)
-            for b in self.stage4:
-                z = b.forward(z, ctx)
+            for i, attr in enumerate(BLOCK_LISTS, 1):
+                z = getattr(self, f"ds{i}").forward(z, ctx)
+                if i == 1 and self.stem_sn is not None:
+                    z = self.stem_sn.step(z, ctx)
+                for b in getattr(self, attr):
+                    z = b.forward(z, ctx)
             s = self.head_sn.step(z, ctx)
             ctx.observe("head.fc", s)
             pooled = ad.mean_axes(tape, s, (2, 3))

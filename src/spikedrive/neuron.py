@@ -31,7 +31,6 @@ class LIFParams:
     v_reset: float = 0.0
     surrogate_window: float | None = None  # defaults to 0.5 * u_th
     threshold_scale: float = 1.0
-    threshold_learnable: bool = False
 
     def __post_init__(self):
         if not self.u_th > 0:

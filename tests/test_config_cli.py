@@ -147,6 +147,16 @@ class TestCliTrain:
                    "--out-dir", str(tmp_path / "run")])
         assert rc == 3
 
+    @pytest.mark.parametrize("shape", [(4, 5, 32, 32), (4, 3, 16, 16), (4, 32, 32)])
+    def test_mis_shaped_data_exits_3(self, toy_config_file, tmp_path, capsys, shape):
+        # the config wants 3-channel 32x32 images
+        data = tmp_path / "d.npz"
+        np.savez(data, images=np.zeros(shape), labels=np.zeros(shape[0], dtype=np.int64))
+        rc = main(["train", "--config", str(toy_config_file), "--data", str(data),
+                   "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+        assert rc == 3
+        assert "(N, 3, 32, 32)" in capsys.readouterr().err
+
     def test_seed_repeat_identical_metrics(self, toy_config_file, tmp_path):
         outs = []
         for name in ("a", "b"):

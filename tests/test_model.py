@@ -196,3 +196,168 @@ class TestCheckpoint:
         sd.load_checkpoint(other, path)
         thr2 = [v for n, v in other.named_params() if n.endswith("sn_attn.threshold")]
         assert float(thr2[0].data) == 0.777
+
+
+# Ordered tensor table of a SEW + SDSA-4 checkpoint: "name shape" per line,
+# "-" for a scalar. Parameters come first in forward order, then buffers.
+SEW_SDSA4_TABLE = """
+stage1.ds1.conv.w                   4 3 7 7
+stage1.ds1.conv.gamma               4
+stage1.ds1.conv.beta                4
+stage1.block1.sepconv.pw1.w         8 4 1 1
+stage1.block1.sepconv.pw1.gamma     8
+stage1.block1.sepconv.pw1.beta      8
+stage1.block1.sepconv.dw.w          8 1 7 7
+stage1.block1.sepconv.dw.gamma      8
+stage1.block1.sepconv.dw.beta       8
+stage1.block1.sepconv.pw2.w         4 8 1 1
+stage1.block1.sepconv.pw2.gamma     4
+stage1.block1.sepconv.pw2.beta      4
+stage1.block1.chconv.conv1.w        16 4 3 3
+stage1.block1.chconv.conv1.gamma    16
+stage1.block1.chconv.conv1.beta     16
+stage1.block1.chconv.conv2.w        4 16 3 3
+stage1.block1.chconv.conv2.gamma    4
+stage1.block1.chconv.conv2.beta     4
+stage1.ds2.conv.w                   8 4 3 3
+stage1.ds2.conv.gamma               8
+stage1.ds2.conv.beta                8
+stage2.ds.conv.w                    16 8 3 3
+stage2.ds.conv.gamma                16
+stage2.ds.conv.beta                 16
+stage3.ds.conv.w                    32 16 3 3
+stage3.ds.conv.gamma                32
+stage3.ds.conv.beta                 32
+stage3.block1.rep_q.pw1.w           32 32 1 1
+stage3.block1.rep_q.dw.w            32 1 3 3
+stage3.block1.rep_q.dw.gamma        32
+stage3.block1.rep_q.dw.beta         32
+stage3.block1.rep_q.pw2.w           32 32 1 1
+stage3.block1.rep_q.pw2.gamma       32
+stage3.block1.rep_q.pw2.beta        32
+stage3.block1.rep_k.pw1.w           32 32 1 1
+stage3.block1.rep_k.dw.w            32 1 3 3
+stage3.block1.rep_k.dw.gamma        32
+stage3.block1.rep_k.dw.beta         32
+stage3.block1.rep_k.pw2.w           32 32 1 1
+stage3.block1.rep_k.pw2.gamma       32
+stage3.block1.rep_k.pw2.beta        32
+stage3.block1.rep_v.pw1.w           32 32 1 1
+stage3.block1.rep_v.dw.w            32 1 3 3
+stage3.block1.rep_v.dw.gamma        32
+stage3.block1.rep_v.dw.beta         32
+stage3.block1.rep_v.pw2.w           32 32 1 1
+stage3.block1.rep_v.pw2.gamma       32
+stage3.block1.rep_v.pw2.beta        32
+stage3.block1.sn_attn.threshold     -
+stage3.block1.rep4.pw1.w            32 32 1 1
+stage3.block1.rep4.dw.w             32 1 3 3
+stage3.block1.rep4.dw.gamma         32
+stage3.block1.rep4.dw.beta          32
+stage3.block1.rep4.pw2.w            32 32 1 1
+stage3.block1.rep4.pw2.gamma        32
+stage3.block1.rep4.pw2.beta         32
+stage3.block1.mlp.fc1.w             128 32 1 1
+stage3.block1.mlp.fc1.gamma         128
+stage3.block1.mlp.fc1.beta          128
+stage3.block1.mlp.fc2.w             32 128 1 1
+stage3.block1.mlp.fc2.gamma         32
+stage3.block1.mlp.fc2.beta          32
+stage4.ds.conv.w                    40 32 3 3
+stage4.ds.conv.gamma                40
+stage4.ds.conv.beta                 40
+head.fc.w                           40 3
+head.fc.b                           3
+stage1.ds1.conv.run_mean            4
+stage1.ds1.conv.run_var             4
+stage1.block1.sepconv.pw1.run_mean  8
+stage1.block1.sepconv.pw1.run_var   8
+stage1.block1.sepconv.dw.run_mean   8
+stage1.block1.sepconv.dw.run_var    8
+stage1.block1.sepconv.pw2.run_mean  4
+stage1.block1.sepconv.pw2.run_var   4
+stage1.block1.chconv.conv1.run_mean 16
+stage1.block1.chconv.conv1.run_var  16
+stage1.block1.chconv.conv2.run_mean 4
+stage1.block1.chconv.conv2.run_var  4
+stage1.ds2.conv.run_mean            8
+stage1.ds2.conv.run_var             8
+stage2.ds.conv.run_mean             16
+stage2.ds.conv.run_var              16
+stage3.ds.conv.run_mean             32
+stage3.ds.conv.run_var              32
+stage3.block1.rep_q.dw.run_mean     32
+stage3.block1.rep_q.dw.run_var      32
+stage3.block1.rep_q.pw2.run_mean    32
+stage3.block1.rep_q.pw2.run_var     32
+stage3.block1.rep_k.dw.run_mean     32
+stage3.block1.rep_k.dw.run_var      32
+stage3.block1.rep_k.pw2.run_mean    32
+stage3.block1.rep_k.pw2.run_var     32
+stage3.block1.rep_v.dw.run_mean     32
+stage3.block1.rep_v.dw.run_var      32
+stage3.block1.rep_v.pw2.run_mean    32
+stage3.block1.rep_v.pw2.run_var     32
+stage3.block1.rep4.dw.run_mean      32
+stage3.block1.rep4.dw.run_var       32
+stage3.block1.rep4.pw2.run_mean     32
+stage3.block1.rep4.pw2.run_var      32
+stage3.block1.mlp.fc1.run_mean      128
+stage3.block1.mlp.fc1.run_var       128
+stage3.block1.mlp.fc2.run_mean      32
+stage3.block1.mlp.fc2.run_var       32
+stage4.ds.conv.run_mean             40
+stage4.ds.conv.run_var              40
+"""
+
+
+def _checkpoint_table(path):
+    """(name, shape) of each tensor in a checkpoint file, in file order."""
+    import struct
+
+    buf = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", buf, 8)
+    off = 12 + cfg_len
+    (n,) = struct.unpack_from("<I", buf, off)
+    off += 4
+    rows = []
+    for _ in range(n):
+        (name_len,) = struct.unpack_from("<H", buf, off)
+        name = buf[off + 2:off + 2 + name_len].decode("utf-8")
+        off += 2 + name_len
+        _, ndim = struct.unpack_from("<BB", buf, off)
+        shape = struct.unpack_from(f"<{ndim}I", buf, off + 2)
+        off += 2 + 4 * ndim + 8 * int(np.prod(shape))
+        rows.append((name, shape))
+    return rows
+
+
+class TestArchitecture:
+    def test_checkpoint_tensor_table_is_pinned(self, tmp_path):
+        model = sd.build_model(toy_cfg(resolution=16, depths=(1, 0, 0, 1, 0),
+                                       sdsa_variant=4, shortcut="SEW", timesteps=1))
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(model, path)
+        want = []
+        for line in SEW_SDSA4_TABLE.strip().splitlines():
+            name, *dims = line.split()
+            want.append((name, () if dims == ["-"] else tuple(int(d) for d in dims)))
+        assert _checkpoint_table(path) == want
+
+    @pytest.mark.parametrize("shortcut", ["MS", "SEW", "VS"])
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    def test_charged_op_keys_equal_probe_ids(self, shortcut, variant):
+        from spikedrive.energy import charged_ops
+
+        cfg = toy_cfg(resolution=16, shortcut=shortcut, sdsa_variant=variant, timesteps=1)
+        probe = Probe()
+        sd.build_model(cfg).forward(np.random.default_rng(4).normal(0, 3, (1, 3, 16, 16)),
+                                    probe=probe)
+        ops = charged_ops(cfg)
+        keys = {key for op in ops for key in op.rate_keys}
+        # SDSA-1 masks Q and SDSA-2 masks V with a fired gate; a Hadamard mask
+        # is charged nothing, so that operand is probed but carries no charge
+        masked = {1: "q", 2: "v"}.get(variant)
+        extra = {f"{op.layer.rsplit('.', 1)[0]}.{masked}" for op in ops
+                 if op.kind == "sdsa" and masked}
+        assert {e.layer for e in probe.entries} == keys | extra
