@@ -171,16 +171,20 @@ def sum_axes(tape, a: Var, axes: tuple[int, ...], keepdims: bool = True) -> Var:
     return _push(tape, out, (a,), vjp)
 
 
+def window_grad(x: np.ndarray, window: float) -> np.ndarray:
+    """The surrogate derivative of firing at x >= 0: 1/(2w) on |x| < w, else 0."""
+    return (np.abs(x) < window) / (2.0 * window)
+
+
 def spike(tape, x: Var, window: float, smooth: bool = False) -> Var:
-    """Fire where x >= 0. Backward is the rectangular window 1/(2w) on
-    |x| < w. In smooth mode the forward is the clamped-linear relaxation
-    whose true derivative equals that window."""
+    """Fire where x >= 0. Backward is :func:`window_grad`. In smooth mode the
+    forward is the clamped-linear relaxation whose true derivative equals
+    that window."""
     if smooth:
         out = Var(np.clip(x.data / (2.0 * window) + 0.5, 0.0, 1.0))
     else:
         out = Var((x.data >= 0).astype(np.float64))
-    mask = (np.abs(x.data) < window) / (2.0 * window)
-    return _push(tape, out, (x,), lambda g: (g * mask,))
+    return _push(tape, out, (x,), lambda g: (g * window_grad(x.data, window),))
 
 
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,

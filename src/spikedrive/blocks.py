@@ -29,7 +29,7 @@ from .attention import SDSAConfig
 from .autodiff import Var
 from .errors import FoldError, KindError, ShapeError
 from .kernels import ConvKernel
-from .neuron import LIFParams
+from .neuron import LIFParams, lif
 from .tensors import DenseTensor, IntTensor, SpikeTensor
 
 __all__ = [
@@ -135,21 +135,11 @@ class SN(Module):
         self._state = None
 
     def step(self, x: Var, ctx: ForwardContext) -> Var:
-        tape = ctx.tape
         if self._state is None:
             self._state = Var(np.full(x.shape, self.params.v_reset))
         if self._state.shape != x.shape:
             raise ShapeError(f"{self.name}: state {self._state.shape} vs input {x.shape}")
-        u = ad.add(tape, self._state, x)
-        if self.threshold is not None:
-            pre = ad.sub(tape, u, self.threshold)
-        else:
-            pre = ad.shift(tape, u, -self.params.threshold)
-        s = ad.spike(tape, pre, self.params.window, smooth=ctx.smooth)
-        silent = ad.shift(tape, ad.scale(tape, s, -1.0), 1.0)
-        h = ad.add(tape, ad.scale(tape, s, self.params.v_reset),
-                   ad.mul(tape, ad.scale(tape, u, self.params.beta), silent))
-        self._state = h
+        s, self._state = lif(ctx.tape, self._state, x, self.threshold, self.params, ctx.smooth)
         return s
 
 

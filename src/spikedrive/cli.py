@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig, TrainConfig, parse_config, stages
 from .energy import estimate_energy, load_rate_fixture, record_rates
+from .estimator import check_images
 from .errors import ConfigError, ParseError, ReportError, SpikeDriveError
 from .model import build_model, count_params, load_checkpoint, save_checkpoint
 from .tensors import load_event_file
@@ -82,13 +84,14 @@ def _load_dataset(path, cfg: ModelConfig, seed: int) -> Dataset:
     if images.ndim != 4 or images.shape[1:] != want:
         raise ValueError(f"images have shape {images.shape}, the config needs (N, {want[0]}, "
                          f"{want[1]}, {want[2]})")
-    return Dataset(images=images, labels=np.asarray(data["labels"], dtype=np.int64))
+    return Dataset(images=check_images(images),
+                   labels=np.asarray(data["labels"], dtype=np.int64))
 
 
 def cmd_train(args) -> int:
     cfg, tc = _load_configs(args.config)
     if args.seed is not None:
-        tc = TrainConfig(**{**tc.__dict__, "seed": args.seed})
+        tc = replace(tc, seed=args.seed)
     timesteps = args.timesteps or cfg.timesteps
     try:
         data = _load_dataset(args.data, cfg, tc.seed)

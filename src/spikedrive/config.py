@@ -1,10 +1,16 @@
-"""Config file handling: sectioned key = value text, strict about unknown keys."""
+"""Config file handling: sectioned key = value text, strict about unknown keys.
+
+The dataclasses are the schema: the text holds one key per field, in field
+order, parsed and written by the ``_CODECS`` entry of the field's annotated
+type.
+"""
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .kernels import conv_output_size
@@ -39,8 +45,8 @@ class ModelConfig:
     heads: int = 8
     threshold_scale: float = 0.125
     shortcut: str = "MS"
-    stage4_dim: int | None = None
     seed: int = 0
+    stage4_dim: int | None = None
     lif: LIFParams = field(default_factory=LIFParams)
 
     def __post_init__(self):
@@ -126,30 +132,36 @@ class TrainConfig:
             raise ConfigError(f"schedule must be constant or cosine, got {self.schedule!r}")
 
 
-_MODEL_KEYS = {
-    "base_channels": int, "num_classes": int, "in_channels": int, "resolution": int,
-    "timesteps": int, "depths": "depths", "sdsa_variant": int, "heads": int,
-    "threshold_scale": float, "shortcut": str, "stage4_dim": int, "seed": int,
+# parse and format for each annotated field type; an ``X | None`` field uses
+# X's entry and holds None when its key is absent
+_CODECS = {
+    int: (int, str),
+    float: (float, lambda v: repr(float(v))),
+    str: (str, str),
+    bool: (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], str),
+    tuple[int, ...]: (lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()),
+                      lambda v: " ".join(str(d) for d in v)),
 }
-_LIF_KEYS = {"u_th": float, "beta": float, "v_reset": float,
-             "surrogate_window": float, "threshold_scale": float}
-_TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig)}
+_CODECS.update({t | None: codec for t, codec in _CODECS.items()})
+# the top-level sections; a field holding a dataclass is a section of its own,
+# named after the field
+_ROOTS = (("model", ModelConfig), ("train", TrainConfig))
 
 
-def _convert(section: str, key: str, raw: str, spec):
-    if spec == "depths":
-        return tuple(int(p) for p in raw.replace(",", " ").split())
-    caster = {int: int, float: float, str: str, bool: None}.get(spec, None)
-    try:
-        if spec is bool or spec == "bool":
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        if caster is str or spec == "str":
-            return raw.strip()
-        if caster is int or spec == "int":
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+def _build(cp, section: str, cls, seen: set):
+    """``cls`` from the keys of ``section``; a dataclass field is built from
+    the section named after it. Adds each section read to ``seen``."""
+    seen.add(section)
+    types = get_type_hints(cls)
+    kw = {name: _build(cp, name, t, seen) for name, t in types.items() if is_dataclass(t)}
+    for key, raw in cp[section].items() if cp.has_section(section) else ():
+        if types.get(key) not in _CODECS:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        try:
+            kw[key] = _CODECS[types[key]][0](raw)
+        except (ValueError, KeyError):
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+    return cls(**kw)
 
 
 def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
@@ -158,28 +170,14 @@ def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config syntax: {exc}") from None
-    known = {"model": _MODEL_KEYS, "lif": _LIF_KEYS, "train": _TRAIN_KEYS}
-    for section in cp.sections():
-        if section not in known:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in known[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    model_kw = {k: _convert("model", k, cp["model"][k], spec)
-                for k, spec in _MODEL_KEYS.items() if cp.has_option("model", k)}
-    lif_kw = {k: _convert("lif", k, cp["lif"][k], spec)
-              for k, spec in _LIF_KEYS.items()
-              if cp.has_section("lif") and cp.has_option("lif", k)}
-    train_kw = {k: _convert("train", k, cp["train"][k], spec)
-                for k, spec in _TRAIN_KEYS.items()
-                if cp.has_section("train") and cp.has_option("train", k)}
+    seen: set[str] = set()
     try:
-        lif = LIFParams(**lif_kw) if lif_kw else LIFParams()
-        model = ModelConfig(lif=lif, **model_kw)
-        train = TrainConfig(**train_kw)
+        model, train = (_build(cp, *root, seen) for root in _ROOTS)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
+    for section in cp.sections():
+        if section not in seen:
+            raise ConfigError(f"unknown section [{section}]")
     return model, train
 
 
@@ -191,45 +189,21 @@ def parse_config(path) -> tuple[ModelConfig, TrainConfig]:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
+def _write(cp, section: str, obj):
+    cp[section] = {}
+    for name, t in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if is_dataclass(t):
+            _write(cp, name, value)
+        elif value is not None:
+            cp[section][name] = _CODECS[t][1](value)
+
+
 def config_to_text(cfg: ModelConfig, train: TrainConfig | None = None) -> str:
     cp = configparser.ConfigParser()
-    cp["model"] = {
-        "base_channels": str(cfg.base_channels),
-        "num_classes": str(cfg.num_classes),
-        "in_channels": str(cfg.in_channels),
-        "resolution": str(cfg.resolution),
-        "timesteps": str(cfg.timesteps),
-        "depths": " ".join(str(d) for d in cfg.depths),
-        "sdsa_variant": str(cfg.sdsa_variant),
-        "heads": str(cfg.heads),
-        "threshold_scale": repr(cfg.threshold_scale),
-        "shortcut": cfg.shortcut,
-        "seed": str(cfg.seed),
-    }
-    if cfg.stage4_dim is not None:
-        cp["model"]["stage4_dim"] = str(cfg.stage4_dim)
-    cp["lif"] = {
-        "u_th": repr(cfg.lif.u_th),
-        "beta": repr(cfg.lif.beta),
-        "v_reset": repr(cfg.lif.v_reset),
-        "threshold_scale": repr(cfg.lif.threshold_scale),
-    }
-    if cfg.lif.surrogate_window is not None:
-        cp["lif"]["surrogate_window"] = repr(cfg.lif.surrogate_window)
-    if train is not None:
-        cp["train"] = {
-            "epochs": str(train.epochs),
-            "batch_size": str(train.batch_size),
-            "lr": repr(train.lr),
-            "weight_decay": repr(train.weight_decay),
-            "beta1": repr(train.beta1),
-            "beta2": repr(train.beta2),
-            "eps": repr(train.eps),
-            "label_smoothing": repr(train.label_smoothing),
-            "seed": str(train.seed),
-            "augment_flip": str(train.augment_flip),
-            "schedule": train.schedule,
-        }
+    for (section, _), obj in zip(_ROOTS, (cfg, train)):
+        if obj is not None:
+            _write(cp, section, obj)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -23,6 +23,7 @@ import io
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .blocks import ChannelConv, ChannelMLP, SepConv
 from .config import ModelConfig, stages
 from .errors import ArgError, ParseError, ReportError
 from .instrument import Probe
@@ -186,22 +187,23 @@ class ChargedOp:
 
 
 def _conv_block_ops(name: str, h: int, dim: int):
-    mid = 2 * dim
+    mid, wide = SepConv.RATIO * dim, ChannelConv.RATIO * dim
     yield ChargedOp(f"{name}.sepconv.pw1", "conv",
                     flops_conv(1, h, h, dim, mid), (f"{name}.sepconv.pw1",))
     yield ChargedOp(f"{name}.sepconv.dwpw2", "conv",
                     flops_conv_dw(7, h, h, mid) + flops_conv(1, h, h, mid, dim),
                     (f"{name}.sepconv.dwpw2",))
     yield ChargedOp(f"{name}.chconv.conv1", "conv",
-                    flops_conv(3, h, h, dim, 4 * dim), (f"{name}.chconv.conv1",))
+                    flops_conv(3, h, h, dim, wide), (f"{name}.chconv.conv1",))
     yield ChargedOp(f"{name}.chconv.conv2", "conv",
-                    flops_conv(3, h, h, 4 * dim, dim), (f"{name}.chconv.conv2",))
+                    flops_conv(3, h, h, wide, dim), (f"{name}.chconv.conv2",))
 
 
 def _transformer_ops(name: str, h: int, dim: int, variant: int):
     n = h * h
     rep = flops_conv(3, h, h, dim, dim)  # folded deployed form
     n_qkv = 2 if variant == 2 else 3
+    hidden = ChannelMLP.RATIO * dim
     yield ChargedOp(f"{name}.qkv", "conv", n_qkv * rep, (f"{name}.qkv",))
     if variant == 1:
         keys = (f"{name}.k", f"{name}.v")
@@ -211,9 +213,9 @@ def _transformer_ops(name: str, h: int, dim: int, variant: int):
         keys = tuple(f"{name}.{m}" for m in ("q", "k", "v", "ktv", "qktv"))
     yield ChargedOp(f"{name}.sdsa", "sdsa", 0, keys, n=n, d=dim, variant=variant)
     yield ChargedOp(f"{name}.repconv4", "conv", rep, (f"{name}.repconv4",))
-    yield ChargedOp(f"{name}.mlp.fc1", "mlp", n * flops_mlp(dim, 4 * dim),
+    yield ChargedOp(f"{name}.mlp.fc1", "mlp", n * flops_mlp(dim, hidden),
                     (f"{name}.mlp.fc1",))
-    yield ChargedOp(f"{name}.mlp.fc2", "mlp", n * flops_mlp(4 * dim, dim),
+    yield ChargedOp(f"{name}.mlp.fc2", "mlp", n * flops_mlp(hidden, dim),
                     (f"{name}.mlp.fc2",))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -12,8 +13,8 @@ from . import autodiff as ad
 from .attention import SDSAConfig
 from .autodiff import Tape, Var
 from .blocks import SN, ConvBlock, Downsample, ForwardContext, Module, TransformerBlock
-from .config import ModelConfig, TrainConfig, config_to_text, stages
-from .errors import CheckpointError, ShapeError
+from .config import ModelConfig, TrainConfig, config_to_text, parse_config_text, stages
+from .errors import ArgError, CheckpointError, ConfigError, ShapeError
 from .instrument import Probe
 from .tensors import DenseTensor
 
@@ -69,7 +70,9 @@ class Model(Module):
         """Run the network over T timesteps and average the per-step logits.
 
         ``x`` is either a static (B, C, H, W) batch, replicated along T, or a
-        pre-binned (T, B, C, H, W) event tensor.
+        pre-binned (T, B, C, H, W) event tensor, with C, H and W those of the
+        config; other shapes raise ``ShapeError`` and non-finite values
+        ``ArgError``.
         """
         a = x.data if isinstance(x, (DenseTensor, Var)) else np.asarray(x, dtype=np.float64)
         if a.ndim == 4:
@@ -80,9 +83,12 @@ class Model(Module):
             seq = [a[t] for t in range(t_len)]
         else:
             raise ShapeError(f"expected (B, C, H, W) or (T, B, C, H, W), got {a.shape}")
-        if seq[0].shape[1] != self.cfg.in_channels:
-            raise ShapeError(f"expected {self.cfg.in_channels} input channels, "
-                             f"got {seq[0].shape[1]}")
+        want = (self.cfg.in_channels, self.cfg.resolution, self.cfg.resolution)
+        if t_len < 1 or a.shape[-3:] != want:
+            raise ShapeError(f"expected T >= 1 frames of (B, {want[0]}, {want[1]}, {want[2]}), "
+                             f"got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ArgError("input must be finite")
         ctx = ForwardContext(tape=tape, probe=probe, training=training,
                              smooth=smooth, bn_frozen=bn_frozen)
         self.reset_state()
@@ -153,11 +159,25 @@ def _read(buf, offset, fmt):
     return struct.unpack_from(fmt, buf, offset), offset + size
 
 
+def _check_config(cfg: ModelConfig, raw: bytes):
+    """Refuse a checkpoint whose stored model config differs from ``cfg`` in
+    any field but ``seed``: the loaded weights replace the seed's draw."""
+    try:
+        stored, _ = parse_config_text(raw.decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise CheckpointError(f"unreadable config text: {exc}") from None
+    ours, _ = parse_config_text(config_to_text(cfg))
+    differ = [f.name for f in fields(ModelConfig)
+              if f.name != "seed" and getattr(stored, f.name) != getattr(ours, f.name)]
+    if differ:
+        raise CheckpointError(f"checkpoint config differs from the model's in {differ}")
+
+
 def load_checkpoint(model: Model, path) -> Model:
     """Restore every parameter and buffer bit-exactly into ``model``.
 
-    The checkpoint must cover exactly the model's tensor table; any name or
-    shape mismatch (a different config) fails.
+    The stored config must equal the model's in every field but ``seed``, and
+    the checkpoint must cover exactly the model's tensor table.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -171,7 +191,8 @@ def load_checkpoint(model: Model, path) -> Model:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,), off = _read(buf, off, "<I")
-    off += cfg_len  # config text; retained for inspection, not re-parsed here
+    _check_config(model.cfg, buf[off:off + cfg_len])
+    off += cfg_len
     (n_tensors,), off = _read(buf, off, "<I")
     loaded = {}
     for _ in range(n_tensors):

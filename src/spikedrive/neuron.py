@@ -10,6 +10,11 @@ fired positions and decays the rest:
 
 The Heaviside is non-differentiable; training uses a rectangular surrogate
 window of half-width ``w`` around the threshold.
+
+:func:`lif` is the one implementation of this update. It is built from
+autodiff ops, so the training route (``blocks.SN.step``, recording on a tape)
+and the numpy route (:func:`lif_step` and :func:`sn_forward`, no tape) run
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Var
 from .errors import ShapeError
 from .tensors import DenseTensor, SpikeTensor
 
-__all__ = ["LIFParams", "LIFState", "lif_step", "sn_forward", "surrogate_grad", "heaviside"]
+__all__ = ["LIFParams", "LIFState", "lif", "lif_step", "sn_forward", "surrogate_grad",
+           "heaviside"]
 
 
 @dataclass(frozen=True)
@@ -29,8 +37,8 @@ class LIFParams:
     u_th: float = 1.0
     beta: float = 0.5
     v_reset: float = 0.0
-    surrogate_window: float | None = None  # defaults to 0.5 * u_th
     threshold_scale: float = 1.0
+    surrogate_window: float | None = None  # defaults to 0.5 * u_th
 
     def __post_init__(self):
         if not self.u_th > 0:
@@ -70,6 +78,26 @@ def heaviside(x: np.ndarray) -> np.ndarray:
     return (x >= 0).astype(np.float64)
 
 
+def lif(tape, h: Var, x: Var, threshold: Var | None, params: LIFParams,
+        smooth: bool = False) -> tuple[Var, Var]:
+    """One timestep from membrane ``h`` and input ``x``: returns the spikes
+    S[t] and the new membrane H[t].
+
+    ``threshold`` is a learnable threshold, or None for ``params.threshold``.
+    The ops record on ``tape``; with ``tape=None`` this is plain numpy.
+    """
+    u = ad.add(tape, h, x)
+    if threshold is not None:
+        pre = ad.sub(tape, u, threshold)
+    else:
+        pre = ad.shift(tape, u, -params.threshold)
+    s = ad.spike(tape, pre, params.window, smooth=smooth)
+    silent = ad.shift(tape, ad.scale(tape, s, -1.0), 1.0)
+    h_new = ad.add(tape, ad.scale(tape, s, params.v_reset),
+                   ad.mul(tape, ad.scale(tape, u, params.beta), silent))
+    return s, h_new
+
+
 def lif_step(params: LIFParams, state: LIFState, x: DenseTensor):
     """Advance the neuron one timestep.
 
@@ -78,10 +106,8 @@ def lif_step(params: LIFParams, state: LIFState, x: DenseTensor):
     """
     if state.h.shape != x.shape:
         raise ShapeError(f"state shape {state.h.shape} != input shape {x.shape}")
-    u = state.h.data + x.data
-    s = heaviside(u - params.threshold)
-    h_new = params.v_reset * s + params.beta * u * (1.0 - s)
-    return SpikeTensor(s.astype(np.uint8)), LIFState(h=DenseTensor(h_new))
+    s, h_new = lif(None, Var(state.h.data), Var(x.data), None, params)
+    return SpikeTensor(s.data.astype(np.uint8)), LIFState(h=DenseTensor(h_new.data))
 
 
 def sn_forward(params: LIFParams, x_seq: DenseTensor) -> SpikeTensor:
@@ -101,7 +127,5 @@ def surrogate_grad(params: LIFParams, u) -> np.ndarray | float:
 
     Returns 1/(2w) where |u - s*u_th| < w and 0 elsewhere.
     """
-    u = np.asarray(u, dtype=np.float64)
-    w = params.window
-    g = np.where(np.abs(u - params.threshold) < w, 1.0 / (2.0 * w), 0.0)
+    g = ad.window_grad(np.asarray(u, dtype=np.float64) - params.threshold, params.window)
     return float(g) if g.ndim == 0 else g

@@ -1,11 +1,16 @@
+from dataclasses import fields
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
 import spikedrive as sd
+from spikedrive import config
 from spikedrive.cli import main
 from spikedrive.config import (ModelConfig, TrainConfig, config_to_text, parse_config,
                                parse_config_text)
 from spikedrive.errors import ConfigError
+from spikedrive.neuron import LIFParams
 
 TOY_CONFIG = """
 [model]
@@ -60,6 +65,45 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
+
+    def test_every_field_has_a_codec(self):
+        # a field with no codec could not be written or read back
+        for cls in (ModelConfig, LIFParams, TrainConfig):
+            for name, t in get_type_hints(cls).items():
+                if not (cls is ModelConfig and name == "lif"):
+                    assert t in config._CODECS, f"{cls.__name__}.{name}"
+
+    def test_every_field_non_default_roundtrips(self):
+        lif = LIFParams(u_th=0.7, beta=0.6, v_reset=0.1, threshold_scale=0.5,
+                        surrogate_window=0.2)
+        cfg = ModelConfig(base_channels=8, num_classes=5, in_channels=2, resolution=48,
+                          timesteps=3, depths=(2, 1, 3, 1, 2), sdsa_variant=4, heads=4,
+                          threshold_scale=0.25, shortcut="SEW", seed=11, stage4_dim=96,
+                          lif=lif)
+        tc = TrainConfig(epochs=3, batch_size=8, lr=0.02, weight_decay=1e-4, beta1=0.8,
+                         beta2=0.99, eps=1e-7, label_smoothing=0.2, seed=5,
+                         augment_flip=True, schedule="cosine")
+        for obj in (cfg, lif, tc):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(type(obj)(), f.name), f.name
+        assert parse_config_text(config_to_text(cfg, tc)) == (cfg, tc)
+
+    @pytest.mark.parametrize("word", ["ture", "maybe", ""])
+    def test_bad_bool_is_fatal(self, word):
+        with pytest.raises(ConfigError, match="augment_flip"):
+            parse_config_text(f"[model]\nbase_channels = 4\n[train]\naugment_flip = {word}\n")
+
+    def test_bad_bool_exits_2(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text(TOY_CONFIG + "augment_flip = ture\n")
+        assert main(["train", "--config", str(p), "--epochs", "0",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+
+    def test_numpy_floats_are_written_as_numbers(self):
+        tc = TrainConfig(lr=np.float64(0.01))
+        text = config_to_text(ModelConfig(), tc)
+        assert "lr = 0.01\n" in text
+        assert parse_config_text(text)[1] == tc
 
 
 @pytest.fixture
@@ -156,6 +200,16 @@ class TestCliTrain:
                    "--epochs", "1", "--out-dir", str(tmp_path / "run")])
         assert rc == 3
         assert "(N, 3, 32, 32)" in capsys.readouterr().err
+
+    def test_non_finite_data_exits_3(self, toy_config_file, tmp_path, capsys):
+        data = tmp_path / "d.npz"
+        images = np.zeros((4, 3, 32, 32))
+        images[2, 0, 1, 1] = np.nan
+        np.savez(data, images=images, labels=np.zeros(4, dtype=np.int64))
+        rc = main(["train", "--config", str(toy_config_file), "--data", str(data),
+                   "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+        assert rc == 3
+        assert "finite" in capsys.readouterr().err
 
     def test_seed_repeat_identical_metrics(self, toy_config_file, tmp_path):
         outs = []

@@ -1,9 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 import spikedrive as sd
 from spikedrive.blocks import fold_bn
-from spikedrive.errors import CheckpointError, ConfigError, ShapeError
+from spikedrive.errors import ArgError, CheckpointError, ConfigError, ShapeError
 from spikedrive.instrument import Probe
 from spikedrive.kernels import conv2d_raw
 from spikedrive.neuron import LIFParams
@@ -107,6 +110,25 @@ class TestForward:
         b = sd.forward(model, x[None])
         assert np.array_equal(a.data, b.data)
 
+    def test_empty_event_tensor_is_a_shape_error(self):
+        model = sd.build_model(toy_cfg())
+        with pytest.raises(ShapeError):
+            sd.forward(model, np.zeros((0, 1, 3, 32, 32)))
+
+    def test_other_resolution_is_a_shape_error(self):
+        # rates recorded at 40x40 would not match the FLOPs charged at 32x32
+        model = sd.build_model(toy_cfg())
+        with pytest.raises(ShapeError, match="32, 32"):
+            sd.forward(model, np.zeros((1, 3, 40, 40)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, bad):
+        model = sd.build_model(toy_cfg())
+        x = np.zeros((1, 3, 32, 32))
+        x[0, 1, 5, 7] = bad
+        with pytest.raises(ArgError, match="finite"):
+            sd.forward(model, x)
+
 
 class TestFoldedInferenceOracle:
     def test_encoding_plus_first_block_match_folded_route(self):
@@ -196,6 +218,34 @@ class TestCheckpoint:
         sd.load_checkpoint(other, path)
         thr2 = [v for n, v in other.named_params() if n.endswith("sn_attn.threshold")]
         assert float(thr2[0].data) == 0.777
+
+    def test_config_mismatch_is_refused(self, tmp_path):
+        # same tensor table, different dynamics: the stored config decides
+        model = sd.build_model(toy_cfg(timesteps=1, lif=LIFParams(u_th=1.0)))
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(model, path)
+        other = sd.build_model(toy_cfg(timesteps=4, lif=LIFParams(u_th=0.3)))
+        with pytest.raises(CheckpointError, match="'timesteps', 'lif'"):
+            sd.load_checkpoint(other, path)
+
+    def test_other_seed_still_loads(self, tmp_path):
+        model = sd.build_model(toy_cfg(seed=1))
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(model, path)
+        other = sd.load_checkpoint(sd.build_model(toy_cfg(seed=2)), path)
+        assert np.array_equal(other.head.w.data, model.head.w.data)
+
+    @pytest.mark.parametrize("garbage", [b"\xff", b"x"])
+    def test_unreadable_config_text_is_refused(self, tmp_path, garbage):
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(sd.build_model(toy_cfg()), path)
+        raw = bytearray(path.read_bytes()[:-4])
+        start = raw.index(b"[model]")
+        raw[start:start + 1] = garbage  # same length, valid checksum
+        raw += struct.pack("<I", zlib.crc32(bytes(raw)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="config text"):
+            sd.load_checkpoint(sd.build_model(toy_cfg()), path)
 
 
 # Ordered tensor table of a SEW + SDSA-4 checkpoint: "name shape" per line,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spikedrive.autodiff import Tape, Var
+from spikedrive.blocks import SN, ForwardContext
 from spikedrive.errors import ShapeError
 from spikedrive.neuron import LIFParams, LIFState, lif_step, sn_forward, surrogate_grad
 from spikedrive.tensors import DenseTensor
@@ -149,3 +151,18 @@ class TestSurrogate:
         p = LIFParams(surrogate_window=0.5)
         g = surrogate_grad(p, np.array([1.0, 9.0]))
         assert g.tolist() == [1.0, 0.0]
+
+
+class TestOneUpdate:
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_tape_and_numpy_routes_agree_bit_for_bit(self, learnable):
+        p = LIFParams(u_th=0.7, beta=0.6, v_reset=0.2, threshold_scale=0.5)
+        xs = np.random.default_rng(6).normal(0.3, 1.0, (4, 2, 3, 5, 5))
+        sn = SN(p, learnable=learnable)
+        state = LIFState.initial(xs.shape[1:], p)
+        for x in xs:
+            s_tape = sn.step(Var(x), ForwardContext(tape=Tape()))
+            s_np, state = lif_step(p, state, DenseTensor(x))
+            assert s_tape.data.tobytes() == s_np.data.astype(np.float64).tobytes()
+            assert sn._state.data.tobytes() == state.h.data.tobytes()
+        assert 0 < s_np.data.mean() < 1
