@@ -7,9 +7,9 @@ from .blocks import (ChannelConv, ChannelMLP, ConvBlock, Downsample, SepConv,
 from .config import ModelConfig, TrainConfig, parse_config
 from .energy import (EnergyReport, FiringRateReport, estimate_energy, flops_conv,
                      flops_mlp, load_rate_fixture, record_rates, sdsa_flops, vsa_flops)
-from .errors import (ArgError, CheckpointError, ConfigError, EmptyTensorError,
-                     FoldError, InvalidEventError, KindError, ParseError,
-                     ReportError, ShapeError, SpikeDriveError, TapeError)
+from .errors import (ArgError, CheckpointError, ConfigError, DivergenceError,
+                     EmptyTensorError, FoldError, InvalidEventError, KindError,
+                     ParseError, ReportError, ShapeError, SpikeDriveError, TapeError)
 from .estimator import SpikingClassifier
 from .kernels import (ConvKernel, binary_matmul, dense_conv2d, dense_matmul,
                       event_conv2d, event_matmul, hadamard_mask, sum_columns)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TapeError
-from .kernels import im2col_conv
+from .kernels import conv2d_core
 
 __all__ = ["Var", "Tape", "backward"]
 
@@ -189,35 +189,14 @@ def spike(tape, x: Var, window: float, smooth: bool = False) -> Var:
 
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
            groups: int = 1) -> Var:
-    """Batched (B, C, H, W) convolution via im2col; exact adjoints."""
-    bsz, c, h, wd = x.data.shape
-    c_out, c_in_g, k, _ = w.data.shape
-    out, cols = im2col_conv(x.data, w.data, stride, padding, groups)
-    ho, wo = out.shape[2:]
-    og = c_out // groups
-    if b is not None:
-        out += b.data[None, :, None, None]
-    ov = Var(out)
-
-    def vjp(g):
-        gw = np.empty_like(w.data)
-        gcols = np.empty_like(cols)
-        for gi in range(groups):
-            cg = cols[:, gi * c_in_g:(gi + 1) * c_in_g].reshape(bsz, c_in_g * k * k, ho * wo)
-            gg = g[:, gi * og:(gi + 1) * og].reshape(bsz, og, ho * wo)
-            gw[gi * og:(gi + 1) * og] = np.einsum("bol,bil->oi", gg, cg).reshape(og, c_in_g, k, k)
-            wg = w.data[gi * og:(gi + 1) * og].reshape(og, c_in_g * k * k)
-            gcols[:, gi * c_in_g:(gi + 1) * c_in_g] = (
-                wg.T @ gg).reshape(bsz, c_in_g, k, k, ho, wo)
-        gxp = np.zeros((bsz, c, h + 2 * padding, wd + 2 * padding))
-        for i in range(k):
-            for j in range(k):
-                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
-        gx = gxp[:, :, padding:padding + h, padding:padding + wd] if padding else gxp
-        gb = g.sum(axis=(0, 2, 3)) if b is not None else None
-        return (gx, gw, gb) if b is not None else (gx, gw)
-
-    return _push(tape, ov, (x, w, b) if b is not None else (x, w), vjp)
+    """Batched (B, C, H, W) convolution (:func:`kernels.conv2d_core`); exact
+    adjoints."""
+    out, adjoint = conv2d_core(x.data, w.data, stride, padding, groups)
+    if b is None:
+        return _push(tape, Var(out), (x, w), adjoint)
+    out += b.data[None, :, None, None]
+    return _push(tape, Var(out), (x, w, b),
+                 lambda g: adjoint(g) + (g.sum(axis=(0, 2, 3)),))
 
 
 def batch_norm(tape, x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:

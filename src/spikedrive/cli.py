@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig, parse_config, stages
 from .energy import estimate_energy, load_rate_fixture, record_rates
-from .estimator import check_images
+from .estimator import check_images, check_labels
 from .errors import ConfigError, ParseError, ReportError, SpikeDriveError
 from .model import build_model, count_params, load_checkpoint, save_checkpoint
 from .tensors import load_event_file
@@ -84,8 +84,12 @@ def _load_dataset(path, cfg: ModelConfig, seed: int) -> Dataset:
     if images.ndim != 4 or images.shape[1:] != want:
         raise ValueError(f"images have shape {images.shape}, the config needs (N, {want[0]}, "
                          f"{want[1]}, {want[2]})")
-    return Dataset(images=check_images(images),
-                   labels=np.asarray(data["labels"], dtype=np.int64))
+    images = check_images(images)
+    labels = check_labels(data["labels"], len(images))
+    if labels.size and (labels.min() < 0 or labels.max() >= cfg.num_classes):
+        raise ValueError(f"labels must lie in [0, {cfg.num_classes}), got "
+                         f"{labels.min()}..{labels.max()}")
+    return Dataset(images=images, labels=labels)
 
 
 def cmd_train(args) -> int:

@@ -53,3 +53,7 @@ class TapeError(SpikeDriveError, RuntimeError):
 
 class ArgError(SpikeDriveError, ValueError):
     """Argument outside the operation's domain."""
+
+
+class DivergenceError(SpikeDriveError, RuntimeError):
+    """Training produced a non-finite loss."""

@@ -10,6 +10,15 @@ Two execution routes exist for every linear op on spikes:
 
 The two must agree: exactly for integer weights, within 1e-5 absolute for
 floats (the event path accumulates in float32, the oracles in float64).
+
+The dense convolution (:func:`conv2d_core`, behind ``conv2d_raw``,
+``dense_conv2d`` and ``autodiff.conv2d``) has two algorithms, picked by the
+shape of the weights, each with its adjoint and neither looping over groups:
+
+* depthwise (``groups == C_in == C_out``) -- k*k shifted multiply-adds over
+  the padded input, with no patch tensor (:func:`depthwise_conv`);
+* every other conv -- the (B, C, k, k, Ho, Wo) patch tensor times the
+  weights in one matmul batched over the group axis (:func:`im2col_conv`).
 """
 
 from __future__ import annotations
@@ -131,32 +140,101 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p)))
 
 
+def _unpad2d(x: np.ndarray, p: int) -> np.ndarray:
+    return x[..., p:x.shape[-2] - p, p:x.shape[-1] - p] if p else x
+
+
+def _taps(k: int, stride: int, ho: int, wo: int):
+    """The k*k taps (i, j) of a kernel, each with the window of the padded
+    input it reads: rows i, i + stride, ... (ho of them), likewise columns."""
+    for i in range(k):
+        for j in range(k):
+            yield i, j, (slice(None), slice(None), slice(i, i + stride * ho, stride),
+                         slice(j, j + stride * wo, stride))
+
+
+def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int):
+    """Depthwise convolution (one (1, k, k) filter per channel) as k*k shifted
+    multiply-adds over the padded input; no patch tensor is built. Returns
+    the output and its adjoint ``g -> (gx, gw)``."""
+    b, c, h, w = x.shape
+    k = weights.shape[2]
+    ho = conv_output_size(h, k, stride, padding)
+    wo = conv_output_size(w, k, stride, padding)
+    taps = weights[:, 0, :, :, None, None]  # (C, k, k, 1, 1)
+    xp = _pad2d(x, padding)
+    out = np.zeros((b, c, ho, wo))
+    tmp = np.empty_like(out)
+    for i, j, win in _taps(k, stride, ho, wo):
+        out += np.multiply(xp[win], taps[:, i, j], out=tmp)
+
+    def adjoint(g):
+        xp = _pad2d(x, padding)  # padded again, not held from the forward
+        gxp = np.zeros(xp.shape)
+        gw = np.empty(weights.shape)
+        tmp = np.empty(g.shape)
+        for i, j, win in _taps(k, stride, ho, wo):
+            gw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, xp[win])
+            gxp[win] += np.multiply(g, taps[:, i, j], out=tmp)
+        return _unpad2d(gxp, padding), gw
+
+    return out, adjoint
+
+
 def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
-                groups: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Bias-free convolution of a (B, C, H, W) array with zero padding: one
-    matmul per group over the (B, C, k, k, Ho, Wo) patch tensor. Returns the
-    output and the patch tensor (the autodiff adjoint reuses it)."""
+                groups: int = 1):
+    """Grouped convolution as one batched matmul over the group axis: the
+    (B, C, k, k, Ho, Wo) patch tensor, viewed as (B, G, C/G*k*k, Ho*Wo), is
+    multiplied by the weights viewed as (G, C_out/G, C/G*k*k). A 1x1,
+    stride-1, unpadded conv uses ``x`` itself as the patch tensor. Returns
+    the output and its adjoint ``g -> (gx, gw)``."""
     b, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
-    xp = _pad2d(x, padding)
-    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    out = np.empty((b, c_out, ho, wo), dtype=np.float64)
-    og = c_out // groups
-    for g in range(groups):
-        cg = cols[:, g * c_in_g:(g + 1) * c_in_g].reshape(b, c_in_g * k * k, ho * wo)
-        wg = weights[g * og:(g + 1) * og].reshape(og, c_in_g * k * k)
-        out[:, g * og:(g + 1) * og] = (wg @ cg).reshape(b, og, ho, wo)
-    return out, cols
+    pointwise = k == 1 and stride == 1 and padding == 0
+    if pointwise:
+        cols = x
+    else:
+        xp = _pad2d(x, padding)
+        cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
+        for i, j, win in _taps(k, stride, ho, wo):
+            cols[:, :, i, j] = xp[win]
+    cols = cols.reshape(b, groups, c_in_g * k * k, ho * wo)
+    wg = weights.reshape(groups, c_out // groups, c_in_g * k * k)
+    out = np.matmul(wg, cols).reshape(b, c_out, ho, wo)
+
+    def adjoint(g):
+        gg = g.reshape(b, groups, c_out // groups, ho * wo)
+        gw = np.matmul(gg, cols.swapaxes(-1, -2)).sum(axis=0).reshape(weights.shape)
+        gcols = np.matmul(wg.swapaxes(-1, -2), gg)
+        if pointwise:
+            return gcols.reshape(x.shape), gw
+        gcols = gcols.reshape(b, c, k, k, ho, wo)
+        gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+        for i, j, win in _taps(k, stride, ho, wo):
+            gxp[win] += gcols[:, :, i, j]
+        return _unpad2d(gxp, padding), gw
+
+    return out, adjoint
+
+
+def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
+                groups: int = 1):
+    """Bias-free convolution of a (B, C, H, W) array with zero padding.
+
+    Returns the output and its adjoint ``g -> (gx, gw)``. A depthwise conv
+    (``groups == C_in == C_out``) runs :func:`depthwise_conv`; every other
+    conv runs :func:`im2col_conv`.
+    """
+    if groups == x.shape[1] == weights.shape[0]:
+        return depthwise_conv(x, weights, stride, padding)
+    return im2col_conv(x, weights, stride, padding, groups)
 
 
 def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
                stride: int, padding: int, groups: int = 1) -> np.ndarray:
-    """im2col convolution over a batched (B, C, H, W) float array."""
+    """Convolution plus bias over a batched (B, C, H, W) float array."""
     _, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     if c != c_in_g * groups:
@@ -164,7 +242,7 @@ def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     if conv_output_size(h, k, stride, padding) <= 0 or \
             conv_output_size(w, k, stride, padding) <= 0:
         raise ShapeError(f"conv output would be empty for input {x.shape}")
-    out, _ = im2col_conv(x, weights, stride, padding, groups)
+    out, _ = conv2d_core(x, weights, stride, padding, groups)
     if bias is not None:
         out += bias[None, :, None, None]
     return out

@@ -3,9 +3,11 @@ fired time-averaged readout, plus parameter counting and checkpoint I/O."""
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -71,12 +73,14 @@ class Model(Module):
 
         ``x`` is either a static (B, C, H, W) batch, replicated along T, or a
         pre-binned (T, B, C, H, W) event tensor, with C, H and W those of the
-        config; other shapes raise ``ShapeError`` and non-finite values
-        ``ArgError``.
+        config; other shapes raise ``ShapeError``, and ``timesteps < 1`` or
+        non-finite values ``ArgError``.
         """
         a = x.data if isinstance(x, (DenseTensor, Var)) else np.asarray(x, dtype=np.float64)
         if a.ndim == 4:
-            t_len = timesteps or self.cfg.timesteps
+            t_len = self.cfg.timesteps if timesteps is None else timesteps
+            if t_len < 1:
+                raise ArgError(f"timesteps must be >= 1, got {t_len}")
             seq = [a] * t_len
         elif a.ndim == 5:
             t_len = a.shape[0]
@@ -131,7 +135,8 @@ _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 
 def save_checkpoint(model: Model, path, train_cfg: TrainConfig | None = None):
-    """Binary checkpoint: magic, version, config text, tensor table, CRC32."""
+    """Binary checkpoint: magic, version, config text, tensor table, CRC32.
+    The file is replaced atomically."""
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<I", CHECKPOINT_VERSION)
@@ -148,8 +153,19 @@ def save_checkpoint(model: Model, path, train_cfg: TrainConfig | None = None):
         buf += struct.pack(f"<{data.ndim}I", *data.shape)
         buf += np.ascontiguousarray(data).astype(data.dtype, copy=False).tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+    # write beside the target, then rename over it: a failed write leaves the
+    # previous checkpoint in place
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(buf))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(buf, offset, fmt):

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var, backward
 from .config import TrainConfig
-from .errors import ArgError, ConfigError
+from .errors import ArgError, ConfigError, DivergenceError
 from .model import Model
 
 __all__ = ["loss", "OptimState", "step", "train_toy", "finetune_timesteps",
@@ -140,7 +140,8 @@ def train_toy(model: Model, data: Dataset, epochs: int, tc: TrainConfig | None =
     """Direct surrogate-gradient training at toy scale.
 
     Returns one metrics record per epoch: epoch, split, loss, accuracy.
-    Deterministic for a fixed TrainConfig seed.
+    Deterministic for a fixed TrainConfig seed. Raises ``DivergenceError``,
+    naming the epoch and batch, when a batch loss is not finite.
     """
     tc = tc or TrainConfig()
     optim = optim or OptimState.from_config(tc)
@@ -149,12 +150,16 @@ def train_toy(model: Model, data: Dataset, epochs: int, tc: TrainConfig | None =
     history = []
     for epoch in range(1, epochs + 1):
         lr = _lr_at(tc, optim.lr, epoch, epochs)
-        for x, y in _iter_batches(data, tc.batch_size, rng, tc.augment_flip):
+        batches = _iter_batches(data, tc.batch_size, rng, tc.augment_flip)
+        for batch, (x, y) in enumerate(batches, 1):
             tape = Tape()
             model.zero_grad()
             logits = model.forward(x, timesteps=timesteps, tape=tape, training=True,
                                    bn_frozen=bn_frozen)
             batch_loss = loss(logits, y, tc.label_smoothing, tape=tape)
+            if not np.isfinite(batch_loss.data):
+                raise DivergenceError(f"training diverged: loss is {float(batch_loss.data)} "
+                                      f"at epoch {epoch}, batch {batch}")
             backward(tape, batch_loss, params=params)
             step(optim, params, lr=lr)
         ep_loss, ep_acc = evaluate(model, data, timesteps=timesteps,

@@ -24,6 +24,29 @@ def _random_kernel(rng, cin, cout, k, stride=1, groups=1) -> ConvKernel:
                       bias=rng.normal(0, 1, cout), stride=stride, groups=groups)
 
 
+def _direct_conv2d(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
+    """Gather-form convolution of a (C, H, W) array, one output channel,
+    input channel and tap at a time."""
+    _, h, w = x.shape
+    k, p, st = kern.k, kern.padding, kern.stride
+    ho = kernels.conv_output_size(h, k, st, p)
+    wo = kernels.conv_output_size(w, k, st, p)
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    cig = kern.weights.shape[1]
+    og = kern.c_out // kern.groups
+    out = np.empty((kern.c_out, ho, wo))
+    for o in range(kern.c_out):
+        acc = np.full((ho, wo), kern.bias[o])
+        for ci in range(cig):
+            src = xp[(o // og) * cig + ci]
+            for ky in range(k):
+                for kx in range(k):
+                    acc += kern.weights[o, ci, ky, kx] * src[ky:ky + st * ho:st,
+                                                             kx:kx + st * wo:st]
+        out[o] = acc
+    return out
+
+
 def suite_kernels(cases: int = 200, seed: int = 7):
     rng = np.random.default_rng(seed)
     lines = []
@@ -57,6 +80,26 @@ def suite_kernels(cases: int = 200, seed: int = 7):
     if worst_conv > 1e-5:
         return False, [f"event_conv2d deviation {worst_conv:.2e} > 1e-5"]
     lines.append(f"event_conv2d vs dense oracle: {cases} cases, max |diff| {worst_conv:.2e}")
+
+    # both dense algorithms (depthwise and batched patch matmul) against a
+    # direct loop, at groups 1, 2 and C, with a depthwise multiplier too
+    worst_dense = 0.0
+    for case in range(cases):
+        k = int(rng.choice([1, 3, 7]))
+        stride = int(rng.choice([1, 2]))
+        cin = 2 * int(rng.integers(1, 4))
+        groups = (1, 2, cin)[case % 3]
+        cout = groups * int(rng.integers(1, 3)) if groups > 1 else int(rng.integers(1, 5))
+        h = int(rng.integers(max(k, 3), 10))
+        x = rng.normal(0, 1, (cin, h, h))
+        kern = _random_kernel(rng, cin, cout, k, stride=stride, groups=groups)
+        diff = np.abs(kernels.dense_conv2d(DenseTensor(x), kern).data
+                      - _direct_conv2d(x, kern)).max()
+        worst_dense = max(worst_dense, float(diff))
+    if worst_dense > 1e-10:
+        return False, [f"dense_conv2d deviation {worst_dense:.2e} > 1e-10"]
+    lines.append(f"dense_conv2d vs direct loop (groups 1, 2, C): {cases} cases, "
+                 f"max |diff| {worst_dense:.2e}")
 
     for _ in range(cases):
         a = SpikeTensor((rng.random((6, 5)) < 0.5).astype(np.uint8))

@@ -211,6 +211,26 @@ class TestCliTrain:
         assert rc == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels, message", [([0, 1, 5, 1], "[0, 2)"),
+                                                 ([0, 1, 1], "expected 4 labels")])
+    def test_bad_labels_exit_3(self, toy_config_file, tmp_path, capsys, labels, message):
+        data = tmp_path / "d.npz"
+        np.savez(data, images=np.zeros((4, 3, 32, 32)), labels=np.array(labels))
+        rc = main(["train", "--config", str(toy_config_file), "--data", str(data),
+                   "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+    def test_diverged_run_exits_nonzero(self, tmp_path, capsys):
+        p = tmp_path / "hot.ini"
+        p.write_text(TOY_CONFIG.replace("lr = 0.01", "lr = 1000000.0"))
+        rc = main(["train", "--config", str(p), "--data", "blobs", "--epochs", "10",
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc != 0
+        assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_seed_repeat_identical_metrics(self, toy_config_file, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spikedrive import autodiff as ad
+from spikedrive import kernels
 from spikedrive.errors import ShapeError
 from spikedrive.kernels import (ConvKernel, OpCounter, binary_matmul, dense_conv2d,
                                 dense_matmul, event_conv2d, event_matmul,
@@ -242,3 +244,86 @@ class TestMaskAndColumns:
             lhs = sum_columns(masked).data[0, 0]
             rhs = int(a.data[:, 0] @ b.data[:, 0])
             assert lhs == rhs
+
+
+class TestAutodiffConv:
+    """``autodiff.conv2d``: forward against the naive loop, adjoints by the
+    dot-product test. The conv is bilinear, so <conv(x, w), g> equals both
+    <x, gx> and <w, gw>; the bias adds <b, gb>."""
+
+    C = 4
+
+    def _case(self, rng, k, groups, c_out=None):
+        c_out = self.C if c_out is None else c_out
+        x = rng.normal(0, 1, (2, self.C, 8, 8))
+        w = rng.normal(0, 1, (c_out, self.C // groups, k, k))
+        b = rng.normal(0, 1, c_out)
+        return x, w, b
+
+    @staticmethod
+    def _run(x, w, b, stride, groups):
+        tape = ad.Tape()
+        xv, wv = ad.Var(x), ad.Var(w)
+        bv = None if b is None else ad.Var(b)
+        y = ad.conv2d(tape, xv, wv, bv, stride, w.shape[2] // 2, groups)
+        assert len(tape) == 1
+        return y.data, tape.records[0][2]
+
+    @pytest.mark.parametrize("groups", [1, 2, C])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_forward_matches_naive_loop(self, k, stride, groups):
+        rng = np.random.default_rng(100 + 10 * k + stride + groups)
+        x, w, b = self._case(rng, k, groups)
+        got, _ = self._run(x, w, b, stride, groups)
+        kern = ConvKernel(weights=w, bias=b, stride=stride, groups=groups)
+        for i in range(x.shape[0]):
+            assert np.allclose(got[i], naive_conv2d(x[i], kern), atol=1e-10)
+
+    @pytest.mark.parametrize("groups", [1, 2, C])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_adjoint_dot_product(self, k, stride, groups):
+        rng = np.random.default_rng(200 + 10 * k + stride + groups)
+        x, w, b = self._case(rng, k, groups)
+        y, vjp = self._run(x, w, None, stride, groups)
+        g = rng.normal(0, 1, y.shape)
+        gx, gw = vjp(g)
+        assert gx.shape == x.shape and gw.shape == w.shape
+        lhs = np.vdot(y, g)
+        assert abs(np.vdot(x, gx) - lhs) <= 1e-10 * abs(lhs)
+        assert abs(np.vdot(w, gw) - lhs) <= 1e-10 * abs(lhs)
+        yb, vjp = self._run(x, w, b, stride, groups)
+        gxb, gwb, gb = vjp(g)
+        assert np.array_equal(gxb, gx) and np.array_equal(gwb, gw)
+        assert abs(np.vdot(x, gx) + np.vdot(b, gb) - np.vdot(yb, g)) <= 1e-10 * abs(lhs)
+
+    def test_depthwise_multiplier_takes_the_batched_path(self, monkeypatch):
+        # groups = C_in with C_out = 2 * C_in is not depthwise: the batched
+        # patch matmul must run it, so the depthwise kernel is made to fail
+        def refuse(*args):
+            raise AssertionError("depthwise path taken")
+
+        monkeypatch.setattr(kernels, "depthwise_conv", refuse)
+        rng = np.random.default_rng(300)
+        x, w, b = self._case(rng, 3, self.C, c_out=2 * self.C)
+        y, vjp = self._run(x, w, b, 1, self.C)
+        kern = ConvKernel(weights=w, bias=b, groups=self.C)
+        for i in range(x.shape[0]):
+            assert np.allclose(y[i], naive_conv2d(x[i], kern), atol=1e-10)
+        g = rng.normal(0, 1, y.shape)
+        gx, gw, _ = vjp(g)
+        lhs = np.vdot(y - b[None, :, None, None], g)
+        assert abs(np.vdot(x, gx) - lhs) <= 1e-10 * abs(lhs)
+        assert abs(np.vdot(w, gw) - lhs) <= 1e-10 * abs(lhs)
+
+    def test_depthwise_takes_the_depthwise_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("batched path taken")
+
+        monkeypatch.setattr(kernels, "im2col_conv", refuse)
+        rng = np.random.default_rng(301)
+        x, w, b = self._case(rng, 7, self.C)
+        y, _ = self._run(x, w, b, 1, self.C)
+        kern = ConvKernel(weights=w, bias=b, groups=self.C)
+        assert np.allclose(y[0], naive_conv2d(x[0], kern), atol=1e-10)

@@ -115,6 +115,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             sd.forward(model, np.zeros((0, 1, 3, 32, 32)))
 
+    @pytest.mark.parametrize("timesteps", [0, -1])
+    def test_timesteps_below_one_are_refused(self, timesteps):
+        # 0 is a value, not "use the config's T=2"
+        model = sd.build_model(toy_cfg())
+        with pytest.raises(ArgError, match="timesteps"):
+            sd.forward(model, np.zeros((1, 3, 32, 32)), timesteps=timesteps)
+
     def test_other_resolution_is_a_shape_error(self):
         # rates recorded at 40x40 would not match the FLOPs charged at 32x32
         model = sd.build_model(toy_cfg())
@@ -178,6 +185,37 @@ class TestCheckpoint:
             assert np.array_equal(va.data, vb.data)
         for (na, ba), (nb, bb) in zip(model.named_buffers(), other.named_buffers()):
             assert np.array_equal(ba, bb)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import spikedrive.model as model_mod
+
+        model = sd.build_model(toy_cfg())
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(model, path)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(model_mod, "open", lambda *a: HalfWriter(open(*a)), raising=False)
+        model.head.b.data = np.array([1.0, -2.0, 3.0])
+        with pytest.raises(OSError, match="disk full"):
+            sd.save_checkpoint(model, path)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+        assert path.read_bytes() == before
+        sd.load_checkpoint(sd.build_model(toy_cfg()), path)
 
     def test_corrupted_magic_rejected(self, tmp_path):
         model = sd.build_model(toy_cfg())

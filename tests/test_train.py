@@ -6,7 +6,7 @@ import pytest
 import spikedrive as sd
 from spikedrive import autodiff as ad
 from spikedrive.autodiff import Tape, Var, backward
-from spikedrive.errors import ArgError, TapeError
+from spikedrive.errors import ArgError, DivergenceError, TapeError
 from spikedrive.neuron import LIFParams
 from spikedrive.train import (Dataset, OptimState, evaluate, finetune_timesteps,
                               loss, make_blobs, step, train_toy)
@@ -207,6 +207,16 @@ class TestToyTraining:
         h1 = train_toy(sd.build_model(toy_cfg(num_classes=2)), data, 2, tc=tc)
         h2 = train_toy(sd.build_model(toy_cfg(num_classes=2)), data, 2, tc=tc)
         assert h1 == h2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+    def test_diverged_loss_raises(self):
+        # at lr = 1e6 the weights grow a millionfold per step until the loss
+        # overflows; the run must stop there instead of returning
+        model = sd.build_model(toy_cfg(num_classes=2, resolution=16))
+        data = make_blobs(32, resolution=16, classes=2, seed=0)
+        tc = sd.TrainConfig(epochs=20, batch_size=8, lr=1e6, seed=0)
+        with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
+            train_toy(model, data, 20, tc=tc)
 
     def test_metrics_records_have_the_contracted_fields(self):
         data = make_blobs(32, resolution=32, classes=2, seed=0)
