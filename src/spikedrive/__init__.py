@@ -17,7 +17,7 @@ from .model import (Model, build_model, count_params, forward, load_checkpoint,
                     save_checkpoint)
 from .neuron import LIFParams, LIFState, lif_step, sn_forward, surrogate_grad
 from .tensors import (DenseTensor, EventList, IntTensor, SpikeTensor, firing_rate,
-                      from_events, load_event_file, to_events)
+                      from_events, kind_of, load_event_file, to_events)
 from .train import (Dataset, OptimState, finetune_timesteps, loss, make_blobs,
                     step, train_toy)
 

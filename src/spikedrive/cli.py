@@ -48,7 +48,7 @@ def cmd_info(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg, _ = _load_configs(args.config)
-    timesteps = args.timesteps or cfg.timesteps
+    timesteps = cfg.timesteps if args.timesteps is None else args.timesteps
     if args.measure:
         model = build_model(cfg)
         rng = np.random.default_rng(args.seed)
@@ -96,7 +96,7 @@ def cmd_train(args) -> int:
     cfg, tc = _load_configs(args.config)
     if args.seed is not None:
         tc = replace(tc, seed=args.seed)
-    timesteps = args.timesteps or cfg.timesteps
+    timesteps = cfg.timesteps if args.timesteps is None else args.timesteps
     try:
         data = _load_dataset(args.data, cfg, tc.seed)
     except (OSError, KeyError, ValueError) as exc:
@@ -116,7 +116,7 @@ def cmd_train(args) -> int:
         lines.append(msg)
 
     history = train_toy(model, data, args.epochs, tc=tc, timesteps=timesteps, log=log)
-    if args.finetune_timesteps:
+    if args.finetune_timesteps is not None:
         log(f"finetuning {timesteps} -> {args.finetune_timesteps} timesteps")
         history += finetune_timesteps(model, timesteps, args.finetune_timesteps,
                                       max(1, args.epochs // 4), data, tc=tc, log=log)
@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
 
 def cmd_convert(args) -> int:
     try:
-        spikes = load_event_file(args.events, bins=args.timesteps or 4,
+        spikes = load_event_file(args.events, bins=args.timesteps,
                                  resolution=(args.height, args.width),
                                  channels=args.channels)
     except (OSError, ParseError) as exc:
@@ -150,6 +150,16 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``; anything else exits 2."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="spikedrive",
                                 description="Event-driven spiking network toolkit")
@@ -158,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, config=True):
         if config:
             sp.add_argument("--config", default=None, help="config file (key = value sections)")
-        sp.add_argument("--timesteps", "-T", type=int, default=None)
+        sp.add_argument("--timesteps", "-T", type=_int_at_least(1), default=None)
         sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("info", help="print architecture summary and parameter count")
@@ -176,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="toy-scale direct training")
     common(sp)
     sp.add_argument("--data", default="blobs", help="'blobs' or an .npz with images/labels")
-    sp.add_argument("--epochs", type=int, default=10)
-    sp.add_argument("--finetune-timesteps", type=int, default=None,
+    sp.add_argument("--epochs", type=_int_at_least(0), default=10)
+    sp.add_argument("--finetune-timesteps", type=_int_at_least(1), default=None,
                     help="after training, briefly re-fit at this timestep count")
     sp.add_argument("--out-dir", default="train_out")
     sp.set_defaults(fn=cmd_train)
@@ -189,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("convert", help="bin a DVS event text file into spike frames")
     sp.add_argument("events", help="text file of timestamp_us,x,y,polarity lines")
-    sp.add_argument("--timesteps", "-T", type=int, default=4)
+    sp.add_argument("--timesteps", "-T", type=_int_at_least(1), default=4)
     sp.add_argument("--height", type=int, required=True)
     sp.add_argument("--width", type=int, required=True)
     sp.add_argument("--channels", type=int, default=1, choices=(1, 2))

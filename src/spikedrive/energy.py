@@ -1,4 +1,9 @@
-"""FLOPs accounting, firing-rate reports, and the theoretical energy model.
+"""FLOPs accounting and the theoretical energy model.
+
+Rates come from the one firing-rate table, ``instrument.Probe`` (named
+``FiringRateReport`` here): ``record_rates`` fills it from a forward pass and
+``load_rate_fixture`` from a rate file; ``estimate_energy`` charges every op
+of ``charged_ops`` from it.
 
 Costing rules:
 
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .blocks import ChannelConv, ChannelMLP, SepConv
@@ -93,45 +98,8 @@ def vsa_flops(n: int, d: int) -> int:
     return 3 * n * d * d + 2 * n * n * d + 3 * n * n
 
 
-@dataclass(frozen=True)
-class RateEntry:
-    layer: str
-    t: int
-    rate: float
-
-
-@dataclass
-class FiringRateReport:
-    """Per-(layer, timestep) spike densities, ordered as recorded."""
-
-    entries: list[RateEntry] = field(default_factory=list)
-
-    def __post_init__(self):
-        for e in self.entries:
-            if not 0.0 <= e.rate <= 1.0:
-                raise ReportError(f"rate out of [0,1] for {e.layer} t={e.t}: {e.rate}")
-
-    def add(self, layer: str, t: int, rate: float):
-        if not 0.0 <= rate <= 1.0:
-            raise ReportError(f"rate out of [0,1] for {layer} t={t}: {rate}")
-        self.entries.append(RateEntry(layer, t, rate))
-
-    def get(self, layer: str, t: int) -> float:
-        for e in self.entries:
-            if e.layer == layer and e.t == t:
-                return e.rate
-        raise ReportError(f"no firing rate recorded for {layer} at t={t}")
-
-    def series(self, layer: str, timesteps: int) -> list[float]:
-        index = {(e.layer, e.t): e.rate for e in self.entries}
-        try:
-            return [index[(layer, t)] for t in range(1, timesteps + 1)]
-        except KeyError as exc:
-            raise ReportError(f"missing firing rate for {layer} at t={exc.args[0][1]}") from None
-
-    def layers(self) -> list[str]:
-        seen = dict.fromkeys(e.layer for e in self.entries)
-        return list(seen)
+# The one firing-rate table, filled by a forward pass or a rate file.
+FiringRateReport = Probe
 
 
 @dataclass(frozen=True)
@@ -239,13 +207,11 @@ def charged_ops(cfg: ModelConfig) -> list[ChargedOp]:
 
 
 def record_rates(model, x, timesteps: int | None = None) -> FiringRateReport:
-    """Measure per-layer, per-timestep input firing rates over one forward."""
-    probe = Probe()
+    """Measure per-layer, per-timestep input firing rates over one forward;
+    returns the probe the forward filled."""
+    probe = FiringRateReport()
     model.forward(x, timesteps=timesteps, probe=probe)
-    report = FiringRateReport()
-    for e in probe.entries:
-        report.add(e.layer, e.t, min(1.0, e.rate))
-    return report
+    return probe
 
 
 def estimate_energy(model_cfg: ModelConfig, rates: FiringRateReport, timesteps: int,
@@ -258,17 +224,15 @@ def estimate_energy(model_cfg: ModelConfig, rates: FiringRateReport, timesteps: 
     rows = []
     for op in charged_ops(model_cfg):
         if op.kind == "encoding":
-            energy = e_mac * timesteps * op.flops
-            rows.append(EnergyRow(op.layer, op.flops, 1.0, "MAC", energy))
-            continue
-        if op.kind == "sdsa":
+            rows.append(EnergyRow(op.layer, op.flops, 1.0, "MAC", e_mac * timesteps * op.flops))
+        elif op.kind == "sdsa":
             means = [sum(rates.series(k, timesteps)) / timesteps for k in op.rate_keys]
             fl = sdsa_flops(op.variant, op.n, op.d, timesteps, means)
             rows.append(EnergyRow(op.layer, fl, sum(means), "AC", e_ac * fl))
-            continue
-        series = rates.series(op.rate_keys[0], timesteps)
-        energy = e_ac * op.flops * sum(series)
-        rows.append(EnergyRow(op.layer, op.flops, sum(series) / timesteps, "AC", energy))
+        else:
+            total = sum(rates.series(op.rate_keys[0], timesteps))
+            rows.append(EnergyRow(op.layer, op.flops, total / timesteps, "AC",
+                                  e_ac * op.flops * total))
     return EnergyReport(rows=rows)
 
 
@@ -296,8 +260,7 @@ def load_rate_fixture(path=None) -> FiringRateReport:
                 raise ParseError(f"expected 5 fields, got {len(parts)}", lineno)
             stage, block, layer, t_str, rate_str = parts
             try:
-                t = int(t_str)
-                rate = float(rate_str)
+                t, rate = int(t_str), float(rate_str)
             except ValueError:
                 raise ParseError(f"bad numeric field in {line!r}", lineno) from None
             if stage == "head":

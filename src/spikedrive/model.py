@@ -72,9 +72,9 @@ class Model(Module):
         """Run the network over T timesteps and average the per-step logits.
 
         ``x`` is either a static (B, C, H, W) batch, replicated along T, or a
-        pre-binned (T, B, C, H, W) event tensor, with C, H and W those of the
-        config; other shapes raise ``ShapeError``, and ``timesteps < 1`` or
-        non-finite values ``ArgError``.
+        pre-binned (T, B, C, H, W) event tensor, with B >= 1 and C, H and W
+        those of the config; other shapes raise ``ShapeError``, and
+        ``timesteps < 1`` or non-finite values ``ArgError``.
         """
         a = x.data if isinstance(x, (DenseTensor, Var)) else np.asarray(x, dtype=np.float64)
         if a.ndim == 4:
@@ -88,9 +88,9 @@ class Model(Module):
         else:
             raise ShapeError(f"expected (B, C, H, W) or (T, B, C, H, W), got {a.shape}")
         want = (self.cfg.in_channels, self.cfg.resolution, self.cfg.resolution)
-        if t_len < 1 or a.shape[-3:] != want:
-            raise ShapeError(f"expected T >= 1 frames of (B, {want[0]}, {want[1]}, {want[2]}), "
-                             f"got {a.shape}")
+        if t_len < 1 or a.shape[-4] < 1 or a.shape[-3:] != want:
+            raise ShapeError(f"expected T >= 1 frames of (B >= 1, {want[0]}, {want[1]}, "
+                             f"{want[2]}), got {a.shape}")
         if not np.isfinite(a).all():
             raise ArgError("input must be finite")
         ctx = ForwardContext(tape=tape, probe=probe, training=training,

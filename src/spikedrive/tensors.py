@@ -1,6 +1,12 @@
 """Core tensor carriers: dense floats, binary spikes, integer counts, and the
 address-event representation used for sparse interchange.
 
+Two facts about a tensor are decided here and nowhere else:
+:func:`kind_of` says whether it holds binary spikes, non-negative integers
+(SEW sums) or dense values, and :func:`firing_rate` gives its fraction of
+non-zero elements. The carrier constructors and the spike-path audit of
+``instrument.Probe`` both call them.
+
 All carriers are immutable after construction (the wrapped arrays are marked
 read-only) so they can be shared freely across threads.
 """
@@ -18,6 +24,7 @@ __all__ = [
     "SpikeTensor",
     "IntTensor",
     "EventList",
+    "kind_of",
     "firing_rate",
     "to_events",
     "from_events",
@@ -25,91 +32,83 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def kind_of(a) -> str:
+    """``"binary"`` if every element is 0 or 1 (an empty array too),
+    ``"integer"`` if every element is a finite non-negative whole number,
+    else ``"dense"``."""
+    a = np.asarray(a)
+    if a.size == 0 or a.dtype == bool:
+        return "binary"
+    mn, mx = a.min(), a.max()
+    whole = np.issubdtype(a.dtype, np.integer)
+    if mn >= 0 and mx <= 1 and (whole or np.isin(a, (0.0, 1.0)).all()):
+        return "binary"
+    if mn >= 0 and mx < np.inf and (whole or np.array_equal(a, np.round(a))):
+        return "integer"
+    return "dense"
 
 
-class DenseTensor:
-    """Row-major real-valued tensor. All values must be finite."""
+class _Carrier:
+    """A read-only array with a shape; equal to a carrier of the same class
+    holding the same values."""
 
     __slots__ = ("data",)
+
+    def __init__(self, a: np.ndarray):
+        a.flags.writeable = False
+        self.data = a
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and np.array_equal(self.data, other.data)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(shape={self.shape})"
+
+
+class DenseTensor(_Carrier):
+    """Row-major real-valued tensor. All values must be finite."""
+
+    __slots__ = ()
 
     def __init__(self, data):
         a = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(a)):
             raise ValueError("DenseTensor values must be finite")
-        self.data = _freeze(a.copy() if a.base is not None or a.flags.writeable else a)
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @classmethod
-    def zeros(cls, shape):
-        return cls(np.zeros(shape, dtype=np.float64))
-
-    def __eq__(self, other):
-        return isinstance(other, DenseTensor) and np.array_equal(self.data, other.data)
-
-    def __repr__(self):
-        return f"DenseTensor(shape={self.shape})"
+        super().__init__(a.copy() if a.base is not None or a.flags.writeable else a)
 
 
-class SpikeTensor:
+class SpikeTensor(_Carrier):
     """Binary activation tensor; every element is exactly 0 or 1."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data):
         a = np.asarray(data)
-        if a.size and not np.isin(a, (0, 1)).all():
+        if kind_of(a) != "binary":
             raise ValueError("SpikeTensor values must be exactly 0 or 1")
-        self.data = _freeze(a.astype(np.uint8))
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @classmethod
-    def zeros(cls, shape):
-        return cls(np.zeros(shape, dtype=np.uint8))
-
-    @classmethod
-    def ones(cls, shape):
-        return cls(np.ones(shape, dtype=np.uint8))
-
-    def __eq__(self, other):
-        return isinstance(other, SpikeTensor) and np.array_equal(self.data, other.data)
-
-    def __repr__(self):
-        return f"SpikeTensor(shape={self.shape})"
+        super().__init__(a.astype(np.uint8))
 
 
-class IntTensor:
+class IntTensor(_Carrier):
     """Non-negative integer tensor; arises from sums/products of spikes."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data):
         a = np.asarray(data)
-        if not np.issubdtype(a.dtype, np.integer):
-            if a.size and not np.array_equal(a, np.round(a)):
-                raise ValueError("IntTensor values must be integers")
-            a = a.astype(np.int64)
-        if a.size and a.min() < 0:
-            raise ValueError("IntTensor values must be non-negative")
-        self.data = _freeze(a.astype(np.int64))
+        if kind_of(a) == "dense":
+            whole = np.array_equal(a, np.round(a))
+            raise ValueError(f"IntTensor values must be {'non-negative' if whole else 'integers'}")
+        super().__init__(a.astype(np.int64))
 
-    @property
-    def shape(self):
-        return self.data.shape
 
-    def __eq__(self, other):
-        return isinstance(other, IntTensor) and np.array_equal(self.data, other.data)
-
-    def __repr__(self):
-        return f"IntTensor(shape={self.shape})"
+def _slices(shape) -> tuple[int, int]:
+    """(number of t slices, elements per slice) of an event origin shape."""
+    return (shape[0], int(np.prod(shape[1:]))) if len(shape) > 1 else (1, int(shape[0]))
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,7 @@ class EventList:
     def __post_init__(self):
         if not self.shape:
             raise InvalidEventError("EventList requires the origin tensor shape")
-        slice_size = int(np.prod(self.shape[1:])) if len(self.shape) > 1 else int(self.shape[0])
-        n_slices = self.shape[0] if len(self.shape) > 1 else 1
+        n_slices, slice_size = _slices(self.shape)
         prev = (-1, -1)
         for t, flat in self.records:
             if not (0 <= t < n_slices and 0 <= flat < slice_size):
@@ -143,8 +141,8 @@ class EventList:
 
 
 def firing_rate(s) -> float:
-    """Fraction of non-zero elements in a spike (or integer) tensor."""
-    a = s.data if hasattr(s, "data") else np.asarray(s)
+    """Fraction of non-zero elements of a carrier or an array."""
+    a = s.data if isinstance(s, _Carrier) else np.asarray(s)
     if a.size == 0:
         raise EmptyTensorError("firing rate of a zero-element tensor is undefined")
     return float(np.count_nonzero(a)) / a.size
@@ -152,26 +150,16 @@ def firing_rate(s) -> float:
 
 def to_events(s: SpikeTensor) -> EventList:
     """Enumerate the nonzero positions of a spike tensor as sorted events."""
-    a = s.data
-    if a.ndim >= 2:
-        flat = a.reshape(a.shape[0], -1)
-    else:
-        flat = a.reshape(1, -1)
-    ts, idx = np.nonzero(flat)
-    records = tuple(zip(ts.tolist(), idx.tolist()))
-    return EventList(records=records, shape=tuple(a.shape))
+    ts, idx = np.nonzero(s.data.reshape(_slices(s.shape)))
+    return EventList(records=tuple(zip(ts.tolist(), idx.tolist())), shape=tuple(s.shape))
 
 
 def from_events(e: EventList) -> SpikeTensor:
     """Inverse of :func:`to_events`; reconstructs the exact spike tensor."""
-    shape = e.shape
-    if len(shape) >= 2:
-        flat = np.zeros((shape[0], int(np.prod(shape[1:]))), dtype=np.uint8)
-    else:
-        flat = np.zeros((1, shape[0]), dtype=np.uint8)
+    flat = np.zeros(_slices(e.shape), dtype=np.uint8)
     for t, i in e.records:
         flat[t, i] = 1
-    return SpikeTensor(flat.reshape(shape))
+    return SpikeTensor(flat.reshape(e.shape))
 
 
 def load_event_file(path, bins: int, resolution: tuple[int, int],

@@ -196,6 +196,14 @@ def suite_energy():
     lines.append("FLOPs formulas match hand evaluations exactly")
     rates = energy.load_rate_fixture()
     cfg = ModelConfig(base_channels=48)
+    keys = {key for op in energy.charged_ops(cfg) for key in op.rate_keys}
+    for key in sorted(keys):
+        rates.series(key, 4)  # raises naming the first missing (layer, t)
+    extra = sorted(set(rates.layers()) - keys)
+    if extra or len(rates.entries) != 4 * len(keys):
+        return False, lines + [f"fixture holds {len(rates.entries)} rates, expected "
+                               f"{4 * len(keys)}; layers no op charges: {extra}"]
+    lines.append(f"fixture holds one rate per rate key ({len(keys)}) and t = 1..4")
     total = energy.estimate_energy(cfg, rates, timesteps=4).total_mj
     lines.append(f"31M-scale fixture estimate at T=4: {total:.3f} mJ")
     if not (total > 0):

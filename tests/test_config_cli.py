@@ -301,3 +301,83 @@ class TestCliConvert:
 
     def test_usage_error_exits_2(self):
         assert main(["convert"]) == 2
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["profile", "-T", "0"],
+        ["profile", "-T", "-2"],
+        ["profile", "--timesteps", "1.5"],
+        ["train", "-T", "0", "--epochs", "0"],
+        ["train", "--epochs", "-1"],
+        ["train", "--epochs", "0", "--finetune-timesteps", "0"],
+        ["convert", "ev.txt", "-T", "0", "--height", "4", "--width", "4"],
+    ])
+    def test_counts_out_of_range_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        # 0 is refused, not read as "use the config's T"; nothing is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ev.txt").write_text("0,0,0,1\n")
+        assert main(argv) == 2
+        assert "error: argument -" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt"]
+
+
+class TestRepeatedRates:
+    def test_repeated_layer_and_step_exits_3(self, tmp_path, capsys):
+        # a second (stage3.block1.qkv, t=1) row would otherwise move the total
+        rates = tmp_path / "rates.txt"
+        rates.write_text(sd.energy.packaged_fixture_path().read_text()
+                         + "3 block1 qkv 1 0.9000\n")
+        cfg_file = tmp_path / "c48.ini"
+        cfg_file.write_text("[model]\nbase_channels = 48\n")
+        rc = main(["profile", "--config", str(cfg_file), "-T", "4", "--rates", str(rates),
+                   "--out-dir", str(tmp_path / "p")])
+        assert rc == 3
+        assert "stage3.block1.qkv at t=1 given twice" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+
+class TestVerifyEnergyCoverage:
+    def _run(self, monkeypatch, tmp_path, text):
+        import spikedrive.verify as verify_mod
+        p = tmp_path / "rates.txt"
+        p.write_text(text)
+        monkeypatch.setattr(verify_mod.energy, "packaged_fixture_path", lambda: p)
+        lines = []
+        return verify_mod.run_suite("energy", log=lines.append), lines
+
+    def _fixture_lines(self):
+        return sd.energy.packaged_fixture_path().read_text().splitlines(keepends=True)
+
+    def test_packaged_fixture_covers_every_key(self, monkeypatch, tmp_path):
+        ok, lines = self._run(monkeypatch, tmp_path, "".join(self._fixture_lines()))
+        assert ok
+        assert "[energy] fixture holds one rate per rate key (94) and t = 1..4" in lines
+
+    def test_missing_row_fails(self, monkeypatch, tmp_path):
+        rows = [ln for ln in self._fixture_lines() if not ln.startswith("4 block2 mlp.fc2 3 ")]
+        ok, lines = self._run(monkeypatch, tmp_path, "".join(rows))
+        assert not ok
+        assert any("stage4.block2.mlp.fc2 at t=3" in ln for ln in lines)
+
+    def test_extra_layer_fails(self, monkeypatch, tmp_path):
+        # four more rows for a layer the 31M config does not have
+        text = "".join(self._fixture_lines()) + "".join(
+            f"4 block9 fc1 {t} 0.1\n" for t in range(1, 5))
+        ok, lines = self._run(monkeypatch, tmp_path, text)
+        assert not ok
+        assert any("layers no op charges: ['stage4.block9.fc1']" in ln for ln in lines)
+
+    def test_extra_timestep_fails(self, monkeypatch, tmp_path):
+        text = "".join(self._fixture_lines()) + "head - fc 5 0.4\n"
+        ok, lines = self._run(monkeypatch, tmp_path, text)
+        assert not ok
+        assert any("fixture holds 377 rates, expected 376" in ln for ln in lines)
+
+    def test_timestep_outside_one_to_four_fails(self, monkeypatch, tmp_path):
+        # head.fc at t = 1, 2, 3, 5: the layer set and the row count both match
+        rows = [ln.replace(" 4 ", " 5 ", 1) if ln.startswith("head - fc 4 ") else ln
+                for ln in self._fixture_lines()]
+        ok, lines = self._run(monkeypatch, tmp_path, "".join(rows))
+        assert not ok
+        assert any("head.fc at t=4" in ln for ln in lines)

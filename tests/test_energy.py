@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,65 @@ class TestAudit:
         model.forward(x, timesteps=1, probe=probe)
         kinds = {e.layer: e.kind for e in probe.entries}
         assert "integer" in set(kinds.values())
+
+
+class TestOneRateTable:
+    def test_report_is_the_probe(self):
+        assert FiringRateReport is Probe
+        model = sd.build_model(toy_cfg())
+        report = record_rates(model, np.random.default_rng(5).normal(0, 3, (1, 3, 32, 32)))
+        assert isinstance(report, Probe)
+        assert {e.kind for e in report.entries} <= {"binary", "integer", "dense"}
+
+    def test_get_series_and_layers_read_one_index(self):
+        r = FiringRateReport()
+        for layer, t, rate in (("a", 1, 0.25), ("b", 1, 0.5), ("a", 2, 0.75)):
+            r.add(layer, t, rate)
+        assert r.layers() == ["a", "b"]
+        assert r.series("a", 2) == [r.get("a", 1), r.get("a", 2)] == [0.25, 0.75]
+        assert [(e.layer, e.t, e.rate, e.kind) for e in r.entries] == [
+            ("a", 1, 0.25, None), ("b", 1, 0.5, None), ("a", 2, 0.75, None)]
+        with pytest.raises(ReportError, match="no firing rate recorded for b at t=2"):
+            r.series("b", 2)
+
+    def test_repeated_layer_and_step_is_refused(self):
+        r = FiringRateReport()
+        r.add("a", 1, 0.25)
+        with pytest.raises(ReportError, match="a at t=1 given twice"):
+            r.add("a", 1, 0.75)
+        assert r.get("a", 1) == r.series("a", 1)[0] == 0.25
+
+    def test_one_probe_cannot_hold_two_forwards(self):
+        model = sd.build_model(toy_cfg())
+        probe = Probe()
+        x = np.zeros((1, 3, 32, 32))
+        model.forward(x, timesteps=1, probe=probe)
+        with pytest.raises(ReportError, match="given twice"):
+            model.forward(x, timesteps=1, probe=probe)
+
+    def test_observe_measures_with_the_tensor_helpers(self):
+        from spikedrive.tensors import firing_rate, kind_of
+        probe = Probe()
+        probe.t = 3
+        for layer, a in (("s", np.array([[0.0, 1.0], [1.0, 1.0]])), ("i", np.array([0, 2, 0])),
+                         ("d", np.array([0.5, 0.0]))):
+            probe.observe(layer, a)
+            e = probe.entries[-1]
+            assert (e.layer, e.t, e.rate, e.kind) == (layer, 3, firing_rate(a), kind_of(a))
+        assert [e.kind for e in probe.entries] == ["binary", "integer", "dense"]
+
+
+class TestFixtureReportPinned:
+    def test_31m_report_text_is_byte_identical(self):
+        # pinned text: a change to any rate lookup, FLOPs figure or number format shows here
+        want = (Path(__file__).parent / "data" / "energy_31m_t4.txt").read_text()
+        got = estimate_energy(sd.ModelConfig(base_channels=48), load_rate_fixture(), 4)
+        assert got.to_text() == want
+
+    def test_repeated_row_names_its_line(self, tmp_path):
+        fixture = sd.energy.packaged_fixture_path().read_text()
+        p = tmp_path / "rates.txt"
+        p.write_text(fixture + "3 block1 qkv 1 0.9000\n")
+        line = fixture.count("\n") + 1
+        with pytest.raises(ParseError, match=f"line {line}.*stage3.block1.qkv at t=1 given twice"):
+            load_rate_fixture(p)

@@ -115,6 +115,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             sd.forward(model, np.zeros((0, 1, 3, 32, 32)))
 
+    @pytest.mark.parametrize("shape", [(0, 3, 32, 32), (2, 0, 3, 32, 32)])
+    def test_empty_batch_is_a_shape_error(self, shape):
+        # an empty batch has no firing rate to record
+        model = sd.build_model(toy_cfg())
+        with pytest.raises(ShapeError, match="B >= 1"):
+            sd.forward(model, np.zeros(shape))
+
     @pytest.mark.parametrize("timesteps", [0, -1])
     def test_timesteps_below_one_are_refused(self, timesteps):
         # 0 is a value, not "use the config's T=2"

@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from spikedrive.errors import ArgError, EmptyTensorError, InvalidEventError, ParseError
 from spikedrive.tensors import (DenseTensor, EventList, IntTensor, SpikeTensor,
-                                firing_rate, from_events, load_event_file, to_events)
+                                firing_rate, from_events, kind_of, load_event_file,
+                                to_events)
 
 
 class TestCarriers:
@@ -53,6 +54,61 @@ class TestFiringRate:
     def test_rate_bounded(self, a):
         assert 0.0 <= firing_rate(SpikeTensor(a)) <= 1.0
 
+    @pytest.mark.parametrize("a, want", [
+        (np.zeros((3, 4)), 0.0), (np.ones((2, 5, 2)), 1.0), (np.array([1, 0, 1, 1]), 0.75),
+        (np.array([[2, 0], [0, 7]]), 0.5), ([1, 0], 0.5)])
+    def test_plain_arrays(self, a, want):
+        # an ndarray has a .data memoryview of its own; only carriers are unwrapped
+        assert firing_rate(a) == want
+        if np.isin(a, (0, 1)).all():
+            assert firing_rate(a) == firing_rate(SpikeTensor(a))
+
+    def test_empty_array_is_an_error(self):
+        with pytest.raises(EmptyTensorError):
+            firing_rate(np.zeros((0, 4)))
+
+
+class TestKindOf:
+    @pytest.mark.parametrize("a, want", [
+        (np.zeros(3), "binary"), (np.array([True, False]), "binary"),
+        (np.array([0, 1], dtype=np.uint8), "binary"), (np.zeros((0, 2)), "binary"),
+        (np.array([0.0, 2.0, 5.0]), "integer"), (np.array([3, 0], dtype=np.int64), "integer"),
+        (np.array([0.5, 1.0]), "dense"), (np.array([-1.0, 0.0]), "dense"),
+        (np.array([-1, 1]), "dense"), (np.array([np.nan]), "dense"),
+        (np.array([np.inf, 1.0]), "dense")])
+    def test_kinds(self, a, want):
+        assert kind_of(a) == want
+
+    @pytest.mark.parametrize("a", [np.array([0, 1, 1]), np.array([2.0, 0.0]),
+                                   np.array([0.5]), np.array([-1]), np.array([np.inf])])
+    def test_carriers_accept_exactly_their_kinds(self, a):
+        kind = kind_of(a)
+        for cls, kinds in ((SpikeTensor, ("binary",)), (IntTensor, ("binary", "integer"))):
+            if kind in kinds:
+                cls(a)
+            else:
+                with pytest.raises(ValueError):
+                    cls(a)
+
+    def test_int_tensor_messages_name_the_fault(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            IntTensor(np.array([-2.0, 1.0]))
+        with pytest.raises(ValueError, match="integers"):
+            IntTensor(np.array([-1.5]))
+
+
+class TestCarrierBase:
+    def test_equality_needs_the_same_class(self):
+        a = np.array([[0, 1], [1, 1]])
+        assert SpikeTensor(a) == SpikeTensor(a.copy())
+        assert SpikeTensor(a) != IntTensor(a)
+        assert IntTensor(a) != DenseTensor(a)
+        assert DenseTensor(a) == DenseTensor(a.astype(float))
+
+    def test_repr_names_class_and_shape(self):
+        assert repr(IntTensor(np.zeros((2, 3)))) == "IntTensor(shape=(2, 3))"
+        assert repr(DenseTensor(np.zeros(4))) == "DenseTensor(shape=(4,))"
+
 
 class TestEvents:
     def test_zero_tensor_has_no_events(self):
@@ -80,6 +136,12 @@ class TestEvents:
             EventList(records=((0, 3), (0, 1)), shape=(1, 4))
         with pytest.raises(InvalidEventError):
             EventList(records=((0, 1), (0, 1)), shape=(1, 4))
+
+    def test_zero_size_slices_roundtrip(self):
+        for shape in ((2, 0), (0, 3), (3, 0, 2)):
+            s = SpikeTensor(np.zeros(shape))
+            assert to_events(s).records == ()
+            assert from_events(to_events(s)) == s
 
     def test_random_8x8_roundtrip(self):
         rng = np.random.default_rng(0)
