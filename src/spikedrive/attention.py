@@ -8,9 +8,13 @@ no softmax and no scale multiplication:
 * variant 3 fires the integer product Q (K^T V) against a scaled threshold
 * variant 4 is variant 3 with the threshold as a trainable scalar
 
-These functional forms implement single-timestep semantics (the neuron state
-starts from reset); the stateful multi-timestep behaviour lives in the block
-layer that owns the operator.
+Each variant is written once, in :func:`attend`, from the autodiff ops on
+(B, N, D) operands; the caller supplies ``fire``, which turns the integer
+sums into spikes. ``blocks.TransformerBlock`` passes the step of its
+stateful attention neuron and records on its tape; the functional forms
+``sdsa1``..``sdsa4`` pass a Heaviside at a fixed threshold with no tape, so
+they implement single-timestep semantics (the neuron state starts from
+reset).
 """
 
 from __future__ import annotations
@@ -19,13 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Var
 from .errors import ShapeError
-from .kernels import binary_matmul, conv2d_raw, hadamard_mask, sum_columns
+from .kernels import conv2d_raw
 from .neuron import LIFParams, heaviside, sn_forward
 from .tensors import DenseTensor, SpikeTensor, check_same_shape
 
 __all__ = [
     "SDSAConfig",
+    "attend",
     "gen_qkv",
     "sdsa1",
     "sdsa2",
@@ -91,25 +98,54 @@ def gen_qkv(u: DenseTensor, rep1, rep2, rep3, params: LIFParams | None = None):
     return tuple(outs)
 
 
-def _fire(x: np.ndarray, threshold: float) -> np.ndarray:
-    return heaviside(x.astype(np.float64) - threshold).astype(np.uint8)
+def attend(tape, variant: int, q: Var, k: Var | None, v: Var, heads: int, fire):
+    """One spike-driven self-attention step on (B, N, D) spike operands.
+
+    ``fire`` turns the integer sums a variant thresholds into spikes: the
+    (B, 1, D) column totals of variants 1 and 2, or the (B, N, D) product
+    Q (K^T V) of variants 3 and 4. ``k`` is None for variant 2. The ops record
+    on ``tape``. Returns the output spikes, then the per-head K^T V and
+    Q (K^T V) of variants 3 and 4 (None for variants 1 and 2).
+    """
+    if variant == 1:
+        return ad.mul(tape, q, fire(ad.sum_axes(tape, ad.mul(tape, k, v), (1,)))), None, None
+    if variant == 2:
+        return ad.mul(tape, fire(ad.sum_axes(tape, q, (1,))), v), None, None
+    b, n, d = q.shape
+
+    def headed(z):  # (B, N, D) -> (B, heads, N, D/heads)
+        return ad.transpose(tape, ad.reshape(tape, z, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    qh, kh, vh = headed(q), headed(k), headed(v)
+    ktv = ad.matmul(tape, ad.transpose(tape, kh, (0, 1, 3, 2)), vh)
+    qktv = ad.matmul(tape, qh, ktv)
+    merged = ad.reshape(tape, ad.transpose(tape, qktv, (0, 2, 1, 3)), (b, n, d))
+    return fire(merged), ktv, qktv
+
+
+def _functional(variant, q, k, v, threshold, heads=1) -> SpikeTensor:
+    """:func:`attend` on (N, D) spike tensors from the reset state: a batch
+    axis of 1, no tape, and firing wherever a sum reaches ``threshold``."""
+    for z in (k, v):
+        if z is not None:
+            check_same_shape(q, z)
+    if q.data.ndim != 2:
+        raise ShapeError(f"SDSA expects (N, D) operands, got {q.shape}")
+    if q.shape[1] % heads:
+        raise ShapeError(f"dim {q.shape[1]} not divisible by {heads} heads")
+    batch = [None if z is None else Var(z.data[None]) for z in (q, k, v)]
+    out, _, _ = attend(None, variant, *batch, heads, lambda z: Var(heaviside(z.data - threshold)))
+    return SpikeTensor(out.data[0].astype(np.uint8))
 
 
 def sdsa1(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, u_th: float = 1.0) -> SpikeTensor:
     """Mask Q by the fired column totals of K AND V (hydra-style, O(ND))."""
-    check_same_shape(q, k)
-    check_same_shape(q, v)
-    kv = hadamard_mask(k, v)
-    col = sum_columns(kv)  # (1, D)
-    gate = _fire(col.data, u_th)
-    return SpikeTensor(q.data & gate)
+    return _functional(1, q, k, v, u_th)
 
 
 def sdsa2(q: SpikeTensor, v: SpikeTensor, u_th: float = 1.0) -> SpikeTensor:
     """Mask V by the fired column totals of Q; K plays no part."""
-    check_same_shape(q, v)
-    gate = _fire(sum_columns(q).data, u_th)
-    return SpikeTensor(gate & v.data)
+    return _functional(2, q, None, v, u_th)
 
 
 def sdsa3(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor,
@@ -119,24 +155,13 @@ def sdsa3(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor,
     Computes K^T V first (linear in token count), multiplies by Q, and
     thresholds; per-head when ``heads`` > 1.
     """
-    check_same_shape(q, k)
-    check_same_shape(q, v)
-    if q.data.ndim != 2:
-        raise ShapeError(f"sdsa3 expects (N, D) operands, got {q.shape}")
-    qs = split_heads(q.data, heads)
-    ks = split_heads(k.data, heads)
-    vs = split_heads(v.data, heads)
-    out = np.empty_like(qs, dtype=np.int64)
-    for i in range(heads):
-        kv = binary_matmul(SpikeTensor(ks[i].T), SpikeTensor(vs[i]))  # (d, d) K^T V
-        out[i] = qs[i].astype(np.int64) @ kv.data
-    return SpikeTensor(_fire(merge_heads(out), threshold))
+    return _functional(3, q, k, v, threshold, heads)
 
 
 def sdsa4(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor,
           learnable_threshold: float, heads: int = 1) -> SpikeTensor:
     """Variant 3 with the firing threshold supplied by a trainable scalar."""
-    return sdsa3(q, k, v, threshold=float(learnable_threshold), heads=heads)
+    return _functional(4, q, k, v, float(learnable_threshold), heads)
 
 
 def vsa_reference(q: DenseTensor, k: DenseTensor, v: DenseTensor, heads: int = 1) -> DenseTensor:

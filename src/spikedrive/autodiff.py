@@ -199,14 +199,15 @@ def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
                  lambda g: adjoint(g) + (g.sum(axis=(0, 2, 3)),))
 
 
-def batch_norm(tape, x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
-    """Per-channel normalization over (B, H, W) using batch statistics."""
+def batch_norm(tape, x: Var, gamma: Var, beta: Var, mu: np.ndarray, var: np.ndarray,
+               eps: float = 1e-5) -> Var:
+    """Per-channel normalization over (B, H, W) by the batch statistics ``mu``
+    and ``var`` of ``x`` (per channel, computed by the caller); the backward
+    differentiates through them."""
     axes = (0, 2, 3)
     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    inv = 1.0 / np.sqrt(var[None, :, None, None] + eps)
+    xhat = (x.data - mu[None, :, None, None]) * inv
     gm = gamma.data[None, :, None, None]
     out = Var(gm * xhat + beta.data[None, :, None, None])
 

@@ -9,6 +9,11 @@ The depthwise 7x7 and the pointwise conv that follows it form one fused
 spike-driven unit (no neuron between them); instrumentation and the energy
 model treat the pair at that granularity.
 
+The three spiking mixers (:class:`SepConv`, :class:`ChannelConv` and
+:class:`ChannelMLP`) share one forward, :meth:`Mixer.forward`, over the
+stages each lists in ``_stages``. ``TransformerBlock`` runs its attention
+through :func:`attention.attend`, the one definition of the SDSA variants.
+
 Every layer derives from :class:`Module`, which finds what a layer holds by
 walking its public instance attributes in assignment order: a ``Var`` is a
 parameter (saved under its own ``.name``), a float array is a buffer named
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import SDSAConfig
+from .attention import SDSAConfig, attend
 from .autodiff import Var
 from .errors import FoldError, KindError, ShapeError
 from .kernels import ConvKernel
@@ -38,6 +43,7 @@ __all__ = [
     "SN",
     "ConvBN",
     "RepConv",
+    "Mixer",
     "SepConv",
     "ChannelConv",
     "ChannelMLP",
@@ -154,7 +160,7 @@ class ConvBN(Module):
         self.beta = Var(np.zeros(cout), name=f"{name}.beta")
         self.run_mean = np.zeros(cout)
         self.run_var = np.ones(cout)
-        self.stride, self.groups, self.k, self.name = stride, groups, k, name
+        self.stride, self.groups, self.name = stride, groups, name
         self.padding = k // 2
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
@@ -164,7 +170,7 @@ class ConvBN(Module):
             var = y.data.var(axis=(0, 2, 3))
             self.run_mean[...] = (1 - BN_MOMENTUM) * self.run_mean + BN_MOMENTUM * mu
             self.run_var[...] = (1 - BN_MOMENTUM) * self.run_var + BN_MOMENTUM * var
-            return ad.batch_norm(ctx.tape, y, self.gamma, self.beta, eps=BN_EPS)
+            return ad.batch_norm(ctx.tape, y, self.gamma, self.beta, mu, var, eps=BN_EPS)
         return ad.normalize_affine(ctx.tape, y, self.gamma, self.beta,
                                    self.run_mean, self.run_var, eps=BN_EPS)
 
@@ -193,7 +199,7 @@ class RepConv(Module):
                        name=f"{name}.pw1.w")
         self.dw = ConvBN(rng, dim, dim, 3, groups=dim, name=f"{name}.dw")
         self.pw2 = ConvBN(rng, dim, dim, 1, name=f"{name}.pw2")
-        self.dim, self.name = dim, name
+        self.name = name
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         y = ad.conv2d(ctx.tape, x, self.pw1, None, 1, 0)
@@ -216,7 +222,21 @@ class RepConv(Module):
         return ConvKernel(weights=weights, bias=bias, stride=1, padding=1)
 
 
-class SepConv(Module):
+class Mixer(Module):
+    """Base of the spiking mixers. Each stage in ``_stages`` is
+    ``(neuron, key, convs)``: fire the input, record the spikes under
+    ``<name>.<key>``, then run the convs in turn."""
+
+    def forward(self, x: Var, ctx: ForwardContext) -> Var:
+        for sn, key, convs in self._stages:
+            x = sn.step(x, ctx)
+            ctx.observe(f"{self.name}.{key}", x)
+            for conv in convs:
+                x = conv.forward(x, ctx)
+        return x
+
+
+class SepConv(Mixer):
     """Inverted separable token mixer: expand 1x1, depthwise 7x7, project 1x1."""
 
     RATIO = 2
@@ -229,18 +249,11 @@ class SepConv(Module):
         self.dw = ConvBN(rng, mid, mid, 7, groups=mid, name=f"{name}.dw")
         self.pw2 = ConvBN(rng, mid, dim, 1, name=f"{name}.pw2")
         self.name = name
-
-    def forward(self, x: Var, ctx: ForwardContext) -> Var:
-        s = self.sn1.step(x, ctx)
-        ctx.observe(f"{self.name}.pw1", s)
-        y = self.pw1.forward(s, ctx)
-        s = self.sn2.step(y, ctx)
-        ctx.observe(f"{self.name}.dwpw2", s)
-        y = self.dw.forward(s, ctx)
-        return self.pw2.forward(y, ctx)
+        self._stages = ((self.sn1, "pw1", (self.pw1,)),
+                        (self.sn2, "dwpw2", (self.dw, self.pw2)))
 
 
-class ChannelConv(Module):
+class ChannelConv(Mixer):
     """Channel mixer for conv stages: two 3x3 convs around an expansion."""
 
     RATIO = 4
@@ -252,17 +265,10 @@ class ChannelConv(Module):
         self.sn2 = SN(lif, name=f"{name}.sn2")
         self.conv2 = ConvBN(rng, mid, dim, 3, name=f"{name}.conv2")
         self.name = name
-
-    def forward(self, x: Var, ctx: ForwardContext) -> Var:
-        s = self.sn1.step(x, ctx)
-        ctx.observe(f"{self.name}.conv1", s)
-        y = self.conv1.forward(s, ctx)
-        s = self.sn2.step(y, ctx)
-        ctx.observe(f"{self.name}.conv2", s)
-        return self.conv2.forward(s, ctx)
+        self._stages = ((self.sn1, "conv1", (self.conv1,)), (self.sn2, "conv2", (self.conv2,)))
 
 
-class ChannelMLP(Module):
+class ChannelMLP(Mixer):
     """Token-wise two-layer MLP, realized as 1x1 convs on the spatial layout."""
 
     RATIO = 4
@@ -274,14 +280,7 @@ class ChannelMLP(Module):
         self.sn2 = SN(lif, name=f"{name}.sn2")
         self.fc2 = ConvBN(rng, mid, dim, 1, name=f"{name}.fc2")
         self.name = name
-
-    def forward(self, x: Var, ctx: ForwardContext) -> Var:
-        s = self.sn1.step(x, ctx)
-        ctx.observe(f"{self.name}.fc1", s)
-        y = self.fc1.forward(s, ctx)
-        s = self.sn2.step(y, ctx)
-        ctx.observe(f"{self.name}.fc2", s)
-        return self.fc2.forward(s, ctx)
+        self._stages = ((self.sn1, "fc1", (self.fc1,)), (self.sn2, "fc2", (self.fc2,)))
 
     def apply(self, u: DenseTensor) -> DenseTensor:
         """Token-layout (N, D) convenience entry."""
@@ -312,19 +311,26 @@ def _residual(block, x: Var, ctx: ForwardContext, mixer, channel) -> Var:
     return block.out_sn2.step(ad.add(tape, channel(s1, ctx), s1), ctx)
 
 
+def _out_neurons(lif: LIFParams, shortcut: str, name: str):
+    """The two block-boundary neurons a shortcut fires through: none under MS.
+    An unknown shortcut is a ``ValueError``."""
+    if shortcut not in SHORTCUTS:
+        raise ValueError(f"shortcut must be one of {SHORTCUTS}, got {shortcut!r}")
+    if shortcut == "MS":
+        return None, None
+    return SN(lif, name=f"{name}.out_sn1"), SN(lif, name=f"{name}.out_sn2")
+
+
 class ConvBlock(Module):
     """Stage-1/2 block: separable token mixer plus channel convs, with the
     configured residual style."""
 
     def __init__(self, rng, dim, lif: LIFParams, shortcut="MS", name="convblock"):
-        if shortcut not in SHORTCUTS:
-            raise ValueError(f"shortcut must be one of {SHORTCUTS}")
         self.token = SepConv(rng, dim, lif, name=f"{name}.sepconv")
         self.channel = ChannelConv(rng, dim, lif, name=f"{name}.chconv")
         self.shortcut = shortcut
         self.name = name
-        self.out_sn1 = SN(lif, name=f"{name}.out_sn1") if shortcut != "MS" else None
-        self.out_sn2 = SN(lif, name=f"{name}.out_sn2") if shortcut != "MS" else None
+        self.out_sn1, self.out_sn2 = _out_neurons(lif, shortcut, name)
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         return _residual(self, x, ctx, self.token.forward, self.channel.forward)
@@ -339,7 +345,6 @@ class TransformerBlock(Module):
         if sdsa.variant in (3, 4) and dim % sdsa.heads:
             raise ValueError(f"dim {dim} not divisible by {sdsa.heads} heads")
         self.sdsa = sdsa
-        self.lif = lif
         self.sn_in = SN(lif, name=f"{name}.sn_in")
         self.rep_q = RepConv(rng, dim, name=f"{name}.rep_q")
         self.rep_k = RepConv(rng, dim, name=f"{name}.rep_k") if sdsa.variant != 2 else None
@@ -358,51 +363,30 @@ class TransformerBlock(Module):
         self.rep4 = RepConv(rng, dim, name=f"{name}.rep4")
         self.mlp = ChannelMLP(rng, dim, lif, name=f"{name}.mlp")
         self.shortcut = shortcut
-        self.out_sn1 = SN(lif, name=f"{name}.out_sn1") if shortcut != "MS" else None
-        self.out_sn2 = SN(lif, name=f"{name}.out_sn2") if shortcut != "MS" else None
-        self.dim, self.name = dim, name
+        self.out_sn1, self.out_sn2 = _out_neurons(lif, shortcut, name)
+        self.name = name
 
     def _attend(self, x: Var, ctx: ForwardContext) -> Var:
         tape = ctx.tape
         b, c, h, w = x.shape
         s_in = self.sn_in.step(x, ctx)
         ctx.observe(f"{self.name}.qkv", s_in)
-        q = self.sn_q.step(self.rep_q.forward(s_in, ctx), ctx)
-        ctx.observe(f"{self.name}.q", q)
-        v = self.sn_v.step(self.rep_v.forward(s_in, ctx), ctx)
-        ctx.observe(f"{self.name}.v", v)
-        k = None
-        if self.sdsa.variant != 2:
-            k = self.sn_k.step(self.rep_k.forward(s_in, ctx), ctx)
-            ctx.observe(f"{self.name}.k", k)
 
-        def tokens(z):  # (B, C, H, W) -> (B, N, D)
-            return ad.transpose(tape, ad.reshape(tape, z, (b, c, h * w)), (0, 2, 1))
+        def stream(leaf):  # conv, fire and record Q, K or V, as (B, N, D) tokens
+            rep, sn = getattr(self, f"rep_{leaf}"), getattr(self, f"sn_{leaf}")
+            if rep is None:
+                return None
+            s = sn.step(rep.forward(s_in, ctx), ctx)
+            ctx.observe(f"{self.name}.{leaf}", s)
+            return ad.transpose(tape, ad.reshape(tape, s, (b, c, h * w)), (0, 2, 1))
 
-        qt, vt = tokens(q), tokens(v)
-        if self.sdsa.variant == 1:
-            col = ad.sum_axes(tape, ad.mul(tape, tokens(k), vt), (1,))
-            gate = self.sn_gate.step(col, ctx)
-            attn = ad.mul(tape, qt, gate)
-        elif self.sdsa.variant == 2:
-            gate = self.sn_gate.step(ad.sum_axes(tape, qt, (1,)), ctx)
-            attn = ad.mul(tape, gate, vt)
-        else:
-            heads = self.sdsa.heads
-            dh = c // heads
-
-            def headed(z):  # (B, N, D) -> (B, heads, N, dh)
-                return ad.transpose(tape, ad.reshape(tape, z, (b, h * w, heads, dh)),
-                                    (0, 2, 1, 3))
-
-            qh, kh, vh = headed(qt), headed(tokens(k)), headed(vt)
-            kv = ad.matmul(tape, ad.transpose(tape, kh, (0, 1, 3, 2)), vh)
-            ctx.observe(f"{self.name}.ktv", kv)
-            qkv = ad.matmul(tape, qh, kv)
-            ctx.observe(f"{self.name}.qktv", qkv)
-            merged = ad.reshape(tape, ad.transpose(tape, qkv, (0, 2, 1, 3)),
-                                (b, h * w, c))
-            attn = self.sn_attn.step(merged, ctx)
+        q, v, k = stream("q"), stream("v"), stream("k")
+        sn = self.sn_attn or self.sn_gate
+        attn, ktv, qktv = attend(tape, self.sdsa.variant, q, k, v, self.sdsa.heads,
+                                 lambda z: sn.step(z, ctx))
+        if ktv is not None:
+            ctx.observe(f"{self.name}.ktv", ktv)
+            ctx.observe(f"{self.name}.qktv", qktv)
         spatial = ad.reshape(tape, ad.transpose(tape, attn, (0, 2, 1)), (b, c, h, w))
         ctx.observe(f"{self.name}.repconv4", spatial)
         return self.rep4.forward(spatial, ctx)
@@ -419,11 +403,10 @@ class Downsample(Module):
                  name="ds"):
         self.sn = None if first else SN(lif, name=f"{name}.sn")
         self.conv = ConvBN(rng, cin, cout, k, stride=stride, name=f"{name}.conv")
-        self.first = first
         self.name = name
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
-        if self.first:
+        if self.sn is None:
             # raw-pixel encoding: charged as dense MAC at rate 1
             ctx.observe(self.name, x, kind="dense", rate=1.0)
             return self.conv.forward(x, ctx)

@@ -20,6 +20,7 @@ from .errors import ConfigError, ParseError, ReportError, SpikeDriveError
 from .model import build_model, count_params, load_checkpoint, save_checkpoint
 from .tensors import load_event_file
 from .train import Dataset, finetune_timesteps, make_blobs, train_toy
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -129,8 +130,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_suite
-
     ok = run_suite(args.suite)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -193,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("verify", help="run self-check suites")
-    sp.add_argument("--suite", default="all",
-                    choices=["kernels", "sdsa", "blocks", "energy", "gradcheck", "all"])
+    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("convert", help="bin a DVS event text file into spike frames")

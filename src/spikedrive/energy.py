@@ -244,9 +244,9 @@ def packaged_fixture_path():
 def load_rate_fixture(path=None) -> FiringRateReport:
     """Parse a structured firing-rate table keyed by (stage, block, layer, t).
 
-    Lines are ``stage block layer t rate``; '#' starts a comment. ``block``
-    is a block label or a downsampling label; stage ``head`` carries the
-    classifier row.
+    Lines are ``stage block layer t rate`` with ``t`` >= 1; '#' starts a
+    comment. ``block`` is a block label or a downsampling label; stage
+    ``head`` carries the classifier row.
     """
     source = packaged_fixture_path() if path is None else path
     report = FiringRateReport()
@@ -263,6 +263,8 @@ def load_rate_fixture(path=None) -> FiringRateReport:
                 t, rate = int(t_str), float(rate_str)
             except ValueError:
                 raise ParseError(f"bad numeric field in {line!r}", lineno) from None
+            if t < 1:
+                raise ParseError(f"timestep must be >= 1 in {line!r}", lineno)
             if stage == "head":
                 layer_id = f"head.{layer}"
             elif block.startswith("ds"):

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from spikedrive.attention import (SDSAConfig, gen_qkv, merge_heads, sdsa1, sdsa2,
+from spikedrive.attention import (SDSAConfig, attend, gen_qkv, merge_heads, sdsa1, sdsa2,
                                   sdsa3, sdsa4, split_heads, vsa_reference)
+from spikedrive import autodiff as ad
+from spikedrive.autodiff import Tape, Var, backward
 from spikedrive.errors import ShapeError
 from spikedrive.kernels import ConvKernel, conv2d_raw
 from spikedrive.neuron import LIFParams
@@ -269,3 +271,54 @@ class TestGenQKV:
     def test_rejects_bad_rank(self):
         with pytest.raises(ShapeError):
             gen_qkv(DenseTensor(np.zeros((1, 3, 4, 4))), None, None, None)
+
+
+class TestAttend:
+    def _fire(self, thr):
+        return lambda z: Var((z.data - thr >= 0).astype(np.float64))
+
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    def test_batch_rows_match_the_functional_forms(self, variant):
+        rng = np.random.default_rng(21)
+        for heads in (1, 2, 4):
+            q, k, v = ((rng.random((3, 6, 8)) < 0.5).astype(np.float64) for _ in range(3))
+            thr = float(rng.uniform(0.5, 3))
+            out, ktv, qktv = attend(None, variant, Var(q), None if variant == 2 else Var(k),
+                                    Var(v), heads, self._fire(thr))
+            assert (ktv is None) == (qktv is None) == (variant in (1, 2))
+            for b in range(3):
+                qb, kb, vb = (SpikeTensor(z[b]) for z in (q, k, v))
+                want = {1: lambda: sdsa1(qb, kb, vb, thr), 2: lambda: sdsa2(qb, vb, thr),
+                        3: lambda: sdsa3(qb, kb, vb, thr, heads),
+                        4: lambda: sdsa4(qb, kb, vb, thr, heads)}[variant]()
+                assert np.array_equal(out.data[b], want.data)
+                if ktv is not None:
+                    assert np.array_equal(qktv.data[b], np.stack(
+                        [split_heads(q[b], heads)[i] @ split_heads(k[b], heads)[i].T
+                         @ split_heads(v[b], heads)[i] for i in range(heads)]))
+
+    def test_records_on_the_tape_and_differentiates(self):
+        # smooth stand-in for the neuron: the gradient reaches q, k and v
+        rng = np.random.default_rng(22)
+        q, k, v = (Var((rng.random((1, 4, 4)) < 0.6).astype(np.float64)) for _ in range(3))
+        tape = Tape()
+        out, _, _ = attend(tape, 3, q, k, v, 2, lambda z: z)
+        backward(tape, ad.sum_axes(tape, out, (0, 1, 2), keepdims=False))
+        qd, kd, vd = (z.data.reshape(4, 2, 2).transpose(1, 0, 2) for z in (q, k, v))
+        ones = np.ones((4, 2))
+        # d/dQ sum(Q K^T V) = 1 (K^T V)^T per head
+        want_q = np.stack([ones @ (kd[i].T @ vd[i]).T for i in range(2)])
+        assert np.allclose(q.grad.reshape(4, 2, 2).transpose(1, 0, 2), want_q)
+        assert k.grad is not None and v.grad is not None
+
+    def test_functional_forms_keep_their_errors(self):
+        a = SpikeTensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            sdsa1(a, SpikeTensor(np.ones((2, 4))), a)
+        with pytest.raises(ShapeError):
+            sdsa2(SpikeTensor(np.ones((2, 3, 4))), SpikeTensor(np.ones((2, 3, 4))))
+        with pytest.raises(ShapeError, match="not divisible by 3 heads"):
+            sdsa3(a, a, a, heads=3)
+        with pytest.raises(ValueError):
+            sdsa4(a, a, SpikeTensor(np.ones((3, 5))), 0.5)
+        assert sdsa3(a, a, a).data.dtype == np.uint8

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from spikedrive.attention import SDSAConfig
-from spikedrive.blocks import (ChannelConv, ChannelMLP, ConvBlock, Downsample,
-                               RepConv, SepConv, TransformerBlock, apply_shortcut,
-                               repconv_fold)
+from spikedrive.attention import SDSAConfig, sdsa1, sdsa2, sdsa4
+from spikedrive.autodiff import Tape, Var
+from spikedrive.blocks import (ChannelConv, ChannelMLP, ConvBlock, ConvBN, Downsample,
+                               ForwardContext, Mixer, RepConv, SepConv, TransformerBlock,
+                               apply_shortcut, repconv_fold)
 from spikedrive.errors import FoldError, KindError, ShapeError
+from spikedrive.instrument import Probe
 from spikedrive.kernels import ConvKernel, conv2d_raw, dense_conv2d
 from spikedrive.neuron import LIFParams
 from spikedrive.tensors import DenseTensor, IntTensor, SpikeTensor
@@ -343,3 +345,92 @@ class TestApplyShortcut:
         with pytest.raises(ShapeError):
             apply_shortcut("MS", DenseTensor(np.zeros((2, 2))),
                            DenseTensor(np.zeros((3, 3))))
+
+
+class TestTransformerBlockVariants:
+    @pytest.mark.parametrize("variant", [1, 2, 4])
+    def test_matches_composed_sdsa_oracle(self, variant):
+        # dense recomputation of the whole block at T=1 through the functional
+        # forms, as test_matches_composed_attention_oracle does for variant 3
+        rng = np.random.default_rng(30)
+        cfg = SDSAConfig(variant=variant, heads=2, dim=4, threshold_scale=0.125)
+        block = TransformerBlock(rng, 4, LIF, cfg, "MS")
+        if variant == 4:
+            block.sn_attn.threshold.data = np.asarray(1.5)  # away from the 0.125 default
+        x = rng.normal(0, 2, (4, 4, 4))
+        got = block.apply(DenseTensor(x)).data
+
+        s_in = heaviside(x)
+        def rep(layer, z):
+            y = conv2d_raw(z[None], layer.pw1.data, None, 1, 0)[0]
+            y = run_convbn_eval(layer.dw, y)
+            return run_convbn_eval(layer.pw2, y)
+        to_tokens = lambda z: SpikeTensor(z.reshape(4, 16).T)
+        q = to_tokens(heaviside(rep(block.rep_q, s_in)))
+        v = to_tokens(heaviside(rep(block.rep_v, s_in)))
+        if variant == 1:
+            k = to_tokens(heaviside(rep(block.rep_k, s_in)))
+            a = sdsa1(q, k, v, u_th=block.sn_gate.params.threshold)
+        elif variant == 2:
+            a = sdsa2(q, v, u_th=block.sn_gate.params.threshold)
+        else:
+            k = to_tokens(heaviside(rep(block.rep_k, s_in)))
+            a = sdsa4(q, k, v, learnable_threshold=float(block.sn_attn.threshold.data),
+                      heads=2)
+        assert 0 < a.data.mean() < 1  # the comparison sees both spikes and silence
+        a_spatial = a.data.T.reshape(4, 4, 4).astype(np.float64)
+        u1 = x + rep(block.rep4, a_spatial)
+        s1 = heaviside(u1)
+        y = run_convbn_eval(block.mlp.fc1, s1)
+        want = u1 + run_convbn_eval(block.mlp.fc2, heaviside(y))
+        assert np.abs(got - want).max() < 1e-9
+
+
+class TestShortcutValidation:
+    @pytest.mark.parametrize("make", [
+        lambda rng, sc: ConvBlock(rng, 4, LIF, sc),
+        lambda rng, sc: TransformerBlock(rng, 4, LIF, SDSAConfig(heads=2, dim=4), sc),
+    ])
+    def test_unknown_shortcut_is_refused(self, make):
+        rng = np.random.default_rng(40)
+        with pytest.raises(ValueError, match="shortcut must be one of"):
+            make(rng, "XX")
+        ms = make(rng, "MS")
+        assert ms.out_sn1 is None and ms.out_sn2 is None
+        for sc in ("SEW", "VS"):
+            block = make(rng, sc)
+            assert [block.out_sn1.name, block.out_sn2.name] == \
+                [f"{block.name}.out_sn1", f"{block.name}.out_sn2"]
+
+
+class TestMixerBase:
+    def test_three_mixers_share_one_forward(self):
+        assert SepConv.forward is ChannelConv.forward is ChannelMLP.forward is Mixer.forward
+
+    @pytest.mark.parametrize("cls, keys", [(SepConv, ["pw1", "dwpw2"]),
+                                           (ChannelConv, ["conv1", "conv2"]),
+                                           (ChannelMLP, ["fc1", "fc2"])])
+    def test_records_each_stage_input_under_its_key(self, cls, keys):
+        rng = np.random.default_rng(41)
+        layer = cls(rng, 4, LIF, name="m")
+        probe = Probe()
+        layer.forward(Var(rng.normal(0, 2, (1, 4, 5, 5))), ForwardContext(probe=probe))
+        assert [e.layer for e in probe.entries] == [f"m.{k}" for k in keys]
+        assert all(e.kind == "binary" for e in probe.entries)
+
+
+class TestConvBNBatchStatistics:
+    def test_training_normalizes_by_the_statistics_it_records(self):
+        rng = np.random.default_rng(42)
+        layer = ConvBN(rng, 3, 4, 3)
+        layer.gamma.data = rng.uniform(0.5, 2.0, 4)
+        layer.beta.data = rng.normal(0, 1, 4)
+        x = Var(rng.normal(0, 1, (2, 3, 5, 5)))
+        out = layer.forward(x, ForwardContext(tape=Tape(), training=True)).data
+        y = conv2d_raw(x.data, layer.w.data, None, 1, 1)
+        mu, var = y.mean(axis=(0, 2, 3)), y.var(axis=(0, 2, 3))
+        assert np.allclose(layer.run_mean, 0.1 * mu)
+        assert np.allclose(layer.run_var, 0.9 + 0.1 * var)
+        want = (layer.gamma.data[:, None, None] * (y - mu[:, None, None])
+                / np.sqrt(var[:, None, None] + 1e-5) + layer.beta.data[:, None, None])
+        assert np.allclose(out, want, atol=1e-12)

@@ -381,3 +381,26 @@ class TestVerifyEnergyCoverage:
         ok, lines = self._run(monkeypatch, tmp_path, "".join(rows))
         assert not ok
         assert any("head.fc at t=4" in ln for ln in lines)
+
+
+class TestRateTimesteps:
+    def test_timestep_zero_exits_3(self, tmp_path, capsys):
+        rates = tmp_path / "rates.txt"
+        rates.write_text(sd.energy.packaged_fixture_path().read_text() + "1 ds1 conv 0 0.5\n")
+        cfg_file = tmp_path / "c48.ini"
+        cfg_file.write_text("[model]\nbase_channels = 48\n")
+        rc = main(["profile", "--config", str(cfg_file), "-T", "4", "--rates", str(rates),
+                   "--out-dir", str(tmp_path / "p")])
+        assert rc == 3
+        assert "timestep must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+
+class TestVerifySuiteChoices:
+    def test_choices_are_the_suite_table(self, monkeypatch):
+        import spikedrive.verify as verify_mod
+        from spikedrive.cli import build_parser
+        monkeypatch.setitem(verify_mod.SUITES, "extra", lambda: (True, ["ok"]))
+        args = build_parser().parse_args(["verify", "--suite", "extra"])
+        assert args.suite == "extra" and main(["verify", "--suite", "extra"]) == 0
+        assert main(["verify", "--suite", "nope"]) == 2

@@ -325,3 +325,13 @@ class TestFixtureReportPinned:
         line = fixture.count("\n") + 1
         with pytest.raises(ParseError, match=f"line {line}.*stage3.block1.qkv at t=1 given twice"):
             load_rate_fixture(p)
+
+
+class TestFixtureTimesteps:
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    def test_timestep_below_one_names_its_line(self, tmp_path, t):
+        p = tmp_path / "rates.txt"
+        p.write_text(f"1 ds1 conv 1 0.5\n# comment\n1 ds1 conv {t} 0.5\n")
+        want = f"line 3: timestep must be >= 1 in '1 ds1 conv {t} 0.5'"
+        with pytest.raises(ParseError, match=want):
+            load_rate_fixture(p)
