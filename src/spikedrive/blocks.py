@@ -68,7 +68,6 @@ class ForwardContext:
     probe: object | None = None
     training: bool = False
     smooth: bool = False
-    bn_frozen: bool = False
 
     def observe(self, layer: str, x: Var | np.ndarray, kind: str | None = None,
                 rate: float | None = None):
@@ -165,7 +164,7 @@ class ConvBN(Module):
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         y = ad.conv2d(ctx.tape, x, self.w, None, self.stride, self.padding, self.groups)
-        if ctx.training and not ctx.bn_frozen:
+        if ctx.training:
             mu = y.data.mean(axis=(0, 2, 3))
             var = y.data.var(axis=(0, 2, 3))
             self.run_mean[...] = (1 - BN_MOMENTUM) * self.run_mean + BN_MOMENTUM * mu

@@ -2,14 +2,17 @@
 
 Two execution routes exist for every linear op on spikes:
 
-* event route -- iterate the nonzero (spike) positions and scatter weight
-  rows/columns into the output. Only additions are performed per event,
-  mirroring addressable accumulation on neuromorphic hardware.
+* event route -- scatter the weights each spike touches into the output.
+  Only additions are performed per event, mirroring addressable
+  accumulation on neuromorphic hardware. It runs one kernel tap at a time:
+  for each tap it locates every event's output position and adds the
+  gathered weights into a float64 map (:func:`_scatter`).
+  :func:`event_matmul` is its 1x1 case, on the transposed (D, N, 1) map.
 * dense route -- textbook float matmul/convolution, used as the reference
   oracle and as the training substrate.
 
 The two must agree: exactly for integer weights, within 1e-5 absolute for
-floats (the event path accumulates in float32, the oracles in float64).
+floats (both routes accumulate in float64, in different orders).
 
 The dense convolution (:func:`conv2d_core`, behind ``conv2d_raw``,
 ``dense_conv2d`` and ``autodiff.conv2d``) has two algorithms, picked by the
@@ -23,7 +26,7 @@ shape of the weights, each with its adjoint and neither looping over groups:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +92,6 @@ class OpCounter:
     """Accumulates the additions actually performed on the event route."""
 
     adds: int = 0
-    per_op: dict = field(default_factory=dict)
-
-    def count(self, name: str, n: int):
-        self.adds += n
-        self.per_op[name] = self.per_op.get(name, 0) + n
 
 
 def conv_output_size(size: int, k: int, stride: int, padding: int) -> int:
@@ -114,16 +112,8 @@ def event_matmul(s: SpikeTensor, w: DenseTensor, counter: OpCounter | None = Non
     """
     if s.data.ndim != 2 or w.data.ndim != 2 or s.shape[1] != w.shape[0]:
         raise ShapeError(f"cannot matmul {s.shape} x {w.shape}")
-    n, _ = s.shape
-    m = w.shape[1]
-    out = np.zeros((n, m), dtype=np.float32)
-    w32 = w.data.astype(np.float32)
-    rows, cols = np.nonzero(s.data)
-    for i, d in zip(rows, cols):
-        out[i] += w32[d]
-    if counter is not None:
-        counter.count("event_matmul", int(rows.size) * m)
-    return DenseTensor(out.astype(np.float64))
+    out = _scatter(s.data.T[:, :, None], ConvKernel(weights=w.data.T[:, :, None, None]), counter)
+    return DenseTensor(out[:, :, 0].T)
 
 
 def binary_matmul(a: SpikeTensor, b: SpikeTensor) -> IntTensor:
@@ -257,49 +247,46 @@ def dense_conv2d(x: DenseTensor, kern: ConvKernel) -> DenseTensor:
     return DenseTensor(out[0])
 
 
-def event_conv2d(s: SpikeTensor, kern: ConvKernel, counter: OpCounter | None = None) -> DenseTensor:
-    """Convolution driven by input events: each spike scatter-accumulates the
-    kernel taps it touches into the output map. float32 accumulation."""
-    if s.data.ndim != 3:
-        raise ShapeError(f"event_conv2d expects (C, H, W), got {s.shape}")
-    c, h, w = s.shape
-    if c != kern.c_in:
-        raise ShapeError(f"input has {c} channels, kernel expects {kern.c_in}")
-    k, p, st = kern.k, kern.padding, kern.stride
-    ho = conv_output_size(h, k, st, p)
-    wo = conv_output_size(w, k, st, p)
+def _scatter(s: np.ndarray, kern: ConvKernel, counter: OpCounter | None) -> np.ndarray:
+    """Event-driven convolution of a binary (C, H, W) map, one kernel tap at a
+    time. Event (c, y, x) feeds output (oy, ox) at tap (ky, kx) when
+    y + padding - ky == oy * stride, likewise x; every valid (event, tap)
+    pair adds the C_out/G weights of its group, summed in float64."""
+    c_out, cig, k, _ = kern.weights.shape
+    p, st = kern.padding, kern.stride
+    ho = conv_output_size(s.shape[1], k, st, p)
+    wo = conv_output_size(s.shape[2], k, st, p)
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv output would be empty for input {s.shape}")
-    cig = kern.weights.shape[1]
-    og = kern.c_out // kern.groups
-    w32 = kern.weights.astype(np.float32)
-    out = np.zeros((kern.c_out, ho, wo), dtype=np.float32)
-    # compensated summation keeps the float32 route inside the 1e-5 band even
-    # for 7x7 kernels with hundreds of contributions per output element
-    comp = np.zeros_like(out)
-    adds = 0
-    cs, ys, xs = np.nonzero(s.data)
-    for ci, y, x in zip(cs, ys, xs):
-        g = ci // cig
-        osl = slice(g * og, (g + 1) * og)
-        wslice = w32[osl, ci % cig]  # (og, k, k)
-        for ky in range(k):
-            oy, rem = divmod(y + p - ky, st)
-            if rem or not (0 <= oy < ho):
-                continue
-            for kx in range(k):
-                ox, rem = divmod(x + p - kx, st)
-                if rem or not (0 <= ox < wo):
-                    continue
-                contrib = wslice[:, ky, kx] - comp[osl, oy, ox]
-                total = out[osl, oy, ox] + contrib
-                comp[osl, oy, ox] = (total - out[osl, oy, ox]) - contrib
-                out[osl, oy, ox] = total
-                adds += og
-    out += kern.bias.astype(np.float32)[:, None, None]
-    if counter is not None:
-        counter.count("event_conv2d", adds)
-    return DenseTensor(out.astype(np.float64))
+    og = c_out // kern.groups
+    cs, ys, xs = np.nonzero(s)
+    group, c_local = np.divmod(cs, cig)
+    rows = group * og * ho * wo  # flat index of out[first channel of the group, 0, 0]
+    fanout = np.arange(og) * ho * wo  # offsets of the group's C_out/G output channels
+    wg = kern.weights.reshape(kern.groups, og, cig, k, k)
+    out = np.zeros(c_out * ho * wo)
+    for ky in range(k):
+        oy, ry = np.divmod(ys + p - ky, st)
+        for kx in range(k):
+            ox, rx = np.divmod(xs + p - kx, st)
+            hit = (ry == 0) & (rx == 0) & (oy >= 0) & (oy < ho) & (ox >= 0) & (ox < wo)
+            idx = rows[hit] + oy[hit] * wo + ox[hit]
+            vals = wg[group[hit], :, c_local[hit], ky, kx]  # (events, og)
+            out += np.bincount((idx[:, None] + fanout).ravel(), weights=vals.ravel(),
+                               minlength=out.size)
+            if counter is not None:
+                counter.adds += int(idx.size) * og
+    return out.reshape(c_out, ho, wo) + kern.bias[:, None, None]
+
+
+def event_conv2d(s: SpikeTensor, kern: ConvKernel, counter: OpCounter | None = None) -> DenseTensor:
+    """Convolution driven by input events: each spike scatter-accumulates the
+    kernel taps it touches into the output map. float64 accumulation."""
+    if s.data.ndim != 3:
+        raise ShapeError(f"event_conv2d expects (C, H, W), got {s.shape}")
+    if s.shape[0] != kern.c_in:
+        raise ShapeError(f"input has {s.shape[0]} channels, kernel expects {kern.c_in}")
+    return DenseTensor(_scatter(s.data, kern, counter))
 
 
 def hadamard_mask(a: SpikeTensor, b: SpikeTensor) -> SpikeTensor:

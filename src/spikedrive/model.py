@@ -68,7 +68,7 @@ class Model(Module):
 
     def forward(self, x, timesteps: int | None = None, tape: Tape | None = None,
                 probe: Probe | None = None, training: bool = False,
-                smooth: bool = False, bn_frozen: bool = False) -> Var:
+                smooth: bool = False) -> Var:
         """Run the network over T timesteps and average the per-step logits.
 
         ``x`` is either a static (B, C, H, W) batch, replicated along T, or a
@@ -93,8 +93,7 @@ class Model(Module):
                              f"{want[2]}), got {a.shape}")
         if not np.isfinite(a).all():
             raise ArgError("input must be finite")
-        ctx = ForwardContext(tape=tape, probe=probe, training=training,
-                             smooth=smooth, bn_frozen=bn_frozen)
+        ctx = ForwardContext(tape=tape, probe=probe, training=training, smooth=smooth)
         self.reset_state()
         logits = None
         for t, frame in enumerate(seq):

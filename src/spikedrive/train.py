@@ -3,6 +3,7 @@ short re-fit used when changing the timestep count."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,12 @@ from .errors import ArgError, ConfigError, DivergenceError
 from .model import Model
 
 __all__ = ["loss", "OptimState", "step", "train_toy", "finetune_timesteps",
-           "evaluate", "Dataset", "make_blobs"]
+           "evaluate", "Dataset", "make_blobs", "DIVERGENCE_FACTOR"]
+
+# a batch loss above this multiple of max(first batch loss, ln K) for K
+# classes is divergence: chance-level cross-entropy is ln K, and a healthy
+# run stays near or below its first loss
+DIVERGENCE_FACTOR = 1e3
 
 
 def loss(logits, labels, smoothing: float = 0.0, tape: Tape | None = None) -> Var:
@@ -49,16 +55,14 @@ class OptimState:
                    beta2=tc.beta2, eps=tc.eps)
 
 
-def step(optim: OptimState, params: list[Var], grads=None, lr: float | None = None):
+def step(optim: OptimState, params: list[Var], lr: float | None = None):
     """One optimizer step: Adam-style moments with bias correction, decoupled
     weight decay, and a per-parameter trust ratio on the update norm."""
     optim.step_count += 1
     t = optim.step_count
     lr = optim.lr if lr is None else lr
     for p in params:
-        g = p.grad if grads is None else grads.get(p, p.grad)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         if g.shape != p.data.shape:
             raise ArgError(f"gradient shape {g.shape} != param shape {p.data.shape}")
         key = id(p)
@@ -140,26 +144,32 @@ def train_toy(model: Model, data: Dataset, epochs: int, tc: TrainConfig | None =
     """Direct surrogate-gradient training at toy scale.
 
     Returns one metrics record per epoch: epoch, split, loss, accuracy.
-    Deterministic for a fixed TrainConfig seed. Raises ``DivergenceError``,
-    naming the epoch and batch, when a batch loss is not finite.
+    Deterministic for a fixed TrainConfig seed. With ``bn_frozen`` the
+    forward runs in eval mode, so batch norm keeps its running statistics.
+    Raises ``DivergenceError``, naming the epoch and batch, when a batch loss
+    is not finite or exceeds ``DIVERGENCE_FACTOR`` times the larger of the
+    call's first batch loss and ln K, for K logits.
     """
     tc = tc or TrainConfig()
     optim = optim or OptimState.from_config(tc)
     rng = np.random.default_rng(tc.seed)
     params = model.parameters()
     history = []
+    limit = None
     for epoch in range(1, epochs + 1):
         lr = _lr_at(tc, optim.lr, epoch, epochs)
         batches = _iter_batches(data, tc.batch_size, rng, tc.augment_flip)
         for batch, (x, y) in enumerate(batches, 1):
             tape = Tape()
             model.zero_grad()
-            logits = model.forward(x, timesteps=timesteps, tape=tape, training=True,
-                                   bn_frozen=bn_frozen)
+            logits = model.forward(x, timesteps=timesteps, tape=tape, training=not bn_frozen)
             batch_loss = loss(logits, y, tc.label_smoothing, tape=tape)
-            if not np.isfinite(batch_loss.data):
-                raise DivergenceError(f"training diverged: loss is {float(batch_loss.data)} "
-                                      f"at epoch {epoch}, batch {batch}")
+            value = float(batch_loss.data)
+            if limit is None:
+                limit = DIVERGENCE_FACTOR * max(value, math.log(logits.data.shape[1]))
+            if not (math.isfinite(value) and value <= limit):
+                raise DivergenceError(f"training diverged: loss is {value:.4g}, limit "
+                                      f"{limit:.4g}, at epoch {epoch}, batch {batch}")
             backward(tape, batch_loss, params=params)
             step(optim, params, lr=lr)
         ep_loss, ep_acc = evaluate(model, data, timesteps=timesteps,

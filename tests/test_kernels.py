@@ -327,3 +327,74 @@ class TestAutodiffConv:
         y, _ = self._run(x, w, b, 1, self.C)
         kern = ConvKernel(weights=w, bias=b, groups=self.C)
         assert np.allclose(y[0], naive_conv2d(x[0], kern), atol=1e-10)
+
+
+class TestEventRouteGroupedStrided:
+    """The event route on grouped, depthwise and strided kernels: values
+    against the dense route to float64 rounding, and counted additions
+    against a per-event loop that finds each event's outputs by scanning
+    the output map."""
+
+    C = 4
+    # (groups, c_out): two groups, depthwise, and depthwise with multiplier 2
+    GROUPINGS = [(2, 4), (C, C), (C, 2 * C)]
+
+    def _case(self, seed, k, stride, groups, c_out):
+        rng = np.random.default_rng(seed)
+        s = random_spikes(rng, (self.C, 9, 9), density=0.4)
+        kern = ConvKernel(weights=rng.normal(0, 1, (c_out, self.C // groups, k, k)),
+                          bias=rng.normal(0, 1, c_out), stride=stride, groups=groups)
+        return s, kern
+
+    @pytest.mark.parametrize("groups,c_out", GROUPINGS)
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_matches_dense_to_float64_rounding(self, k, stride, groups, c_out):
+        s, kern = self._case(400 + 10 * k + stride + groups, k, stride, groups, c_out)
+        dense = dense_conv2d(DenseTensor(s.data.astype(np.float64)), kern)
+        assert np.abs(event_conv2d(s, kern).data - dense.data).max() < 1e-12
+
+    @pytest.mark.parametrize("groups,c_out", GROUPINGS)
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_counter_matches_per_event_loop(self, k, stride, groups, c_out):
+        s, kern = self._case(500 + 10 * k + stride + groups, k, stride, groups, c_out)
+        counter = OpCounter()
+        out = event_conv2d(s, kern, counter=counter)
+        _, ho, wo = out.shape
+        p = kern.padding
+        expected = 0
+        for _, y, x in zip(*np.nonzero(s.data)):
+            for oy in range(ho):
+                for ox in range(wo):
+                    # the tap of output (oy, ox) that reads input (y, x)
+                    ky, kx = y + p - oy * stride, x + p - ox * stride
+                    if 0 <= ky < k and 0 <= kx < k:
+                        expected += c_out // groups
+        assert counter.adds == expected
+
+    def test_matmul_matches_dense_to_float64_rounding(self):
+        rng = np.random.default_rng(600)
+        for n, d, m in ((16, 32, 8), (1, 96, 40), (50, 7, 3)):
+            s = random_spikes(rng, (n, d))
+            w = DenseTensor(rng.normal(0, 1, (d, m)))
+            dense = dense_matmul(DenseTensor(s.data.astype(np.float64)), w)
+            assert np.abs(event_matmul(s, w).data - dense.data).max() < 1e-12
+
+    def test_matmul_does_not_call_event_conv2d(self, monkeypatch):
+        # the bench times the two event functions as separate spans
+        def refuse(*args):
+            raise AssertionError("event_matmul ran through event_conv2d")
+
+        monkeypatch.setattr(kernels, "event_conv2d", refuse)
+        rng = np.random.default_rng(601)
+        s = random_spikes(rng, (3, 5))
+        w = DenseTensor(rng.normal(0, 1, (5, 2)))
+        counter = OpCounter()
+        assert event_matmul(s, w, counter).shape == (3, 2)
+        assert counter.adds == int(s.data.sum()) * 2
+
+    def test_empty_output_is_a_shape_error(self):
+        kern = ConvKernel(weights=np.ones((1, 1, 7, 7)), padding=0)
+        with pytest.raises(ShapeError):
+            event_conv2d(SpikeTensor(np.ones((1, 3, 3))), kern)

@@ -274,3 +274,38 @@ class TestTrainingModes:
         tc = sd.TrainConfig(epochs=1, batch_size=16, lr=1e-3, seed=0)
         history = train_toy(model, data, 1, tc=tc)
         assert math.isfinite(history[0]["loss"])
+
+
+class TestDivergenceBound:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_blow_up_raises_at_the_first_bad_batch(self):
+        # at lr = 1e6 the second batch loss is about 5e6, finite but far
+        # above DIVERGENCE_FACTOR * max(first loss, ln 2)
+        model = sd.build_model(toy_cfg(num_classes=2))
+        data = make_blobs(64, resolution=32, classes=2, seed=0)
+        tc = sd.TrainConfig(epochs=2, batch_size=16, lr=1e6, seed=0)
+        with pytest.raises(DivergenceError, match=r"at epoch 1, batch 2$"):
+            train_toy(model, data, 2, tc=tc)
+
+    def test_same_run_at_a_sane_rate_returns(self):
+        model = sd.build_model(toy_cfg(num_classes=2))
+        data = make_blobs(64, resolution=32, classes=2, seed=0)
+        tc = sd.TrainConfig(epochs=2, batch_size=16, lr=1e-2, seed=0)
+        assert len(train_toy(model, data, 2, tc=tc)) == 2
+
+    def test_bound_is_floored_at_chance_loss(self, monkeypatch):
+        # a run whose first loss is near zero may rise to about ln K without
+        # diverging; the losses are scaled here, 1e-6 on the first batch and
+        # 0.1 after it, so the rise is 1e5-fold but stays below ln 2
+        scales = iter([1e-6, 0.1, 0.1, 0.1])
+        real = sd.train.loss
+
+        def scaled(logits, labels, smoothing=0.0, tape=None):
+            out = real(logits, labels, smoothing, tape=tape)
+            return out if tape is None else ad.scale(tape, out, next(scales))
+
+        monkeypatch.setattr(sd.train, "loss", scaled)
+        model = sd.build_model(toy_cfg(num_classes=2))
+        data = make_blobs(64, resolution=32, classes=2, seed=0)
+        tc = sd.TrainConfig(epochs=1, batch_size=16, lr=1e-2, seed=0)
+        assert len(train_toy(model, data, 1, tc=tc)) == 1
