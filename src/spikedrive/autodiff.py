@@ -17,6 +17,9 @@ from .kernels import conv2d_core
 
 __all__ = ["Var", "Tape", "backward"]
 
+# the variance offset of every batch normalization, on the tape and folded
+BN_EPS = 1e-5
+
 
 class Var:
     """A float64 array node in the computation graph."""
@@ -199,14 +202,13 @@ def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
                  lambda g: adjoint(g) + (g.sum(axis=(0, 2, 3)),))
 
 
-def batch_norm(tape, x: Var, gamma: Var, beta: Var, mu: np.ndarray, var: np.ndarray,
-               eps: float = 1e-5) -> Var:
+def batch_norm(tape, x: Var, gamma: Var, beta: Var, mu: np.ndarray, var: np.ndarray) -> Var:
     """Per-channel normalization over (B, H, W) by the batch statistics ``mu``
     and ``var`` of ``x`` (per channel, computed by the caller); the backward
     differentiates through them."""
     axes = (0, 2, 3)
     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-    inv = 1.0 / np.sqrt(var[None, :, None, None] + eps)
+    inv = 1.0 / np.sqrt(var[None, :, None, None] + BN_EPS)
     xhat = (x.data - mu[None, :, None, None]) * inv
     gm = gamma.data[None, :, None, None]
     out = Var(gm * xhat + beta.data[None, :, None, None])
@@ -223,9 +225,9 @@ def batch_norm(tape, x: Var, gamma: Var, beta: Var, mu: np.ndarray, var: np.ndar
 
 
 def normalize_affine(tape, x: Var, gamma: Var, beta: Var,
-                     mu: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> Var:
+                     mu: np.ndarray, var: np.ndarray) -> Var:
     """Affine normalization with frozen statistics (finetune / inference)."""
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat_scale = (gamma.data * inv)[None, :, None, None]
     out = Var((x.data - mu[None, :, None, None]) * xhat_scale + beta.data[None, :, None, None])
 

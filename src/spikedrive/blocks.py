@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import SDSAConfig, attend
-from .autodiff import Var
+from .autodiff import BN_EPS, Var
 from .errors import FoldError, KindError, ShapeError
 from .kernels import ConvKernel
 from .neuron import LIFParams, lif
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 SHORTCUTS = ("MS", "SEW", "VS")
-BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
@@ -169,9 +168,9 @@ class ConvBN(Module):
             var = y.data.var(axis=(0, 2, 3))
             self.run_mean[...] = (1 - BN_MOMENTUM) * self.run_mean + BN_MOMENTUM * mu
             self.run_var[...] = (1 - BN_MOMENTUM) * self.run_var + BN_MOMENTUM * var
-            return ad.batch_norm(ctx.tape, y, self.gamma, self.beta, mu, var, eps=BN_EPS)
+            return ad.batch_norm(ctx.tape, y, self.gamma, self.beta, mu, var)
         return ad.normalize_affine(ctx.tape, y, self.gamma, self.beta,
-                                   self.run_mean, self.run_var, eps=BN_EPS)
+                                   self.run_mean, self.run_var)
 
     def folded_kernel(self) -> ConvKernel:
         """Inference kernel with the normalization folded into weights."""
@@ -179,9 +178,8 @@ class ConvBN(Module):
                        self.run_mean, self.run_var, self.stride, self.padding, self.groups)
 
 
-def fold_bn(w, gamma, beta, mean, var, stride=1, padding=None, groups=1,
-            eps=BN_EPS) -> ConvKernel:
-    a = gamma / np.sqrt(var + eps)
+def fold_bn(w, gamma, beta, mean, var, stride=1, padding=None, groups=1) -> ConvKernel:
+    a = gamma / np.sqrt(var + BN_EPS)
     return ConvKernel(weights=w * a[:, None, None, None], bias=beta - mean * a,
                       stride=stride, padding=padding, groups=groups)
 

@@ -1,13 +1,19 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 data error.
+Exit codes, decided in one place (:func:`main`): 0 success, 1 verification
+failure or any other library error, 2 usage/config error, 3 data error. Exit 3
+covers every file that cannot be read or does not hold what the command
+needs: a malformed rate table or event file, a rate table that does not
+cover the model, a training set that is not a readable ``.npz`` with images
+and labels fitting the config, and any ``OSError``, such as a missing input
+or an output directory that cannot be made.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,9 +21,8 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig, parse_config, stages
 from .energy import estimate_energy, load_rate_fixture, record_rates
-from .estimator import check_images, check_labels
 from .errors import ConfigError, ParseError, ReportError, SpikeDriveError
-from .model import build_model, count_params, load_checkpoint, save_checkpoint
+from .model import build_model, count_params, save_checkpoint
 from .tensors import load_event_file
 from .train import Dataset, finetune_timesteps, make_blobs, train_toy
 from .verify import SUITES, run_suite
@@ -28,14 +33,20 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _load_configs(path) -> tuple[ModelConfig, TrainConfig]:
-    if path is None:
-        return ModelConfig(), TrainConfig()
-    return parse_config(path)
+def _load_configs(args) -> tuple[ModelConfig, TrainConfig, int]:
+    """The run's settings: the config file's model and training configs (the
+    defaults without one) with ``--seed`` and ``--epochs`` applied where
+    given, and the timestep count, ``-T`` or else the config's. ``-T`` stays
+    out of the model config, so a checkpoint stores the file's timesteps and
+    loads into a model built from the same file."""
+    cfg, tc = (ModelConfig(), TrainConfig()) if args.config is None else parse_config(args.config)
+    given = {k: v for k in ("seed", "epochs") if (v := getattr(args, k, None)) is not None}
+    timesteps = getattr(args, "timesteps", None)
+    return cfg, replace(tc, **given), cfg.timesteps if timesteps is None else timesteps
 
 
 def cmd_info(args) -> int:
-    cfg, _ = _load_configs(args.config)
+    cfg, _, _ = _load_configs(args)
     model = build_model(cfg)
     sizes = [st.size for st in stages(cfg)]
     print(f"stage dims: {cfg.dims}")
@@ -48,24 +59,15 @@ def cmd_info(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg, _ = _load_configs(args.config)
-    timesteps = cfg.timesteps if args.timesteps is None else args.timesteps
+    cfg, tc, timesteps = _load_configs(args)
     if args.measure:
         model = build_model(cfg)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(tc.seed)
         x = rng.random((1, cfg.in_channels, cfg.resolution, cfg.resolution))
         rates = record_rates(model, x, timesteps=timesteps)
     else:
-        try:
-            rates = load_rate_fixture(args.rates)
-        except (OSError, ParseError) as exc:
-            print(f"error: cannot load rates: {exc}", file=sys.stderr)
-            return EXIT_DATA
-    try:
-        report = estimate_energy(cfg, rates, timesteps)
-    except ReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        rates = load_rate_fixture(args.rates)
+    report = estimate_energy(cfg, rates, timesteps)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "energy.txt").write_text(report.to_text(), encoding="utf-8")
@@ -76,33 +78,34 @@ def cmd_profile(args) -> int:
 
 
 def _load_dataset(path, cfg: ModelConfig, seed: int) -> Dataset:
+    """``make_blobs`` for "blobs", else the images and labels of an ``.npz``;
+    raises ``ParseError`` for any file that cannot give a training set that
+    fits ``cfg``."""
     if path == "blobs":
         return make_blobs(256, resolution=cfg.resolution, classes=cfg.num_classes,
                           seed=seed, channels=cfg.in_channels)
-    data = np.load(path)
-    images = np.asarray(data["images"], dtype=np.float64)
-    want = (cfg.in_channels, cfg.resolution, cfg.resolution)
-    if images.ndim != 4 or images.shape[1:] != want:
-        raise ValueError(f"images have shape {images.shape}, the config needs (N, {want[0]}, "
-                         f"{want[1]}, {want[2]})")
-    images = check_images(images)
-    labels = check_labels(data["labels"], len(images))
-    if labels.size and (labels.min() < 0 or labels.max() >= cfg.num_classes):
-        raise ValueError(f"labels must lie in [0, {cfg.num_classes}), got "
-                         f"{labels.min()}..{labels.max()}")
-    return Dataset(images=images, labels=labels)
+    try:
+        npz = np.load(path)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with npz:
+            images, labels = npz["images"], npz["labels"]
+        want = (cfg.in_channels, cfg.resolution, cfg.resolution)
+        if np.shape(images)[1:] != want:  # a member that is no .npy array reads as bytes
+            raise ValueError(f"images have shape {np.shape(images)}, the config needs "
+                             f"(N, {want[0]}, {want[1]}, {want[2]})")
+        data = Dataset(images, labels)
+        if data.labels.min() < 0 or data.labels.max() >= cfg.num_classes:
+            raise ValueError(f"labels must lie in [0, {cfg.num_classes}), got "
+                             f"{data.labels.min()}..{data.labels.max()}")
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"cannot load dataset {path!r}: {exc}") from None
+    return data
 
 
 def cmd_train(args) -> int:
-    cfg, tc = _load_configs(args.config)
-    if args.seed is not None:
-        tc = replace(tc, seed=args.seed)
-    timesteps = cfg.timesteps if args.timesteps is None else args.timesteps
-    try:
-        data = _load_dataset(args.data, cfg, tc.seed)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: cannot load dataset {args.data!r}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    cfg, tc, timesteps = _load_configs(args)
+    data = _load_dataset(args.data, cfg, tc.seed)
     if cfg.shortcut == "VS":
         print("warning: the VS shortcut cannot realize identity mappings and is "
               "expected to train poorly", file=sys.stderr)
@@ -116,11 +119,11 @@ def cmd_train(args) -> int:
         print(msg)
         lines.append(msg)
 
-    history = train_toy(model, data, args.epochs, tc=tc, timesteps=timesteps, log=log)
+    history = train_toy(model, data, tc.epochs, tc=tc, timesteps=timesteps, log=log)
     if args.finetune_timesteps is not None:
         log(f"finetuning {timesteps} -> {args.finetune_timesteps} timesteps")
         history += finetune_timesteps(model, timesteps, args.finetune_timesteps,
-                                      max(1, args.epochs // 4), data, tc=tc, log=log)
+                                      max(1, tc.epochs // 4), data, tc=tc, log=log)
     metrics_path.write_text("".join(f"{ln}\n" for ln in lines), encoding="utf-8")
     ckpt = out_dir / "model.ckpt"
     save_checkpoint(model, ckpt, tc)
@@ -130,18 +133,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok = run_suite(args.suite)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if run_suite(args.suite) else EXIT_VERIFY
 
 
 def cmd_convert(args) -> int:
-    try:
-        spikes = load_event_file(args.events, bins=args.timesteps,
-                                 resolution=(args.height, args.width),
-                                 channels=args.channels)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    spikes = load_event_file(args.events, bins=args.bins, resolution=(args.height, args.width),
+                             channels=args.channels)
     out = Path(args.out)
     np.save(out, spikes.data)
     nz = int(spikes.data.sum())
@@ -164,11 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Event-driven spiking network toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", default=None, help="config file (key = value sections)")
+    def common(sp):
+        sp.add_argument("--config", default=None, help="config file (key = value sections)")
         sp.add_argument("--timesteps", "-T", type=_int_at_least(1), default=None)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="seed of the data, training and --measure input "
+                             "(default: the config's [train] seed)")
 
     sp = sub.add_parser("info", help="print architecture summary and parameter count")
     sp.add_argument("--config", default=None)
@@ -185,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="toy-scale direct training")
     common(sp)
     sp.add_argument("--data", default="blobs", help="'blobs' or an .npz with images/labels")
-    sp.add_argument("--epochs", type=_int_at_least(0), default=10)
+    sp.add_argument("--epochs", type=_int_at_least(0), default=None,
+                    help="epochs to train (default: the config's [train] epochs)")
     sp.add_argument("--finetune-timesteps", type=_int_at_least(1), default=None,
                     help="after training, briefly re-fit at this timestep count")
     sp.add_argument("--out-dir", default="train_out")
@@ -197,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("convert", help="bin a DVS event text file into spike frames")
     sp.add_argument("events", help="text file of timestamp_us,x,y,polarity lines")
-    sp.add_argument("--timesteps", "-T", type=_int_at_least(1), default=4)
-    sp.add_argument("--height", type=int, required=True)
-    sp.add_argument("--width", type=int, required=True)
+    sp.add_argument("--timesteps", "-T", dest="bins", metavar="TIMESTEPS",
+                    type=_int_at_least(1), default=4, help="number of time bins")
+    sp.add_argument("--height", type=_int_at_least(1), required=True)
+    sp.add_argument("--width", type=_int_at_least(1), required=True)
     sp.add_argument("--channels", type=int, default=1, choices=(1, 2))
     sp.add_argument("--out", default="events.npy")
     sp.set_defaults(fn=cmd_convert)
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
+    except (ParseError, ReportError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SpikeDriveError as exc:

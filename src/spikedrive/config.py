@@ -111,7 +111,7 @@ def stages(cfg: ModelConfig) -> tuple[Stage, ...]:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 20
+    epochs: int = 10
     batch_size: int = 32
     lr: float = 5e-3
     weight_decay: float = 0.0

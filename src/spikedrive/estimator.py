@@ -13,31 +13,9 @@ from .config import ModelConfig, TrainConfig
 from .errors import ConfigError
 from .model import Model, build_model
 from .neuron import LIFParams
-from .train import Dataset, train_toy
+from .train import Dataset, check_images, check_labels, train_toy
 
 __all__ = ["SpikingClassifier", "check_images", "check_labels"]
-
-
-def check_images(x) -> np.ndarray:
-    """Validate and coerce input to a float64 (N, C, H, W) image batch."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 4:
-        raise ValueError(f"expected (N, C, H, W) images, got shape {a.shape}")
-    if a.shape[2] != a.shape[3]:
-        raise ValueError("images must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("images must be finite")
-    return a
-
-
-def check_labels(y, n: int) -> np.ndarray:
-    labels = np.asarray(y)
-    if labels.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.array_equal(labels, labels.astype(np.int64)):
-            raise ValueError("labels must be integers")
-    return labels.astype(np.int64)
 
 
 class SpikingClassifier:
@@ -82,15 +60,13 @@ class SpikingClassifier:
         return self
 
     def fit(self, X, y):
-        images = check_images(X)
-        labels = check_labels(y, images.shape[0])
-        self.classes_ = np.unique(labels)
-        mapped = np.searchsorted(self.classes_, labels)
+        data = Dataset(X, y)
+        self.classes_, data.labels = np.unique(data.labels, return_inverse=True)
         cfg = ModelConfig(
             base_channels=self.base_channels,
             num_classes=len(self.classes_),
-            in_channels=images.shape[1],
-            resolution=images.shape[2],
+            in_channels=data.images.shape[1],
+            resolution=data.images.shape[2],
             timesteps=self.timesteps,
             depths=tuple(self.depths),
             sdsa_variant=self.sdsa_variant,
@@ -102,14 +78,13 @@ class SpikingClassifier:
         tc = TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
                          label_smoothing=self.label_smoothing, seed=self.seed)
         self.model_ = build_model(cfg)
-        self.history_ = train_toy(self.model_, Dataset(images, mapped), self.epochs, tc=tc)
+        self.history_ = train_toy(self.model_, data, self.epochs, tc=tc)
         return self
 
     def _logits(self, X) -> np.ndarray:
         if self.model_ is None:
             raise ConfigError("SpikingClassifier is not fitted; call fit first")
-        images = check_images(X)
-        return self.model_.forward(images).data
+        return self.model_.forward(check_images(X)).data
 
     def predict(self, X):
         return self.classes_[self._logits(X).argmax(axis=1)]

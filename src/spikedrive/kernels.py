@@ -6,7 +6,8 @@ Two execution routes exist for every linear op on spikes:
   Only additions are performed per event, mirroring addressable
   accumulation on neuromorphic hardware. It runs one kernel tap at a time:
   for each tap it locates every event's output position and adds the
-  gathered weights into a float64 map (:func:`_scatter`).
+  gathered weights into a float64 map, ``SCATTER_BLOCK`` (event, output)
+  pairs at a time (:func:`_scatter`).
   :func:`event_matmul` is its 1x1 case, on the transposed (D, N, 1) map.
 * dense route -- textbook float matmul/convolution, used as the reference
   oracle and as the training substrate.
@@ -48,6 +49,10 @@ __all__ = [
 ]
 
 ARTIFACT_KERNEL_SIZES = (1, 3, 7)
+# most (event, output) pairs one np.bincount call of the event route takes
+# (more only when a single event feeds more outputs than this), so its index
+# and weight arrays stay at 8 MB each however wide the fan-out
+SCATTER_BLOCK = 1 << 20
 
 
 @dataclass
@@ -251,7 +256,8 @@ def _scatter(s: np.ndarray, kern: ConvKernel, counter: OpCounter | None) -> np.n
     """Event-driven convolution of a binary (C, H, W) map, one kernel tap at a
     time. Event (c, y, x) feeds output (oy, ox) at tap (ky, kx) when
     y + padding - ky == oy * stride, likewise x; every valid (event, tap)
-    pair adds the C_out/G weights of its group, summed in float64."""
+    pair adds the C_out/G weights of its group, summed in float64, at most
+    ``SCATTER_BLOCK`` (event, output) pairs per ``np.bincount`` call."""
     c_out, cig, k, _ = kern.weights.shape
     p, st = kern.padding, kern.stride
     ho = conv_output_size(s.shape[1], k, st, p)
@@ -264,18 +270,21 @@ def _scatter(s: np.ndarray, kern: ConvKernel, counter: OpCounter | None) -> np.n
     rows = group * og * ho * wo  # flat index of out[first channel of the group, 0, 0]
     fanout = np.arange(og) * ho * wo  # offsets of the group's C_out/G output channels
     wg = kern.weights.reshape(kern.groups, og, cig, k, k)
+    block = max(1, SCATTER_BLOCK // og)  # events per bincount call
     out = np.zeros(c_out * ho * wo)
     for ky in range(k):
         oy, ry = np.divmod(ys + p - ky, st)
+        row_ok = (ry == 0) & (oy >= 0) & (oy < ho)
         for kx in range(k):
             ox, rx = np.divmod(xs + p - kx, st)
-            hit = (ry == 0) & (rx == 0) & (oy >= 0) & (oy < ho) & (ox >= 0) & (ox < wo)
-            idx = rows[hit] + oy[hit] * wo + ox[hit]
-            vals = wg[group[hit], :, c_local[hit], ky, kx]  # (events, og)
-            out += np.bincount((idx[:, None] + fanout).ravel(), weights=vals.ravel(),
-                               minlength=out.size)
+            hit = np.flatnonzero(row_ok & (rx == 0) & (ox >= 0) & (ox < wo))
+            for e in np.split(hit, range(block, hit.size, block)):
+                idx = rows[e] + oy[e] * wo + ox[e]
+                vals = wg[group[e], :, c_local[e], ky, kx]  # (events, og)
+                out += np.bincount((idx[:, None] + fanout).ravel(), weights=vals.ravel(),
+                                   minlength=out.size)
             if counter is not None:
-                counter.adds += int(idx.size) * og
+                counter.adds += int(hit.size) * og
     return out.reshape(c_out, ho, wo) + kern.bias[:, None, None]
 
 

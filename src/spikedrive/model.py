@@ -129,8 +129,15 @@ def forward(model: Model, x, timesteps: int | None = None) -> DenseTensor:
     return DenseTensor(model.forward(x, timesteps=timesteps).data)
 
 
-_DTYPES = {0: np.float64, 1: np.float32, 2: np.int64, 3: np.uint8}
-_DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
+# the one tensor dtype a checkpoint holds (every parameter and buffer is
+# float64), and its code in the tensor table
+_DTYPE, _DTYPE_CODE = np.dtype("<f8"), 0
+
+
+def _tensor_table(model: Model) -> dict[str, np.ndarray]:
+    """The live array of every parameter and buffer by name, in checkpoint
+    order."""
+    return {n: v.data for n, v in model.named_params()} | dict(model.named_buffers())
 
 
 def save_checkpoint(model: Model, path, train_cfg: TrainConfig | None = None):
@@ -142,15 +149,14 @@ def save_checkpoint(model: Model, path, train_cfg: TrainConfig | None = None):
     cfg_text = config_to_text(model.cfg, train_cfg).encode("utf-8")
     buf += struct.pack("<I", len(cfg_text))
     buf += cfg_text
-    tensors = list(model.named_params()) + [(n, b) for n, b in model.named_buffers()]
+    tensors = _tensor_table(model)
     buf += struct.pack("<I", len(tensors))
-    for name, t in tensors:
-        data = t.data if isinstance(t, Var) else np.asarray(t)
+    for name, data in tensors.items():
         nb = name.encode("utf-8")
         buf += struct.pack("<H", len(nb)) + nb
-        buf += struct.pack("<BB", _DTYPE_CODES[np.dtype(data.dtype)], data.ndim)
+        buf += struct.pack("<BB", _DTYPE_CODE, data.ndim)
         buf += struct.pack(f"<{data.ndim}I", *data.shape)
-        buf += np.ascontiguousarray(data).astype(data.dtype, copy=False).tobytes()
+        buf += np.asarray(data, dtype=_DTYPE).tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     # write beside the target, then rename over it: a failed write leaves the
     # previous checkpoint in place
@@ -206,39 +212,28 @@ def load_checkpoint(model: Model, path) -> Model:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,), off = _read(buf, off, "<I")
-    _check_config(model.cfg, buf[off:off + cfg_len])
-    off += cfg_len
+    (cfg_text,), off = _read(buf, off, f"{cfg_len}s")
+    _check_config(model.cfg, cfg_text)
     (n_tensors,), off = _read(buf, off, "<I")
     loaded = {}
     for _ in range(n_tensors):
         (name_len,), off = _read(buf, off, "<H")
-        name = buf[off:off + name_len].decode("utf-8")
-        off += name_len
+        (name,), off = _read(buf, off, f"{name_len}s")
         (code, ndim), off = _read(buf, off, "<BB")
         shape, off = _read(buf, off, f"<{ndim}I")
-        dtype = np.dtype(_DTYPES.get(code))
-        if code not in _DTYPES:
+        if code != _DTYPE_CODE:
             raise CheckpointError(f"unknown dtype code {code}")
-        nbytes = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
-        raw = buf[off:off + nbytes]
-        if len(raw) != nbytes:
-            raise CheckpointError("truncated tensor data")
-        off += nbytes
-        loaded[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        (raw,), off = _read(buf, off, f"{int(np.prod(shape)) * _DTYPE.itemsize}s")
+        loaded[name.decode("utf-8")] = np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
 
-    expected = {n: (t.data if isinstance(t, Var) else np.asarray(t))
-                for n, t in list(model.named_params()) + list(model.named_buffers())}
+    expected = _tensor_table(model)
     if set(loaded) != set(expected):
         missing = set(expected) - set(loaded)
         extra = set(loaded) - set(expected)
         raise CheckpointError(f"tensor table mismatch (missing={sorted(missing)[:3]}, "
                               f"extra={sorted(extra)[:3]})")
-    for name, t in model.named_params():
-        if loaded[name].shape != t.data.shape:
-            raise CheckpointError(f"{name}: shape {loaded[name].shape} != {t.data.shape}")
-        t.data = loaded[name].astype(np.float64)
-    for name, arr in model.named_buffers():
-        if loaded[name].shape != arr.shape:
-            raise CheckpointError(f"{name}: shape mismatch")
-        arr[...] = loaded[name]  # the yielded array is the live buffer
+    for name, live in expected.items():
+        if loaded[name].shape != live.shape:
+            raise CheckpointError(f"{name}: shape {loaded[name].shape} != {live.shape}")
+        live[...] = loaded[name]
     return model

@@ -11,11 +11,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var, backward
 from .config import TrainConfig
-from .errors import ArgError, ConfigError, DivergenceError
+from .errors import ArgError, DivergenceError
 from .model import Model
 
 __all__ = ["loss", "OptimState", "step", "train_toy", "finetune_timesteps",
-           "evaluate", "Dataset", "make_blobs", "DIVERGENCE_FACTOR"]
+           "evaluate", "Dataset", "check_images", "check_labels", "make_blobs",
+           "DIVERGENCE_FACTOR"]
 
 # a batch loss above this multiple of max(first batch loss, ln K) for K
 # classes is divergence: chance-level cross-entropy is ln K, and a healthy
@@ -83,32 +84,60 @@ def step(optim: OptimState, params: list[Var], lr: float | None = None):
         p.data = p.data - lr * trust * update
 
 
+def check_images(x) -> np.ndarray:
+    """Validate and coerce input to a float64 (N, C, H, W) image batch."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 4:
+        raise ValueError(f"expected (N, C, H, W) images, got shape {a.shape}")
+    if a.shape[2] != a.shape[3]:
+        raise ValueError("images must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("images must be finite")
+    return a
+
+
+def check_labels(y, n: int) -> np.ndarray:
+    labels = np.asarray(y)
+    if labels.shape != (n,):
+        raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+    if not (np.issubdtype(labels.dtype, np.integer)
+            or np.array_equal(labels, labels.astype(np.int64))):
+        raise ValueError("labels must be integers")
+    return labels.astype(np.int64)
+
+
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, C, H, W) floats
-    labels: np.ndarray  # (N,) ints
+    """A training set: finite float64 (N, C, H, W) square images and N
+    integer labels, N >= 1 (``check_images`` and ``check_labels`` coerce and
+    check them; any failure is a ``ValueError``)."""
+
+    images: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if self.images.shape[0] != self.labels.shape[0]:
-            raise ConfigError("images and labels disagree on sample count")
+        self.images = check_images(self.images)
+        self.labels = check_labels(self.labels, len(self.images))
+        if not len(self.images):
+            raise ValueError("a dataset needs at least one sample, got 0")
 
     def __len__(self):
         return self.images.shape[0]
 
 
-def make_blobs(n: int, resolution: int = 32, classes: int = 2, noise: float = 0.25,
-               seed: int = 0, channels: int = 3) -> Dataset:
+def make_blobs(n: int, resolution: int = 32, classes: int = 2, seed: int = 0,
+               channels: int = 3) -> Dataset:
     """Linearly separable image blobs: each class lights up its own spatial
-    quadrant on top of pixel noise."""
+    quadrant on top of pixel noise of standard deviation 0.25."""
     rng = np.random.default_rng(seed)
-    images = rng.normal(0.0, noise, (n, channels, resolution, resolution))
+    images = rng.normal(0.0, 0.25, (n, channels, resolution, resolution))
     labels = rng.integers(0, classes, size=n)
     half = resolution // 2
     corners = [(0, 0), (half, half), (0, half), (half, 0)]
     for i, y in enumerate(labels):
         cy, cx = corners[y % len(corners)]
         images[i, :, cy:cy + half, cx:cx + half] += 1.0
-    return Dataset(images=images.astype(np.float64), labels=labels.astype(np.int64))
+    return Dataset(images=images, labels=labels)
 
 
 def _iter_batches(data: Dataset, batch_size: int, rng: np.random.Generator,
@@ -139,8 +168,8 @@ def evaluate(model: Model, data: Dataset, timesteps: int | None = None,
 
 
 def train_toy(model: Model, data: Dataset, epochs: int, tc: TrainConfig | None = None,
-              timesteps: int | None = None, optim: OptimState | None = None,
-              bn_frozen: bool = False, log=None) -> list[dict]:
+              timesteps: int | None = None, bn_frozen: bool = False,
+              log=None) -> list[dict]:
     """Direct surrogate-gradient training at toy scale.
 
     Returns one metrics record per epoch: epoch, split, loss, accuracy.
@@ -151,7 +180,7 @@ def train_toy(model: Model, data: Dataset, epochs: int, tc: TrainConfig | None =
     call's first batch loss and ln K, for K logits.
     """
     tc = tc or TrainConfig()
-    optim = optim or OptimState.from_config(tc)
+    optim = OptimState.from_config(tc)
     rng = np.random.default_rng(tc.seed)
     params = model.parameters()
     history = []

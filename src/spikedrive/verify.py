@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import attention, blocks, energy, kernels
-from .autodiff import Tape, Var, backward
-from .config import ModelConfig, TrainConfig
+from .autodiff import Tape, backward
+from .config import ModelConfig
 from .errors import SpikeDriveError
 from .kernels import ConvKernel
 from .model import build_model
@@ -59,8 +59,9 @@ def _direct_conv2d(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     return out
 
 
-def suite_kernels(cases: int = 200, seed: int = 7):
-    rng = np.random.default_rng(seed)
+def suite_kernels():
+    cases = 200
+    rng = np.random.default_rng(7)
     lines = []
     worst_mm = 0.0
     for _ in range(cases):
@@ -118,8 +119,8 @@ def suite_kernels(cases: int = 200, seed: int = 7):
     return True, lines
 
 
-def suite_sdsa(seed: int = 11):
-    rng = np.random.default_rng(seed)
+def suite_sdsa():
+    rng = np.random.default_rng(11)
     lines = []
     for _ in range(500):
         n, d = int(rng.integers(2, 10)), int(rng.integers(2, 10))
@@ -150,8 +151,8 @@ def suite_sdsa(seed: int = 11):
     return True, lines
 
 
-def suite_blocks(seed: int = 13):
-    rng = np.random.default_rng(seed)
+def suite_blocks():
+    rng = np.random.default_rng(13)
     lines = []
     lif = LIFParams()
     block = blocks.ConvBlock(rng, 6, lif, "MS", name="chk")
@@ -214,11 +215,12 @@ def suite_energy():
     return True, lines
 
 
-def suite_gradcheck(samples: int = 40, seed: int = 5):
+def suite_gradcheck():
+    samples = 40
     cfg = ModelConfig(base_channels=4, num_classes=3, in_channels=2, resolution=16,
-                      timesteps=2, depths=(1, 0, 1, 1, 1), heads=2, seed=seed)
+                      timesteps=2, depths=(1, 0, 1, 1, 1), heads=2, seed=5)
     model = build_model(cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     x = rng.normal(0, 1, (2, 2, 16, 16))
     y = rng.integers(0, 3, size=2)
 

@@ -404,3 +404,105 @@ class TestVerifySuiteChoices:
         args = build_parser().parse_args(["verify", "--suite", "extra"])
         assert args.suite == "extra" and main(["verify", "--suite", "extra"]) == 0
         assert main(["verify", "--suite", "nope"]) == 2
+
+
+def _checkpoint_train_config(path):
+    """The [train] section stored in a checkpoint's config text."""
+    import struct
+
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 8)
+    return parse_config_text(raw[12:12 + cfg_len].decode("utf-8"))[1]
+
+
+class TestCliSettings:
+    """--seed, --epochs and -T override the config in one place; -T stays out
+    of the checkpoint's model config."""
+
+    def _train(self, config, tmp_path, *extra):
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(config), "--data", "blobs",
+                   "--out-dir", str(out), *extra])
+        assert rc == 0
+        epochs = sum(ln.startswith("epoch ")
+                     for ln in (out / "metrics.txt").read_text().splitlines())
+        return epochs, out / "model.ckpt"
+
+    def test_config_epochs_apply_without_the_flag(self, toy_config_file, tmp_path):
+        epochs, ckpt = self._train(toy_config_file, tmp_path)
+        assert epochs == 1 and _checkpoint_train_config(ckpt).epochs == 1
+
+    def test_epochs_flag_overrides_the_config(self, toy_config_file, tmp_path):
+        epochs, ckpt = self._train(toy_config_file, tmp_path, "--epochs", "2")
+        assert epochs == 2 and _checkpoint_train_config(ckpt).epochs == 2
+
+    def test_seed_flag_is_stored(self, toy_config_file, tmp_path):
+        _, ckpt = self._train(toy_config_file, tmp_path, "--epochs", "0", "--seed", "9")
+        assert _checkpoint_train_config(ckpt).seed == 9
+
+    def test_timesteps_flag_stays_out_of_the_checkpoint(self, toy_config_file, tmp_path):
+        _, ckpt = self._train(toy_config_file, tmp_path, "--epochs", "0", "-T", "2")
+        cfg, _ = parse_config(toy_config_file)
+        sd.load_checkpoint(sd.build_model(cfg), ckpt)  # stored timesteps are the file's
+
+    def test_measured_profile_is_seeded_by_the_config(self, toy_config_file, tmp_path):
+        reports = []
+        for name in ("a", "b"):
+            assert main(["profile", "--config", str(toy_config_file), "--measure",
+                         "--out-dir", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "energy.csv").read_text())
+        assert reports[0] == reports[1]
+
+
+class TestCliDataErrors:
+    """Every way a training set fails to load exits 3 with one stderr line."""
+
+    @staticmethod
+    def _write(kind, path):
+        if kind == "empty":
+            np.savez(path, images=np.zeros((0, 3, 32, 32)), labels=np.zeros(0, dtype=np.int64))
+        elif kind == "npy":
+            np.save(path, np.zeros((4, 3, 32, 32)))
+        elif kind == "corrupt":
+            np.savez(path, images=np.zeros((4, 3, 32, 32)), labels=np.zeros(4, dtype=np.int64))
+            path.write_bytes(path.read_bytes()[:200])
+        elif kind == "not_npy_members":
+            import zipfile
+
+            with zipfile.ZipFile(path, "w") as zf:
+                zf.writestr("images.npy", b"junk")
+                zf.writestr("labels.npy", b"junk")
+        elif kind == "no_labels":
+            np.savez(path, images=np.zeros((4, 3, 32, 32)))
+
+    @pytest.mark.parametrize("kind, name", [("empty", "d.npz"), ("npy", "d.npy"),
+                                            ("corrupt", "d.npz"),
+                                            ("not_npy_members", "d.npz"),
+                                            ("no_labels", "d.npz")])
+    def test_unloadable_data_exits_3(self, toy_config_file, tmp_path, capsys, kind, name):
+        data = tmp_path / name
+        self._write(kind, data)
+        rc = main(["train", "--config", str(toy_config_file), "--data", str(data),
+                   "--out-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("data error: cannot load dataset") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_rates_file_exits_3(self, toy_config_file, tmp_path, capsys):
+        rc = main(["profile", "--config", str(toy_config_file), "--rates",
+                   str(tmp_path / "absent.txt"), "--out-dir", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert rc == 3 and "absent.txt" in err and err.count("\n") == 1
+
+
+class TestConvertSizes:
+    @pytest.mark.parametrize("flags", [["--height", "-1", "--width", "4"],
+                                       ["--height", "4", "--width", "0"]])
+    def test_non_positive_size_exits_2(self, tmp_path, capsys, flags):
+        events = tmp_path / "ev.txt"
+        events.write_text("")
+        out = tmp_path / "o.npy"
+        assert main(["convert", str(events), *flags, "--out", str(out)]) == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -70,3 +70,16 @@ class TestEstimatorApi:
         clf.fit(data.images, data.labels)
         proba = clf.predict_proba(data.images[:5])
         assert np.allclose(proba.sum(axis=1), 1.0)
+
+
+class TestFitChecks:
+    def test_fit_on_zero_images_is_refused(self):
+        clf = SpikingClassifier(base_channels=4, depths=(1, 0, 1, 1, 1), heads=2, epochs=1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            clf.fit(np.zeros((0, 3, 32, 32)), np.zeros(0, dtype=np.int64))
+
+    def test_check_functions_live_in_train(self):
+        from spikedrive import estimator, train
+
+        assert estimator.check_images is train.check_images
+        assert estimator.check_labels is train.check_labels

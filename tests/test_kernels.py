@@ -398,3 +398,61 @@ class TestEventRouteGroupedStrided:
         kern = ConvKernel(weights=np.ones((1, 1, 7, 7)), padding=0)
         with pytest.raises(ShapeError):
             event_conv2d(SpikeTensor(np.ones((1, 3, 3))), kern)
+
+
+class TestScatterBlocks:
+    """The event route feeds np.bincount at most SCATTER_BLOCK (event,
+    output) pairs at a time: tiny blocks give the same values and counts,
+    and a wide fan-out stays small in memory."""
+
+    C = 4
+    GROUPINGS = [(1, 6), (2, 4), (C, C), (C, 2 * C)]
+
+    @pytest.mark.parametrize("groups,c_out", GROUPINGS)
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tiny_blocks_match_dense_with_equal_counts(self, monkeypatch, k, stride,
+                                                       groups, c_out):
+        rng = np.random.default_rng(700 + 10 * k + stride + groups)
+        s = random_spikes(rng, (self.C, 9, 9), density=0.4)
+        kern = ConvKernel(weights=rng.normal(0, 1, (c_out, self.C // groups, k, k)),
+                          bias=rng.normal(0, 1, c_out), stride=stride, groups=groups)
+        whole = OpCounter()
+        event_conv2d(s, kern, whole)
+        monkeypatch.setattr(kernels, "SCATTER_BLOCK", 5)
+        blocked = OpCounter()
+        out = event_conv2d(s, kern, blocked)
+        dense = dense_conv2d(DenseTensor(s.data.astype(np.float64)), kern)
+        assert np.abs(out.data - dense.data).max() < 1e-12
+        assert blocked.adds == whole.adds > 0
+
+    def test_tiny_blocks_split_the_bincount_calls(self, monkeypatch):
+        calls = []
+        real = np.bincount
+
+        def spy(idx, *args, **kw):
+            calls.append(idx.size)
+            return real(idx, *args, **kw)
+
+        monkeypatch.setattr(kernels, "SCATTER_BLOCK", 5)
+        monkeypatch.setattr(kernels.np, "bincount", spy)
+        rng = np.random.default_rng(710)
+        s = random_spikes(rng, (6, 5), density=0.5)
+        w = DenseTensor(rng.normal(0, 1, (5, 2)))
+        out = event_matmul(s, w)
+        assert max(calls) <= 4 and sum(calls) == int(s.data.sum()) * 2
+        assert np.abs(out.data - s.data @ w.data).max() < 1e-12
+
+    def test_wide_matmul_peak_memory(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(720)
+        s = random_spikes(rng, (196, 384), density=0.3)
+        w = DenseTensor(rng.normal(0, 1, (384, 1536)))
+        tracemalloc.start()
+        try:
+            event_matmul(s, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20

@@ -456,3 +456,51 @@ class TestArchitecture:
         extra = {f"{op.layer.rsplit('.', 1)[0]}.{masked}" for op in ops
                  if op.kind == "sdsa" and masked}
         assert {e.layer for e in probe.entries} == keys | extra
+
+
+class TestCheckpointDtype:
+    def test_every_tensor_is_written_as_float64(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(sd.build_model(toy_cfg()), path)
+        buf = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", buf, 8)
+        off = 12 + cfg_len
+        (n,) = struct.unpack_from("<I", buf, off)
+        off += 4
+        codes = []
+        for _ in range(n):
+            (name_len,) = struct.unpack_from("<H", buf, off)
+            off += 2 + name_len
+            code, ndim = struct.unpack_from("<BB", buf, off)
+            shape = struct.unpack_from(f"<{ndim}I", buf, off + 2)
+            off += 2 + 4 * ndim + 8 * int(np.prod(shape))
+            codes.append(code)
+        assert set(codes) == {0} and off == len(buf) - 4
+
+    @pytest.mark.parametrize("code", [1, 2, 3, 255])
+    def test_other_dtype_code_is_refused(self, tmp_path, code):
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(sd.build_model(toy_cfg()), path)
+        raw = bytearray(path.read_bytes()[:-4])
+        (cfg_len,) = struct.unpack_from("<I", raw, 8)
+        first = 12 + cfg_len + 4  # the first tensor's name length
+        (name_len,) = struct.unpack_from("<H", raw, first)
+        raw[first + 2 + name_len] = code  # its dtype code
+        raw += struct.pack("<I", zlib.crc32(bytes(raw)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unknown dtype code"):
+            sd.load_checkpoint(sd.build_model(toy_cfg()), path)
+
+    def test_load_restores_buffers_and_params_in_place(self, tmp_path):
+        model = sd.build_model(toy_cfg())
+        model.stage1a[0].token.pw1.run_mean[...] = 0.25
+        model.head.b.data = np.array([1.0, -2.0, 3.0])
+        path = tmp_path / "m.ckpt"
+        sd.save_checkpoint(model, path)
+        other = sd.build_model(toy_cfg())
+        buffer = other.stage1a[0].token.pw1.run_mean
+        sd.load_checkpoint(other, path)
+        assert other.stage1a[0].token.pw1.run_mean is buffer
+        assert np.all(buffer == 0.25)
+        assert other.head.b.data.dtype == np.float64
+        assert np.array_equal(other.head.b.data, [1.0, -2.0, 3.0])

@@ -309,3 +309,17 @@ class TestDivergenceBound:
         data = make_blobs(64, resolution=32, classes=2, seed=0)
         tc = sd.TrainConfig(epochs=1, batch_size=16, lr=1e-2, seed=0)
         assert len(train_toy(model, data, 1, tc=tc)) == 1
+
+
+class TestDatasetChecks:
+    def test_zero_samples_are_refused(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            Dataset(images=np.zeros((0, 3, 32, 32)), labels=np.zeros(0, dtype=np.int64))
+
+    def test_images_and_labels_are_checked(self):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(images=np.full((2, 3, 16, 16), np.inf), labels=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="expected 2 labels"):
+            Dataset(images=np.zeros((2, 3, 16, 16)), labels=np.zeros(3, dtype=np.int64))
+        data = Dataset(images=np.zeros((2, 3, 16, 16), dtype=np.float32), labels=[1.0, 0.0])
+        assert data.images.dtype == np.float64 and data.labels.dtype == np.int64
