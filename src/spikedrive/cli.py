@@ -1,17 +1,21 @@
 """Command-line interface.
 
 Exit codes, decided in one place (:func:`main`): 0 success, 1 verification
-failure or any other library error, 2 usage/config error, 3 data error. Exit 3
-covers every file that cannot be read or does not hold what the command
-needs: a malformed rate table or event file, a rate table that does not
-cover the model, a training set that is not a readable ``.npz`` with images
-and labels fitting the config, and any ``OSError``, such as a missing input
-or an output directory that cannot be made.
+failure or any other library error, 2 usage/config error, 3 data error, 4
+output error. Exit 3 covers every file that cannot be read or does not hold
+what the command needs: a malformed rate table or event file, a rate table
+that does not cover the model, a training set that is not a readable
+``.npz`` with images and labels fitting the config, and any other
+``OSError``, such as a missing input. Exit 4 covers the run's own outputs: an
+``--out-dir`` that cannot be made, and ``energy.txt``, ``energy.csv``,
+``metrics.txt``, the checkpoint or ``convert --out`` that cannot be written
+(:func:`_writing`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import zipfile
 from dataclasses import replace
@@ -21,7 +25,7 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig, parse_config, stages
 from .energy import estimate_energy, load_rate_fixture, record_rates
-from .errors import ConfigError, ParseError, ReportError, SpikeDriveError
+from .errors import ConfigError, OutputError, ParseError, ReportError, SpikeDriveError
 from .model import build_model, count_params, save_checkpoint
 from .tensors import load_event_file
 from .train import Dataset, finetune_timesteps, make_blobs, train_toy
@@ -31,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_OUTPUT = 4
 
 
 def _load_configs(args) -> tuple[ModelConfig, TrainConfig, int]:
@@ -43,6 +48,16 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig, int]:
     given = {k: v for k in ("seed", "epochs") if (v := getattr(args, k, None)) is not None}
     timesteps = getattr(args, "timesteps", None)
     return cfg, replace(tc, **given), cfg.timesteps if timesteps is None else timesteps
+
+
+@contextlib.contextmanager
+def _writing():
+    """Turn an ``OSError`` from writing the run's outputs into an
+    ``OutputError``, so that it exits 4 rather than 3 like a bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
 
 
 def cmd_info(args) -> int:
@@ -69,9 +84,10 @@ def cmd_profile(args) -> int:
         rates = load_rate_fixture(args.rates)
     report = estimate_energy(cfg, rates, timesteps)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "energy.txt").write_text(report.to_text(), encoding="utf-8")
-    (out_dir / "energy.csv").write_text(report.to_csv(), encoding="utf-8")
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "energy.txt").write_text(report.to_text(), encoding="utf-8")
+        (out_dir / "energy.csv").write_text(report.to_csv(), encoding="utf-8")
     print(f"total {report.total_mj:.3f} mJ over T={timesteps} "
           f"({len(report.rows)} charged ops; reports in {out_dir})")
     return EXIT_OK
@@ -111,7 +127,8 @@ def cmd_train(args) -> int:
               "expected to train poorly", file=sys.stderr)
     model = build_model(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.txt"
     lines = []
 
@@ -124,9 +141,10 @@ def cmd_train(args) -> int:
         log(f"finetuning {timesteps} -> {args.finetune_timesteps} timesteps")
         history += finetune_timesteps(model, timesteps, args.finetune_timesteps,
                                       max(1, tc.epochs // 4), data, tc=tc, log=log)
-    metrics_path.write_text("".join(f"{ln}\n" for ln in lines), encoding="utf-8")
     ckpt = out_dir / "model.ckpt"
-    save_checkpoint(model, ckpt, tc)
+    with _writing():
+        metrics_path.write_text("".join(f"{ln}\n" for ln in lines), encoding="utf-8")
+        save_checkpoint(model, ckpt, tc)
     final = history[-1] if history else {"accuracy": float("nan")}
     print(f"final train accuracy {final['accuracy']:.4f}; checkpoint at {ckpt}")
     return EXIT_OK
@@ -140,7 +158,8 @@ def cmd_convert(args) -> int:
     spikes = load_event_file(args.events, bins=args.bins, resolution=(args.height, args.width),
                              channels=args.channels)
     out = Path(args.out)
-    np.save(out, spikes.data)
+    with _writing():
+        np.save(out, spikes.data)
     nz = int(spikes.data.sum())
     print(f"wrote {spikes.shape} spike tensor ({nz} active pixels) to {out}")
     return EXIT_OK
@@ -217,6 +236,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except (ParseError, ReportError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -57,3 +57,7 @@ class ArgError(SpikeDriveError, ValueError):
 
 class DivergenceError(SpikeDriveError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+class OutputError(SpikeDriveError, OSError):
+    """A run's outputs (report, metrics, checkpoint, array) cannot be written."""

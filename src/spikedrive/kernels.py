@@ -16,17 +16,24 @@ The two must agree: exactly for integer weights, within 1e-5 absolute for
 floats (both routes accumulate in float64, in different orders).
 
 The dense convolution (:func:`conv2d_core`, behind ``conv2d_raw``,
-``dense_conv2d`` and ``autodiff.conv2d``) has two algorithms, picked by the
-shape of the weights, each with its adjoint and neither looping over groups:
+``dense_conv2d`` and ``autodiff.conv2d``) has three algorithms, picked by the
+shapes of the weights and the input, each with its adjoint and none looping
+over groups:
 
-* depthwise (``groups == C_in == C_out``) -- k*k shifted multiply-adds over
-  the padded input, with no patch tensor (:func:`depthwise_conv`);
+* depthwise (``groups == C_in == C_out``) on a small map, H*W <= B*k*k, so
+  that its operator has no more entries than the shifted taps do
+  multiply-adds -- one matmul batched over channels against each channel's
+  (H*W, Ho*Wo) Toeplitz operator, ``OPERATOR_BLOCK`` operator entries at a
+  time (:func:`toeplitz_conv`);
+* every other depthwise conv -- k*k shifted multiply-adds over the padded
+  input, with no patch tensor (:func:`depthwise_conv`);
 * every other conv -- the (B, C, k, k, Ho, Wo) patch tensor times the
   weights in one matmul batched over the group axis (:func:`im2col_conv`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +60,10 @@ ARTIFACT_KERNEL_SIZES = (1, 3, 7)
 # (more only when a single event feeds more outputs than this), so its index
 # and weight arrays stay at 8 MB each however wide the fan-out
 SCATTER_BLOCK = 1 << 20
+# most operator entries one channel block of toeplitz_conv builds (more only
+# when a single channel's operator is larger), so its operator and its x^T g
+# product stay at 8 MB each however many channels there are
+OPERATOR_BLOCK = 1 << 20
 
 
 @dataclass
@@ -71,6 +82,7 @@ class ConvKernel:
             raise ShapeError(f"conv weights must be (c_out, c_in, k, k), got {self.weights.shape}")
         if self.k not in ARTIFACT_KERNEL_SIZES:
             raise ShapeError(f"kernel size {self.k} not in {ARTIFACT_KERNEL_SIZES}")
+        _check_groups(self.c_out, self.groups)
         if self.padding is None:
             self.padding = self.k // 2
         if self.bias is None:
@@ -90,6 +102,12 @@ class ConvKernel:
     @property
     def k(self) -> int:
         return self.weights.shape[2]
+
+
+def _check_groups(c_out: int, groups: int):
+    if groups < 1 or c_out % groups:
+        raise ShapeError(f"groups must be a positive divisor of the {c_out} output "
+                         f"channels, got {groups}")
 
 
 @dataclass
@@ -176,6 +194,71 @@ def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
     return out, adjoint
 
 
+@functools.lru_cache(maxsize=64)
+def _toeplitz_index(h: int, w: int, k: int, stride: int, padding: int):
+    """Where a k*k kernel's taps sit in its (H*W, Ho*Wo) operator. For every
+    (tap, output pixel) pair whose input pixel lies inside the map, in tap
+    order: the flat operator entry (input pixel * Ho*Wo + output pixel) and
+    the tap. Also the taps with at least one entry and where each one's run
+    of entries starts. A tap puts at most one entry in each output column,
+    so the entries are distinct. Cached and read-only: callers share them."""
+    ho = conv_output_size(h, k, stride, padding)
+    wo = conv_output_size(w, k, stride, padding)
+    ky, kx, oy, ox = np.meshgrid(np.arange(k), np.arange(k), np.arange(ho), np.arange(wo),
+                                 indexing="ij")
+    y, x = oy * stride + ky - padding, ox * stride + kx - padding
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    entry = ((y * w + x) * (ho * wo) + oy * wo + ox)[inside]
+    tap = (ky * k + kx)[inside]
+    taps, starts = np.unique(tap, return_index=True)
+    for a in (entry, tap, taps, starts):
+        a.setflags(write=False)
+    return entry, tap, taps, starts
+
+
+def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int):
+    """Depthwise convolution as one matmul batched over channels: each
+    channel's (B, H*W) input times its (H*W, Ho*Wo) Toeplitz operator, built
+    by scattering the k*k weights at the entries of :func:`_toeplitz_index`.
+    Channels go ``OPERATOR_BLOCK`` operator entries at a time; the adjoint
+    rebuilds each block's operator instead of keeping it. Returns the output
+    and its adjoint ``g -> (gx, gw)``: gx = g A^T, and gw sums, per tap, the
+    entries of x^T g at that tap's operator entries."""
+    b, c, h, w = x.shape
+    k = weights.shape[2]
+    ho = conv_output_size(h, k, stride, padding)
+    wo = conv_output_size(w, k, stride, padding)
+    entry, tap, taps, starts = _toeplitz_index(h, w, k, stride, padding)
+    size = h * w * ho * wo
+    per = max(1, OPERATOR_BLOCK // size)  # channels per block
+    blocks = [slice(c0, min(c0 + per, c)) for c0 in range(0, c, per)]
+    wf = weights.reshape(c, k * k)
+    xc = x.reshape(b, c, h * w).transpose(1, 0, 2)  # (C, B, H*W)
+
+    def operator(blk):
+        a = np.zeros((blk.stop - blk.start, size))
+        a[:, entry] = wf[blk, tap]
+        return a.reshape(-1, h * w, ho * wo)
+
+    out = np.empty((b, c, ho * wo))
+    outc = out.transpose(1, 0, 2)  # written through this (C, B, Ho*Wo) view
+    for blk in blocks:
+        np.matmul(xc[blk], operator(blk), out=outc[blk])
+
+    def adjoint(g):
+        gc = g.reshape(b, c, ho * wo).transpose(1, 0, 2)
+        gx = np.empty((b, c, h * w))
+        gxc = gx.transpose(1, 0, 2)
+        gw = np.zeros((c, k * k))
+        for blk in blocks:
+            np.matmul(gc[blk], operator(blk).transpose(0, 2, 1), out=gxc[blk])
+            xg = np.matmul(xc[blk].transpose(0, 2, 1), gc[blk]).reshape(-1, size)
+            gw[blk, taps] = np.add.reduceat(xg[:, entry], starts, axis=1)
+        return gx.reshape(x.shape), gw.reshape(weights.shape)
+
+    return out.reshape(b, c, ho, wo), adjoint
+
+
 def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
                 groups: int = 1):
     """Grouped convolution as one batched matmul over the group axis: the
@@ -219,10 +302,15 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     """Bias-free convolution of a (B, C, H, W) array with zero padding.
 
     Returns the output and its adjoint ``g -> (gx, gw)``. A depthwise conv
-    (``groups == C_in == C_out``) runs :func:`depthwise_conv`; every other
-    conv runs :func:`im2col_conv`.
+    (``groups == C_in == C_out``) runs :func:`toeplitz_conv` when H*W <= B*k*k
+    (its operator has no more entries than :func:`depthwise_conv` does
+    multiply-adds) and :func:`depthwise_conv` otherwise; every other conv
+    runs :func:`im2col_conv`.
     """
-    if groups == x.shape[1] == weights.shape[0]:
+    b, c, h, w = x.shape
+    if groups == c == weights.shape[0]:
+        if h * w <= b * weights.shape[2] ** 2:
+            return toeplitz_conv(x, weights, stride, padding)
         return depthwise_conv(x, weights, stride, padding)
     return im2col_conv(x, weights, stride, padding, groups)
 
@@ -232,6 +320,7 @@ def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     """Convolution plus bias over a batched (B, C, H, W) float array."""
     _, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
+    _check_groups(c_out, groups)
     if c != c_in_g * groups:
         raise ShapeError(f"input has {c} channels, kernel expects {c_in_g * groups}")
     if conv_output_size(h, k, stride, padding) <= 0 or \

@@ -91,19 +91,31 @@ def suite_kernels():
     lines.append(f"event_conv2d vs dense oracle (groups 1, 2, C): {cases} cases, "
                  f"max |diff| {worst_conv:.2e}")
 
-    # both dense algorithms (depthwise and batched patch matmul) against a
-    # direct loop, at groups 1, 2 and C, with a depthwise multiplier too
-    worst_dense = 0.0
+    # the dense conv against a direct loop, at groups 1, 2 and C, with a
+    # depthwise multiplier too; each depthwise case also runs both depthwise
+    # algorithms directly, whichever one the dispatch picks for its shape
+    worst = {"dense_conv2d": 0.0, "depthwise_conv": 0.0, "toeplitz_conv": 0.0}
+    depthwise_cases = 0
     for case in range(cases):
         kern, h = _cycled_kernel(rng, case)
         x = rng.normal(0, 1, (kern.c_in, h, h))
-        diff = np.abs(kernels.dense_conv2d(DenseTensor(x), kern).data
-                      - _direct_conv2d(x, kern)).max()
-        worst_dense = max(worst_dense, float(diff))
-    if worst_dense > 1e-10:
-        return False, [f"dense_conv2d deviation {worst_dense:.2e} > 1e-10"]
+        want = _direct_conv2d(x, kern)
+        got = {"dense_conv2d": kernels.dense_conv2d(DenseTensor(x), kern).data}
+        if kern.groups == kern.c_in == kern.c_out:
+            depthwise_cases += 1
+            for fn in (kernels.depthwise_conv, kernels.toeplitz_conv):
+                out, _ = fn(x[None], kern.weights, kern.stride, kern.padding)
+                got[fn.__name__] = out[0] + kern.bias[:, None, None]
+        for name, out in got.items():
+            worst[name] = max(worst[name], float(np.abs(out - want).max()))
+    for name, diff in worst.items():
+        if diff > 1e-10:
+            return False, [f"{name} deviation {diff:.2e} > 1e-10"]
     lines.append(f"dense_conv2d vs direct loop (groups 1, 2, C): {cases} cases, "
-                 f"max |diff| {worst_dense:.2e}")
+                 f"max |diff| {worst['dense_conv2d']:.2e}")
+    lines.append(f"depthwise_conv / toeplitz_conv vs direct loop: {depthwise_cases} "
+                 f"depthwise cases each, max |diff| {worst['depthwise_conv']:.2e} / "
+                 f"{worst['toeplitz_conv']:.2e}")
 
     for _ in range(cases):
         a = SpikeTensor((rng.random((6, 5)) < 0.5).astype(np.uint8))

@@ -506,3 +506,51 @@ class TestConvertSizes:
         assert main(["convert", str(events), *flags, "--out", str(out)]) == 2
         assert "expected an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCliOutputErrors:
+    """A run's outputs that cannot be written exit 4 with one "output error"
+    line; a missing input still exits 3."""
+
+    @staticmethod
+    def _exits_4(capsys, argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        return err
+
+    def test_profile_out_dir_under_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        self._exits_4(capsys, ["profile", "--out-dir", str(afile / "p")])
+
+    def test_profile_report_that_cannot_be_written(self, tmp_path, capsys):
+        (tmp_path / "p" / "energy.csv").mkdir(parents=True)
+        self._exits_4(capsys, ["profile", "--out-dir", str(tmp_path / "p")])
+
+    def test_train_out_dir_under_a_file(self, toy_config_file, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        self._exits_4(capsys, ["train", "--config", str(toy_config_file), "--epochs", "0",
+                               "--out-dir", str(afile / "run")])
+
+    @pytest.mark.parametrize("name", ["metrics.txt", "model.ckpt"])
+    def test_train_output_that_cannot_be_written(self, toy_config_file, tmp_path, capsys,
+                                                 name):
+        (tmp_path / "run" / name).mkdir(parents=True)
+        self._exits_4(capsys, ["train", "--config", str(toy_config_file), "--epochs", "0",
+                               "--out-dir", str(tmp_path / "run")])
+
+    def test_convert_out_under_a_file(self, tmp_path, capsys):
+        events = tmp_path / "ev.txt"
+        events.write_text("0,0,0,1\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        self._exits_4(capsys, ["convert", str(events), "--height", "4", "--width", "4",
+                               "--out", str(afile / "o.npy")])
+
+    def test_missing_input_still_exits_3(self, tmp_path, capsys):
+        rc = main(["convert", str(tmp_path / "absent.txt"), "--height", "4", "--width", "4",
+                   "--out", str(tmp_path / "o.npy")])
+        assert rc == 3 and capsys.readouterr().err.startswith("data error: ")

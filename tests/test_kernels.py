@@ -94,6 +94,13 @@ class TestDenseOracles:
             dense_conv2d(DenseTensor(np.zeros((2, 4, 4))),
                          ConvKernel(weights=np.zeros((1, 3, 3, 3))))
 
+    @pytest.mark.parametrize("groups", [2, 0, -2])
+    def test_groups_must_divide_the_output_channels(self, groups):
+        with pytest.raises(ShapeError, match="groups"):
+            ConvKernel(weights=np.ones((3, 2, 3, 3)), groups=groups)
+        with pytest.raises(ShapeError, match="groups"):
+            kernels.conv2d_raw(np.ones((1, 4, 4, 4)), np.ones((3, 2, 3, 3)), None, 1, 1, groups)
+
 
 class TestEventMatmul:
     def test_identity_pattern_gathers_rows(self):
@@ -456,3 +463,130 @@ class TestScatterBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestSmallMapDepthwise:
+    """The two depthwise algorithms, shifted taps (``depthwise_conv``) and
+    the per-channel Toeplitz operator (``toeplitz_conv``), each against the
+    naive loop and by the adjoint dot-product test, and the dispatch between
+    them: the operator runs iff H*W <= B*k*k."""
+
+    C = 2
+    ALGORITHMS = ("depthwise_conv", "toeplitz_conv")
+    MAPS = [(n, n) for n in range(1, 10)] + [(1, 9), (9, 2), (3, 7)]
+
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_both_algorithms_match_naive_and_adjoint(self, k, stride, batch):
+        rng = np.random.default_rng(800 + 10 * k + stride + batch)
+        for h, w in self.MAPS:
+            x = rng.normal(0, 1, (batch, self.C, h, w))
+            kern = ConvKernel(weights=rng.normal(0, 1, (self.C, 1, k, k)), stride=stride,
+                              groups=self.C)
+            want = np.stack([naive_conv2d(xi, kern) for xi in x])
+            g = rng.normal(0, 1, want.shape)
+            lhs = np.vdot(want, g)
+            for name in self.ALGORITHMS:
+                y, vjp = getattr(kernels, name)(x, kern.weights, stride, kern.padding)
+                assert np.abs(y - want).max() <= 1e-12, (name, h, w)
+                gx, gw = vjp(g)
+                assert gx.shape == x.shape and gw.shape == kern.weights.shape
+                tol = 1e-10 * max(abs(lhs), 1.0)
+                assert abs(np.vdot(x, gx) - lhs) <= tol, (name, h, w)
+                assert abs(np.vdot(kern.weights, gw) - lhs) <= tol, (name, h, w)
+
+    @staticmethod
+    def _refusing(monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(kernels, name, refuse)
+
+    @pytest.mark.parametrize("batch,k,h,w", [
+        (1, 3, 3, 3), (1, 3, 3, 4), (1, 7, 7, 7), (1, 7, 7, 8), (2, 3, 3, 6),
+        (2, 3, 4, 5), (8, 3, 8, 9), (8, 3, 9, 9), (32, 7, 16, 16), (1, 1, 1, 1),
+        (1, 1, 1, 2), (4, 1, 2, 2), (4, 1, 2, 3)])
+    def test_dispatch_on_map_size(self, monkeypatch, batch, k, h, w):
+        rng = np.random.default_rng(900)
+        x = rng.normal(0, 1, (batch, self.C, h, w))
+        weights = rng.normal(0, 1, (self.C, 1, k, k))
+        runs, skipped = self.ALGORITHMS[::-1] if h * w <= batch * k * k else self.ALGORITHMS
+        with monkeypatch.context() as m:
+            self._refusing(m, skipped)
+            y, vjp = kernels.conv2d_core(x, weights, 1, k // 2, self.C)
+            vjp(np.ones_like(y))
+        with monkeypatch.context() as m:
+            self._refusing(m, runs)
+            with pytest.raises(AssertionError, match=runs):
+                kernels.conv2d_core(x, weights, 1, k // 2, self.C)
+
+    def test_no_15m_inference_depthwise_takes_the_operator(self, monkeypatch):
+        from spikedrive.config import ModelConfig
+        from spikedrive.model import build_model
+
+        seen = []
+        real = kernels.depthwise_conv
+
+        def record(x, weights, stride, padding):
+            seen.append((x.shape, weights.shape[2]))
+            return real(x, weights, stride, padding)
+
+        self._refusing(monkeypatch, "toeplitz_conv")
+        monkeypatch.setattr(kernels, "depthwise_conv", record)
+        model = build_model(ModelConfig(base_channels=32, resolution=224, num_classes=1000,
+                                        seed=0))
+        model.forward(np.random.default_rng(901).random((1, 3, 224, 224)), timesteps=1)
+        assert {k for _, k in seen} == {3, 7}
+        assert min(shape[2] for shape, _ in seen) == 14
+
+    def test_channel_blocks_give_identical_results(self, monkeypatch):
+        rng = np.random.default_rng(910)
+        x = rng.normal(0, 1, (4, 7, 5, 5))
+        weights = rng.normal(0, 1, (7, 1, 3, 3))
+        g = rng.normal(0, 1, (4, 7, 3, 3))
+        y, vjp = kernels.toeplitz_conv(x, weights, 2, 1)
+        whole = (y, *vjp(g))
+        calls = []
+        real = np.matmul
+
+        def spy(*args, **kw):
+            calls.append(args[0].shape[0])
+            return real(*args, **kw)
+
+        # room for two channels' (25, 9) operators per block: blocks of 2, 2, 2, 1
+        monkeypatch.setattr(kernels, "OPERATOR_BLOCK", 2 * 25 * 9 + 1)
+        monkeypatch.setattr(kernels.np, "matmul", spy)
+        y, vjp = kernels.toeplitz_conv(x, weights, 2, 1)
+        assert calls == [2, 2, 2, 1]
+        blocked = (y, *vjp(g))
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b)
+
+    def test_cached_index_arrays_are_read_only(self):
+        arrays = kernels._toeplitz_index(5, 4, 3, 2, 1)
+        assert kernels._toeplitz_index(5, 4, 3, 2, 1) is arrays
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_blocked_operator_peak_memory(self):
+        import tracemalloc
+
+        # 64 channels of a 16x16 7x7 conv at B=8 take the operator; all 64
+        # (256, 256) operators together would be 32 MB, one block is 8 MB
+        rng = np.random.default_rng(920)
+        x = rng.normal(0, 1, (8, 64, 16, 16))
+        weights = rng.normal(0, 1, (64, 1, 7, 7))
+        g = rng.normal(0, 1, x.shape)
+        assert 64 * 256 * 256 > kernels.OPERATOR_BLOCK
+        tracemalloc.start()
+        try:
+            y, vjp = kernels.conv2d_core(x, weights, 1, 3, 64)
+            vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the operator and the x^T g product of one block, plus the 1 MB maps
+        assert peak < 24 * 2 ** 20
