@@ -16,17 +16,23 @@ The two must agree: exactly for integer weights, within 1e-5 absolute for
 floats (both routes accumulate in float64, in different orders).
 
 The dense convolution (:func:`conv2d_core`, behind ``conv2d_raw``,
-``dense_conv2d`` and ``autodiff.conv2d``) has three algorithms, picked by the
+``dense_conv2d`` and ``autodiff.conv2d``) has four algorithms, picked by the
 shapes of the weights and the input, each with its adjoint and none looping
-over groups:
+over groups. Two take the depthwise convs (``groups == C_in == C_out``):
 
-* depthwise (``groups == C_in == C_out``) on a small map, H*W <= B*k*k, so
-  that its operator has no more entries than the shifted taps do
-  multiply-adds -- one matmul batched over channels against each channel's
-  (H*W, Ho*Wo) Toeplitz operator, ``OPERATOR_BLOCK`` operator entries at a
-  time (:func:`toeplitz_conv`);
-* every other depthwise conv -- k*k shifted multiply-adds over the padded
-  input, with no patch tensor (:func:`depthwise_conv`);
+* on a small map, H*W <= B*k*k, so that its operator has no more entries
+  than the shifted taps do multiply-adds -- one matmul batched over channels
+  against each channel's (H*W, Ho*Wo) Toeplitz operator, ``OPERATOR_BLOCK``
+  operator entries at a time (:func:`toeplitz_conv`);
+* on every other map -- k*k shifted multiply-adds over the padded input,
+  with no patch tensor, ``DEPTHWISE_BLOCK`` output entries at a time
+  (:func:`depthwise_conv`).
+
+Two take the rest:
+
+* ungrouped, stride 1, k > 1 and C_out < C_in -- one matmul of the k*k
+  stacked taps against the padded input, then k*k shifted adds of its
+  product, which is smaller than the patch tensor (:func:`kn2row_conv`);
 * every other conv -- the (B, C, k, k, Ho, Wo) patch tensor times the
   weights in one matmul batched over the group axis (:func:`im2col_conv`).
 """
@@ -64,6 +70,10 @@ SCATTER_BLOCK = 1 << 20
 # when a single channel's operator is larger), so its operator and its x^T g
 # product stay at 8 MB each however many channels there are
 OPERATOR_BLOCK = 1 << 20
+# most output entries one channel block of depthwise_conv's forward holds
+# (more only when a single channel's map is larger), so that the block's
+# input, output and product, 0.5 MB each, stay in a 2 MB L2 cache
+DEPTHWISE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -168,7 +178,11 @@ def _taps(k: int, stride: int, ho: int, wo: int):
 
 def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int):
     """Depthwise convolution (one (1, k, k) filter per channel) as k*k shifted
-    multiply-adds over the padded input; no patch tensor is built. Returns
+    multiply-adds over the padded input; no patch tensor is built. The
+    forward runs all taps over one channel block before the next, at most
+    ``DEPTHWISE_BLOCK`` output entries a block, so that the block's input,
+    output and product stay in cache across the taps; each output entry sees
+    the same multiply-adds in the same order whatever the block size. Returns
     the output and its adjoint ``g -> (gx, gw)``."""
     b, c, h, w = x.shape
     k = weights.shape[2]
@@ -176,10 +190,15 @@ def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
     wo = conv_output_size(w, k, stride, padding)
     taps = weights[:, 0, :, :, None, None]  # (C, k, k, 1, 1)
     xp = _pad2d(x, padding)
+    per = max(1, DEPTHWISE_BLOCK // (b * ho * wo))  # channels per block
     out = np.zeros((b, c, ho, wo))
-    tmp = np.empty_like(out)
-    for i, j, win in _taps(k, stride, ho, wo):
-        out += np.multiply(xp[win], taps[:, i, j], out=tmp)
+    tmp = np.empty((b, min(per, c), ho, wo))
+    for c0 in range(0, c, per):
+        blk = slice(c0, c0 + per)
+        outb, xpb = out[:, blk], xp[:, blk]
+        tmpb = tmp[:, :outb.shape[1]]
+        for i, j, win in _taps(k, stride, ho, wo):
+            outb += np.multiply(xpb[win], taps[blk, i, j], out=tmpb)
 
     def adjoint(g):
         xp = _pad2d(x, padding)  # padded again, not held from the forward
@@ -297,28 +316,71 @@ def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     return out, adjoint
 
 
+def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
+    """Ungrouped stride-1 convolution lowered on its output side (kn2row;
+    Anderson et al., arXiv 1709.03395). One matmul of the (k*k*C_out, C_in)
+    stacked taps against the padded input viewed as (B, C_in, Hp*Wp); then
+    the k*k tap slices of its product are added into a (B, C_out, Ho*Wp)
+    buffer. Output pixel q reads tap (i, j) at q + i*Wp + j, so each slice is
+    contiguous; the Wp - Wo wrap-around columns of each row are cropped. It
+    moves C_out*k*k values per output pixel where :func:`im2col_conv` moves
+    C_in*k*k. Returns the output and its adjoint ``g -> (gx, gw)``, which keeps
+    only the padded input: gx runs one matmul on the k*k shifted copies of g,
+    and gw one matmul per tap on the flat slices of the input."""
+    b, c, h, w = x.shape
+    c_out, _, k, _ = weights.shape
+    xp = _pad2d(x, padding)
+    hp, wp = xp.shape[2:]
+    ho, wo = hp - k + 1, wp - k + 1
+    n = ho * wp - k + 1  # buffer entries through the last output pixel
+    offsets = [i * wp + j for i in range(k) for j in range(k)]
+    xf = xp.reshape(b, c, hp * wp)
+    stacked = weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c)
+    prod = np.matmul(stacked, xf).reshape(b, k * k, c_out, hp * wp)
+    buf = np.empty((b, c_out, ho * wp))
+    buf[:, :, :n] = prod[:, 0, :, :n]
+    for t in range(1, k * k):
+        buf[:, :, :n] += prod[:, t, :, offsets[t]:offsets[t] + n]
+    out = np.ascontiguousarray(buf.reshape(b, c_out, ho, wp)[..., :wo])
+
+    def adjoint(g):
+        gbuf = np.zeros((b, c_out, ho, wp))  # g on the buffer's grid, 0 past Wo
+        gbuf[..., :wo] = g
+        gf = gbuf.reshape(b, c_out, ho * wp)[:, :, :n]
+        gw = np.empty((k * k, c_out, c))
+        for t, off in enumerate(offsets):
+            gw[t] = np.matmul(gf, xf[:, :, off:off + n].swapaxes(1, 2)).sum(axis=0)
+        # gx[y, x] sums tap (i, j) against g[y + padding - i, x + padding - j]:
+        # with g padded by k - 1 - padding, the window at (k-1-i, k-1-j)
+        q = k - 1 - padding
+        gq = _pad2d(g, q) if q >= 0 else _unpad2d(g, -q)
+        shifted = np.empty((b, k, k, c_out, h, w))
+        for i, j, win in _taps(k, 1, h, w):
+            shifted[:, k - 1 - i, k - 1 - j] = gq[win]
+        gx = np.matmul(stacked.T, shifted.reshape(b, k * k * c_out, h * w))
+        return gx.reshape(x.shape), gw.reshape(k, k, c_out, c).transpose(2, 3, 0, 1).copy()
+
+    return out, adjoint
+
+
 def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
                 groups: int = 1):
     """Bias-free convolution of a (B, C, H, W) array with zero padding.
 
-    Returns the output and its adjoint ``g -> (gx, gw)``. A depthwise conv
-    (``groups == C_in == C_out``) runs :func:`toeplitz_conv` when H*W <= B*k*k
-    (its operator has no more entries than :func:`depthwise_conv` does
-    multiply-adds) and :func:`depthwise_conv` otherwise; every other conv
-    runs :func:`im2col_conv`.
+    Returns the output and its adjoint ``g -> (gx, gw)``. Raises
+    ``ShapeError`` when the channels or groups do not fit the weights or the
+    output would be empty. Four algorithms, picked by shape:
+
+    * a depthwise conv (``groups == C_in == C_out``) runs :func:`toeplitz_conv`
+      when H*W <= B*k*k (its operator has no more entries than
+      :func:`depthwise_conv` does multiply-adds) and :func:`depthwise_conv`
+      otherwise;
+    * an ungrouped stride-1 conv with k > 1 runs :func:`kn2row_conv` when
+      C_out < C_in (its tap product is smaller than the patch tensor) and
+      :func:`im2col_conv` otherwise;
+    * every other conv runs :func:`im2col_conv`.
     """
     b, c, h, w = x.shape
-    if groups == c == weights.shape[0]:
-        if h * w <= b * weights.shape[2] ** 2:
-            return toeplitz_conv(x, weights, stride, padding)
-        return depthwise_conv(x, weights, stride, padding)
-    return im2col_conv(x, weights, stride, padding, groups)
-
-
-def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-               stride: int, padding: int, groups: int = 1) -> np.ndarray:
-    """Convolution plus bias over a batched (B, C, H, W) float array."""
-    _, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     _check_groups(c_out, groups)
     if c != c_in_g * groups:
@@ -326,6 +388,18 @@ def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     if conv_output_size(h, k, stride, padding) <= 0 or \
             conv_output_size(w, k, stride, padding) <= 0:
         raise ShapeError(f"conv output would be empty for input {x.shape}")
+    if groups == c == c_out:
+        if h * w <= b * k * k:
+            return toeplitz_conv(x, weights, stride, padding)
+        return depthwise_conv(x, weights, stride, padding)
+    if groups == 1 and stride == 1 and k > 1 and c_out < c:
+        return kn2row_conv(x, weights, padding)
+    return im2col_conv(x, weights, stride, padding, groups)
+
+
+def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
+               stride: int, padding: int, groups: int = 1) -> np.ndarray:
+    """Convolution plus bias over a batched (B, C, H, W) float array."""
     out, _ = conv2d_core(x, weights, stride, padding, groups)
     if bias is not None:
         out += bias[None, :, None, None]

@@ -93,9 +93,11 @@ def suite_kernels():
 
     # the dense conv against a direct loop, at groups 1, 2 and C, with a
     # depthwise multiplier too; each depthwise case also runs both depthwise
-    # algorithms directly, whichever one the dispatch picks for its shape
-    worst = {"dense_conv2d": 0.0, "depthwise_conv": 0.0, "toeplitz_conv": 0.0}
-    depthwise_cases = 0
+    # algorithms directly, and each ungrouped stride-1 case with k > 1 both
+    # dense ones, whichever one the dispatch picks for its shape
+    worst = {"dense_conv2d": 0.0, "depthwise_conv": 0.0, "toeplitz_conv": 0.0,
+             "im2col_conv": 0.0, "kn2row_conv": 0.0}
+    depthwise_cases = ungrouped_cases = 0
     for case in range(cases):
         kern, h = _cycled_kernel(rng, case)
         x = rng.normal(0, 1, (kern.c_in, h, h))
@@ -103,9 +105,16 @@ def suite_kernels():
         got = {"dense_conv2d": kernels.dense_conv2d(DenseTensor(x), kern).data}
         if kern.groups == kern.c_in == kern.c_out:
             depthwise_cases += 1
-            for fn in (kernels.depthwise_conv, kernels.toeplitz_conv):
-                out, _ = fn(x[None], kern.weights, kern.stride, kern.padding)
-                got[fn.__name__] = out[0] + kern.bias[:, None, None]
+            runs = {fn.__name__: fn(x[None], kern.weights, kern.stride, kern.padding)
+                    for fn in (kernels.depthwise_conv, kernels.toeplitz_conv)}
+        elif kern.groups == 1 and kern.stride == 1 and kern.k > 1:
+            ungrouped_cases += 1
+            runs = {"im2col_conv": kernels.im2col_conv(x[None], kern.weights, 1, kern.padding),
+                    "kn2row_conv": kernels.kn2row_conv(x[None], kern.weights, kern.padding)}
+        else:
+            runs = {}
+        for name, (out, _) in runs.items():
+            got[name] = out[0] + kern.bias[:, None, None]
         for name, out in got.items():
             worst[name] = max(worst[name], float(np.abs(out - want).max()))
     for name, diff in worst.items():
@@ -116,6 +125,9 @@ def suite_kernels():
     lines.append(f"depthwise_conv / toeplitz_conv vs direct loop: {depthwise_cases} "
                  f"depthwise cases each, max |diff| {worst['depthwise_conv']:.2e} / "
                  f"{worst['toeplitz_conv']:.2e}")
+    lines.append(f"im2col_conv / kn2row_conv vs direct loop: {ungrouped_cases} ungrouped "
+                 f"stride-1 k > 1 cases each, max |diff| {worst['im2col_conv']:.2e} / "
+                 f"{worst['kn2row_conv']:.2e}")
 
     for _ in range(cases):
         a = SpikeTensor((rng.random((6, 5)) < 0.5).astype(np.uint8))

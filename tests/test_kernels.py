@@ -336,6 +336,17 @@ class TestAutodiffConv:
         assert np.allclose(y[0], naive_conv2d(x[0], kern), atol=1e-10)
 
 
+    @pytest.mark.parametrize("x_shape,w_shape,padding,groups,match", [
+        ((1, 4, 3, 3), (4, 4, 7, 7), 0, 1, "empty"),
+        ((1, 4, 8, 8), (4, 3, 3, 3), 1, 1, "channels"),
+        ((1, 4, 8, 8), (3, 2, 3, 3), 1, 2, "groups")])
+    def test_shape_errors_through_the_tape(self, x_shape, w_shape, padding, groups, match):
+        # autodiff.conv2d calls conv2d_core directly, so the checks live there
+        with pytest.raises(ShapeError, match=match):
+            ad.conv2d(ad.Tape(), ad.Var(np.ones(x_shape)), ad.Var(np.ones(w_shape)), None,
+                      1, padding, groups)
+
+
 class TestEventRouteGroupedStrided:
     """The event route on grouped, depthwise and strided kernels: values
     against the dense route to float64 rounding, and counted additions
@@ -590,3 +601,119 @@ class TestSmallMapDepthwise:
             tracemalloc.stop()
         # the operator and the x^T g product of one block, plus the 1 MB maps
         assert peak < 24 * 2 ** 20
+
+
+class TestKn2row:
+    """The output-side lowering (``kn2row_conv``) of ungrouped stride-1 convs
+    with k > 1 against the naive loop and by the adjoint dot-product test; the
+    dispatch that gives it those convs with C_out < C_in; and the channel
+    blocks of the shifted-tap depthwise forward."""
+
+    MAPS = [(n, n) for n in range(1, 10)] + [(1, 9), (9, 2)]
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("pad_half", [False, True])
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_matches_naive_and_adjoint(self, k, pad_half, batch):
+        rng = np.random.default_rng(1000 + 10 * k + 2 * pad_half + batch)
+        padding = k // 2 if pad_half else 0
+        runs = 0
+        for h, w in self.MAPS:
+            if min(h, w) + 2 * padding < k:
+                continue
+            for c_in, c_out in ((4, 2), (2, 3)):
+                x = rng.normal(0, 1, (batch, c_in, h, w))
+                kern = ConvKernel(weights=rng.normal(0, 1, (c_out, c_in, k, k)), padding=padding)
+                want = np.stack([naive_conv2d(xi, kern) for xi in x])
+                y, vjp = kernels.kn2row_conv(x, kern.weights, padding)
+                assert y.flags.c_contiguous
+                assert np.abs(y - want).max() <= 1e-12, (h, w, c_in, c_out)
+                g = rng.normal(0, 1, want.shape)
+                gx, gw = vjp(g)
+                assert gx.shape == x.shape and gw.shape == kern.weights.shape
+                lhs = np.vdot(want, g)
+                tol = 1e-10 * max(abs(lhs), 1.0)
+                assert abs(np.vdot(x, gx) - lhs) <= tol, (h, w, c_in, c_out)
+                assert abs(np.vdot(kern.weights, gw) - lhs) <= tol, (h, w, c_in, c_out)
+                runs += 1
+        assert runs >= 2
+
+    @staticmethod
+    def _refusing(monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(kernels, name, refuse)
+
+    @pytest.mark.parametrize("c_in,c_out,k,stride,groups,runs", [
+        (8, 4, 3, 1, 1, "kn2row_conv"), (8, 7, 7, 1, 1, "kn2row_conv"),
+        (2, 1, 3, 1, 1, "kn2row_conv"), (8, 8, 3, 1, 1, "im2col_conv"),
+        (4, 8, 3, 1, 1, "im2col_conv"), (8, 4, 1, 1, 1, "im2col_conv"),
+        (8, 4, 3, 2, 1, "im2col_conv"), (8, 4, 3, 1, 2, "im2col_conv")])
+    def test_dispatch_on_channels(self, monkeypatch, c_in, c_out, k, stride, groups, runs):
+        rng = np.random.default_rng(1100)
+        x = rng.normal(0, 1, (2, c_in, 9, 9))
+        weights = rng.normal(0, 1, (c_out, c_in // groups, k, k))
+        skipped = ({"kn2row_conv", "im2col_conv"} - {runs}).pop()
+        with monkeypatch.context() as m:
+            self._refusing(m, skipped)
+            y, vjp = kernels.conv2d_core(x, weights, stride, k // 2, groups)
+            vjp(np.ones_like(y))
+        with monkeypatch.context() as m:
+            self._refusing(m, runs)
+            with pytest.raises(AssertionError, match=runs):
+                kernels.conv2d_core(x, weights, stride, k // 2, groups)
+
+    def test_15m_inference_runs_the_channel_conv_outputs_on_it(self, monkeypatch):
+        from spikedrive.config import ModelConfig
+        from spikedrive.model import build_model
+
+        seen = []
+        real = kernels.kn2row_conv
+
+        def record(x, weights, padding):
+            seen.append(weights)
+            return real(x, weights, padding)
+
+        monkeypatch.setattr(kernels, "kn2row_conv", record)
+        model = build_model(ModelConfig(base_channels=32, resolution=224, num_classes=1000,
+                                        seed=0))
+        model.forward(np.random.default_rng(902).random((1, 3, 224, 224)), timesteps=1)
+        conv2 = [v.data for name, v in model.named_params() if name.endswith("chconv.conv2.w")]
+        assert len(conv2) == 4
+        assert len(seen) == 4 and all(any(w is c for c in conv2) for w in seen)
+
+    def test_depthwise_channel_blocks_give_identical_results(self, monkeypatch):
+        rng = np.random.default_rng(1200)
+        x = rng.normal(0, 1, (2, 7, 12, 12))
+        weights = rng.normal(0, 1, (7, 1, 3, 3))
+        whole, _ = kernels.depthwise_conv(x, weights, 1, 1)
+        widths = []
+        real = np.multiply
+
+        def spy(a, b, out):
+            widths.append(out.shape[1])
+            return real(a, b, out=out)
+
+        # room for two channels' 2x12x12 outputs per block: blocks of 2, 2, 2, 1
+        monkeypatch.setattr(kernels, "DEPTHWISE_BLOCK", 2 * 2 * 144 + 1)
+        monkeypatch.setattr(kernels.np, "multiply", spy)
+        blocked, _ = kernels.depthwise_conv(x, weights, 1, 1)
+        assert widths == [2] * 27 + [1] * 9
+        assert np.array_equal(blocked, whole)
+
+    def test_peak_memory_of_the_widest_channel_conv_output(self):
+        import tracemalloc
+
+        # the 15M net's stage-1 chconv.conv2: im2col_conv's patch tensor
+        # alone is 116 MB here, the stacked-tap product 30 MB
+        rng = np.random.default_rng(1300)
+        x = (rng.random((1, 128, 112, 112)) < 0.2).astype(np.float64)
+        weights = rng.normal(0, 1, (32, 128, 3, 3))
+        tracemalloc.start()
+        try:
+            kernels.conv2d_core(x, weights, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
