@@ -63,9 +63,9 @@ class ConvTimer:
             key = (self.run, self._ran, x.shape, weights.shape, stride, padding, groups)
             self._add(key + ("forward",), time.perf_counter() - t0)
 
-            def timed_adjoint(g):
+            def timed_adjoint(g, *need):
                 t0 = time.perf_counter()
-                grads = adjoint(g)
+                grads = adjoint(g, *need)
                 self._add(key + ("adjoint",), time.perf_counter() - t0)
                 return grads
 

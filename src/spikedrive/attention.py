@@ -58,8 +58,9 @@ class SDSAConfig:
             raise ValueError(f"unknown SDSA variant {self.variant}")
         if self.heads < 1:
             raise ValueError("head count must be >= 1")
-        if self.threshold_scale <= 0:
-            raise ValueError("threshold_scale must be > 0")
+        if not (np.isfinite(self.threshold_scale) and self.threshold_scale > 0):
+            raise ValueError(f"threshold_scale must be finite and > 0, "
+                             f"got {self.threshold_scale}")
         if self.dim and self.variant in (3, 4) and self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by {self.heads} heads")
 

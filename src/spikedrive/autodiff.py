@@ -43,11 +43,20 @@ class Var:
 
 
 class Tape:
-    """Ordered op records; one backward pass consumes the tape."""
+    """Ordered op records; one backward pass consumes the tape.
+
+    ``frozen`` holds the ids of the leaf Vars that get no gradient. It is
+    empty until :func:`backward` is given ``params``; then it holds every
+    leaf input that is not one of them, and a vjp may skip that input's
+    gradient (``conv2d`` does, for the raw image into the encoding conv).
+    A vjp holds the set itself, never the tape: a tape its own records
+    reach is a reference cycle, which keeps every activation alive until
+    the cyclic garbage collector runs."""
 
     def __init__(self):
         self.records: list[tuple[Var, tuple[Var, ...], callable]] = []
         self.consumed = False
+        self.frozen: set[int] = set()
 
     def push(self, out: Var, inputs: tuple[Var, ...], vjp):
         self.records.append((out, inputs, vjp))
@@ -74,19 +83,25 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
 
     Returns a mapping for ``params`` (every listed parameter gets a slot,
     zero-filled if the loss does not depend on it) and leaves ``grad`` set on
-    all touched Vars.
+    all touched Vars. Given ``params``, a leaf Var that is not one of them
+    gets no gradient (see ``Tape.frozen``); with ``params=None`` every leaf
+    does.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
     tape.consumed = True
+    if params is not None:
+        keep = {id(out) for out, _, _ in tape.records} | {id(p) for p in params}
+        tape.frozen.update({id(v) for _, inputs, _ in tape.records for v in inputs} - keep)
     loss.grad = np.ones_like(loss.data)
     for out, inputs, vjp in reversed(tape.records):
         if out.grad is None:
             continue
         for var, g in zip(inputs, vjp(out.grad)):
-            _accum(var, g)
+            if id(var) not in tape.frozen:
+                _accum(var, g)
     grads: dict[Var, np.ndarray] = {}
     for p in params or ():
         if p.grad is None:
@@ -193,13 +208,17 @@ def spike(tape, x: Var, window: float, smooth: bool = False) -> Var:
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
            groups: int = 1) -> Var:
     """Batched (B, C, H, W) convolution (:func:`kernels.conv2d_core`); exact
-    adjoints."""
+    adjoints, with no input gradient when ``x`` is frozen."""
     out, adjoint = conv2d_core(x.data, w.data, stride, padding, groups)
+    frozen = () if tape is None else tape.frozen
+
+    def vjp(g):
+        return adjoint(g, id(x) not in frozen)
+
     if b is None:
-        return _push(tape, Var(out), (x, w), adjoint)
+        return _push(tape, Var(out), (x, w), vjp)
     out += b.data[None, :, None, None]
-    return _push(tape, Var(out), (x, w, b),
-                 lambda g: adjoint(g) + (g.sum(axis=(0, 2, 3)),))
+    return _push(tape, Var(out), (x, w, b), lambda g: vjp(g) + (g.sum(axis=(0, 2, 3)),))
 
 
 def batch_norm(tape, x: Var, gamma: Var, beta: Var, mu: np.ndarray, var: np.ndarray) -> Var:
@@ -226,10 +245,16 @@ def batch_norm(tape, x: Var, gamma: Var, beta: Var, mu: np.ndarray, var: np.ndar
 
 def normalize_affine(tape, x: Var, gamma: Var, beta: Var,
                      mu: np.ndarray, var: np.ndarray) -> Var:
-    """Affine normalization with frozen statistics (finetune / inference)."""
+    """Affine normalization with frozen statistics (finetune / inference):
+    ``(x - mu) * (gamma / sqrt(var + eps)) + beta`` per channel. The result is
+    one new array, the last two steps done in place on it, so it is
+    bit-identical with or without a tape; ``x`` is never written."""
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat_scale = (gamma.data * inv)[None, :, None, None]
-    out = Var((x.data - mu[None, :, None, None]) * xhat_scale + beta.data[None, :, None, None])
+    y = x.data - mu[None, :, None, None]
+    y *= xhat_scale
+    y += beta.data[None, :, None, None]
+    out = Var(y)
 
     def vjp(g):
         xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, is_dataclass
 from typing import get_type_hints
 
@@ -62,6 +63,9 @@ class ModelConfig:
             raise ConfigError(f"sdsa_variant must be 1..4, got {self.sdsa_variant}")
         if self.shortcut not in ("MS", "SEW", "VS"):
             raise ConfigError(f"shortcut must be MS, SEW or VS, got {self.shortcut!r}")
+        if not (math.isfinite(self.threshold_scale) and self.threshold_scale > 0):
+            raise ConfigError(f"threshold_scale must be finite and > 0, "
+                              f"got {self.threshold_scale}")
         if self.sdsa_variant in (3, 4):
             for d in self.dims[3:]:
                 if d % self.heads:

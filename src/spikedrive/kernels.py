@@ -18,7 +18,9 @@ floats (both routes accumulate in float64, in different orders).
 The dense convolution (:func:`conv2d_core`, behind ``conv2d_raw``,
 ``dense_conv2d`` and ``autodiff.conv2d``) has four algorithms, picked by the
 shapes of the weights and the input, each with its adjoint and none looping
-over groups. Two take the depthwise convs (``groups == C_in == C_out``):
+over groups. Each adjoint ``(g, need_x=True) -> (gx, gw)`` returns gx None,
+having skipped its work, when ``need_x`` is false. Two take the depthwise
+convs (``groups == C_in == C_out``):
 
 * on a small map, H*W <= B*k*k, so that its operator has no more entries
   than the shifted taps do multiply-adds -- one matmul batched over channels
@@ -183,7 +185,7 @@ def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
     ``DEPTHWISE_BLOCK`` output entries a block, so that the block's input,
     output and product stay in cache across the taps; each output entry sees
     the same multiply-adds in the same order whatever the block size. Returns
-    the output and its adjoint ``g -> (gx, gw)``."""
+    the output and its adjoint ``(g, need_x=True) -> (gx, gw)``."""
     b, c, h, w = x.shape
     k = weights.shape[2]
     ho = conv_output_size(h, k, stride, padding)
@@ -200,13 +202,16 @@ def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
         for i, j, win in _taps(k, stride, ho, wo):
             outb += np.multiply(xpb[win], taps[blk, i, j], out=tmpb)
 
-    def adjoint(g):
+    def adjoint(g, need_x=True):
         xp = _pad2d(x, padding)  # padded again, not held from the forward
-        gxp = np.zeros(xp.shape)
         gw = np.empty(weights.shape)
-        tmp = np.empty(g.shape)
         for i, j, win in _taps(k, stride, ho, wo):
             gw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, xp[win])
+        if not need_x:
+            return None, gw
+        gxp = np.zeros(xp.shape)
+        tmp = np.empty(g.shape)
+        for i, j, win in _taps(k, stride, ho, wo):
             gxp[win] += np.multiply(g, taps[:, i, j], out=tmp)
         return _unpad2d(gxp, padding), gw
 
@@ -241,8 +246,8 @@ def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int)
     by scattering the k*k weights at the entries of :func:`_toeplitz_index`.
     Channels go ``OPERATOR_BLOCK`` operator entries at a time; the adjoint
     rebuilds each block's operator instead of keeping it. Returns the output
-    and its adjoint ``g -> (gx, gw)``: gx = g A^T, and gw sums, per tap, the
-    entries of x^T g at that tap's operator entries."""
+    and its adjoint ``(g, need_x=True) -> (gx, gw)``: gx = g A^T, and gw sums,
+    per tap, the entries of x^T g at that tap's operator entries."""
     b, c, h, w = x.shape
     k = weights.shape[2]
     ho = conv_output_size(h, k, stride, padding)
@@ -264,16 +269,17 @@ def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int)
     for blk in blocks:
         np.matmul(xc[blk], operator(blk), out=outc[blk])
 
-    def adjoint(g):
+    def adjoint(g, need_x=True):
         gc = g.reshape(b, c, ho * wo).transpose(1, 0, 2)
-        gx = np.empty((b, c, h * w))
-        gxc = gx.transpose(1, 0, 2)
+        gx = np.empty((b, c, h * w)) if need_x else None
         gw = np.zeros((c, k * k))
         for blk in blocks:
-            np.matmul(gc[blk], operator(blk).transpose(0, 2, 1), out=gxc[blk])
+            if need_x:
+                np.matmul(gc[blk], operator(blk).transpose(0, 2, 1),
+                          out=gx.transpose(1, 0, 2)[blk])
             xg = np.matmul(xc[blk].transpose(0, 2, 1), gc[blk]).reshape(-1, size)
             gw[blk, taps] = np.add.reduceat(xg[:, entry], starts, axis=1)
-        return gx.reshape(x.shape), gw.reshape(weights.shape)
+        return gx if gx is None else gx.reshape(x.shape), gw.reshape(weights.shape)
 
     return out.reshape(b, c, ho, wo), adjoint
 
@@ -284,7 +290,7 @@ def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     (B, C, k, k, Ho, Wo) patch tensor, viewed as (B, G, C/G*k*k, Ho*Wo), is
     multiplied by the weights viewed as (G, C_out/G, C/G*k*k). A 1x1,
     stride-1, unpadded conv uses ``x`` itself as the patch tensor. Returns
-    the output and its adjoint ``g -> (gx, gw)``."""
+    the output and its adjoint ``(g, need_x=True) -> (gx, gw)``."""
     b, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     ho = conv_output_size(h, k, stride, padding)
@@ -301,9 +307,11 @@ def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     wg = weights.reshape(groups, c_out // groups, c_in_g * k * k)
     out = np.matmul(wg, cols).reshape(b, c_out, ho, wo)
 
-    def adjoint(g):
+    def adjoint(g, need_x=True):
         gg = g.reshape(b, groups, c_out // groups, ho * wo)
         gw = np.matmul(gg, cols.swapaxes(-1, -2)).sum(axis=0).reshape(weights.shape)
+        if not need_x:
+            return None, gw
         gcols = np.matmul(wg.swapaxes(-1, -2), gg)
         if pointwise:
             return gcols.reshape(x.shape), gw
@@ -324,9 +332,10 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
     buffer. Output pixel q reads tap (i, j) at q + i*Wp + j, so each slice is
     contiguous; the Wp - Wo wrap-around columns of each row are cropped. It
     moves C_out*k*k values per output pixel where :func:`im2col_conv` moves
-    C_in*k*k. Returns the output and its adjoint ``g -> (gx, gw)``, which keeps
-    only the padded input: gx runs one matmul on the k*k shifted copies of g,
-    and gw one matmul per tap on the flat slices of the input."""
+    C_in*k*k. Returns the output and its adjoint ``(g, need_x=True) ->
+    (gx, gw)``, which keeps only the padded input: gx runs one matmul on the
+    k*k shifted copies of g, and gw one matmul per tap on the flat slices of
+    the input."""
     b, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     xp = _pad2d(x, padding)
@@ -343,13 +352,16 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
         buf[:, :, :n] += prod[:, t, :, offsets[t]:offsets[t] + n]
     out = np.ascontiguousarray(buf.reshape(b, c_out, ho, wp)[..., :wo])
 
-    def adjoint(g):
+    def adjoint(g, need_x=True):
         gbuf = np.zeros((b, c_out, ho, wp))  # g on the buffer's grid, 0 past Wo
         gbuf[..., :wo] = g
         gf = gbuf.reshape(b, c_out, ho * wp)[:, :, :n]
         gw = np.empty((k * k, c_out, c))
         for t, off in enumerate(offsets):
             gw[t] = np.matmul(gf, xf[:, :, off:off + n].swapaxes(1, 2)).sum(axis=0)
+        gw = gw.reshape(k, k, c_out, c).transpose(2, 3, 0, 1).copy()
+        if not need_x:
+            return None, gw
         # gx[y, x] sums tap (i, j) against g[y + padding - i, x + padding - j]:
         # with g padded by k - 1 - padding, the window at (k-1-i, k-1-j)
         q = k - 1 - padding
@@ -358,7 +370,7 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
         for i, j, win in _taps(k, 1, h, w):
             shifted[:, k - 1 - i, k - 1 - j] = gq[win]
         gx = np.matmul(stacked.T, shifted.reshape(b, k * k * c_out, h * w))
-        return gx.reshape(x.shape), gw.reshape(k, k, c_out, c).transpose(2, 3, 0, 1).copy()
+        return gx.reshape(x.shape), gw
 
     return out, adjoint
 
@@ -367,7 +379,8 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
                 groups: int = 1):
     """Bias-free convolution of a (B, C, H, W) array with zero padding.
 
-    Returns the output and its adjoint ``g -> (gx, gw)``. Raises
+    Returns the output and its adjoint ``(g, need_x=True) -> (gx, gw)``, gx
+    None when ``need_x`` is false. Raises
     ``ShapeError`` when the channels or groups do not fit the weights or the
     output would be empty. Four algorithms, picked by shape:
 

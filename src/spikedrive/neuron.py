@@ -11,14 +11,23 @@ fired positions and decays the rest:
 The Heaviside is non-differentiable; training uses a rectangular surrogate
 window of half-width ``w`` around the threshold.
 
-:func:`lif` is the one implementation of this update. It is built from
-autodiff ops, so the training route (``blocks.SN.step``, recording on a tape)
-and the numpy route (:func:`lif_step` and :func:`sn_forward`, no tape) run
-the same arithmetic.
+:func:`lif` is the one implementation of this update. With a tape, and in
+smooth mode, it is built from autodiff ops that record their vjps. With no
+tape in spike mode (eval ``blocks.SN.step``, :func:`lif_step` and
+:func:`sn_forward`) it is plain numpy that records nothing: U is a new array,
+scaled by beta in place, with v_reset written where it fired. Both routes
+fire on the same test: the taped route computes ``U + (-theta)``, which IEEE
+arithmetic rounds exactly as the branch's ``U - theta``. The taped reset
+``v_reset * S + (beta*U) * (1 - S)`` is v_reset on fired entries and beta*U on
+silent ones, up to the sign of a zero, which changes no later spike or
+nonzero value. So spikes and membranes are equal for every finite or NaN
+potential; only U = +inf differs (the taped route gives NaN from inf * 0,
+the branch v_reset).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +50,10 @@ class LIFParams:
     surrogate_window: float | None = None  # defaults to 0.5 * u_th
 
     def __post_init__(self):
+        for name in ("u_th", "beta", "v_reset", "threshold_scale", "surrogate_window"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.u_th > 0:
             raise ValueError(f"u_th must be > 0, got {self.u_th}")
         if not 0 < self.beta < 1:
@@ -84,8 +97,21 @@ def lif(tape, h: Var, x: Var, threshold: Var | None, params: LIFParams,
     S[t] and the new membrane H[t].
 
     ``threshold`` is a learnable threshold, or None for ``params.threshold``.
-    The ops record on ``tape``; with ``tape=None`` this is plain numpy.
+    The ops record on ``tape``. With ``tape=None`` in spike mode nothing is
+    recorded and only new arrays are written, never ``h`` or ``x`` (see the
+    module docstring for why both routes agree).
     """
+    if tape is None and not smooth:
+        theta = params.threshold if threshold is None else threshold.data
+        shape = np.broadcast_shapes(h.shape, x.shape)
+        u, spikes = np.empty(shape), np.empty(shape)
+        np.add(h.data, x.data, out=u)
+        np.subtract(u, theta, out=spikes)
+        fired = spikes >= 0
+        np.copyto(spikes, fired)
+        u *= params.beta
+        np.copyto(u, params.v_reset, where=fired)
+        return Var(spikes), Var(u)
     u = ad.add(tape, h, x)
     if threshold is not None:
         pre = ad.sub(tape, u, threshold)

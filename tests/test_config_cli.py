@@ -6,6 +6,7 @@ import pytest
 
 import spikedrive as sd
 from spikedrive import config
+from spikedrive.attention import SDSAConfig
 from spikedrive.cli import main
 from spikedrive.config import (ModelConfig, TrainConfig, config_to_text, parse_config,
                                parse_config_text)
@@ -554,3 +555,41 @@ class TestCliOutputErrors:
         rc = main(["convert", str(tmp_path / "absent.txt"), "--height", "4", "--width", "4",
                    "--out", str(tmp_path / "o.npy")])
         assert rc == 3 and capsys.readouterr().err.startswith("data error: ")
+
+
+class TestNonFiniteNeuronSettings:
+    """A neuron setting that is not finite (or a threshold scale that is not
+    positive) is a config error: exit 2, nothing written."""
+
+    CASES = [("[model]", "threshold_scale = nan"), ("[lif]", "v_reset = nan"),
+             ("[model]", "threshold_scale = 0"), ("[lif]", "beta = inf"),
+             ("[lif]", "surrogate_window = nan"), ("[model]", "threshold_scale = -inf")]
+
+    @staticmethod
+    def _text(section, line):
+        return TOY_CONFIG.replace(f"{section}\n", f"{section}\n{line}\n", 1)
+
+    @pytest.mark.parametrize("section,line", CASES)
+    def test_parse_refuses(self, section, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config_text(self._text(section, line))
+
+    @pytest.mark.parametrize("section,line", CASES[:3])
+    def test_train_exits_2_and_writes_nothing(self, section, line, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(self._text(section, line))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--data", "blobs", "--epochs", "1",
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_model_config_refuses(self, value):
+        with pytest.raises(ConfigError, match="threshold_scale"):
+            ModelConfig(threshold_scale=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_sdsa_config_refuses(self, value):
+        with pytest.raises(ValueError, match="threshold_scale"):
+            SDSAConfig(threshold_scale=value)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from spikedrive import autodiff as ad
 from spikedrive.autodiff import Tape, Var
 from spikedrive.blocks import SN, ForwardContext
 from spikedrive.errors import ShapeError
-from spikedrive.neuron import LIFParams, LIFState, lif_step, sn_forward, surrogate_grad
+from spikedrive.neuron import LIFParams, LIFState, lif, lif_step, sn_forward, surrogate_grad
 from spikedrive.tensors import DenseTensor
 
 
@@ -166,3 +167,99 @@ class TestOneUpdate:
             assert s_tape.data.tobytes() == s_np.data.astype(np.float64).tobytes()
             assert sn._state.data.tobytes() == state.h.data.tobytes()
         assert 0 < s_np.data.mean() < 1
+
+
+class TestTapeFreeUpdate:
+    """With no tape, spike-mode ``lif`` runs fused numpy; it must equal the
+    taped autodiff route entry for entry and never write its inputs."""
+
+    @staticmethod
+    def _both(h, x, threshold, p):
+        h0, x0 = h.copy(), x.copy()
+        s_free, h_free = lif(None, Var(h), Var(x), threshold, p)
+        tape = Tape()
+        s_tape, h_tape = lif(tape, Var(h), Var(x), threshold, p)
+        assert len(tape) == 9
+        assert np.array_equal(h, h0, equal_nan=True) and np.array_equal(x, x0, equal_nan=True)
+        return (s_free.data, h_free.data), (s_tape.data, h_tape.data)
+
+    @staticmethod
+    def _draw(rng, p, theta, shape=(3, 4, 6, 6)):
+        h = rng.normal(0.0, 1.0, shape)
+        x = rng.normal(theta, 1.5, shape)
+        flat_h, flat_x = h.reshape(-1), x.reshape(-1)
+        flat_h[:30] = 0.0
+        flat_x[:20] = theta  # potentials exactly at the threshold
+        flat_x[20:30] = np.nextafter(theta, -np.inf)  # one ulp below it
+        flat_h[30:40] = p.v_reset
+        return h, x
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("v_reset", [0.0, 0.3, -0.7])
+    def test_fixed_threshold_matches_tape(self, beta, v_reset):
+        p = LIFParams(u_th=0.8, beta=beta, v_reset=v_reset, threshold_scale=0.6)
+        h, x = self._draw(np.random.default_rng(17), p, p.threshold)
+        (s, hn), (s_ref, hn_ref) = self._both(h, x, None, p)
+        assert np.array_equal(s, s_ref) and np.array_equal(hn, hn_ref)
+        assert s.dtype == np.float64 and hn.dtype == np.float64
+        assert s.reshape(-1)[:20].all() and not s.reshape(-1)[20:30].any()
+
+    @pytest.mark.parametrize("theta", [0.05, 1.0, 2.5])
+    def test_learnable_threshold_matches_tape(self, theta):
+        p = LIFParams(beta=0.6, v_reset=0.2)
+        h, x = self._draw(np.random.default_rng(23), p, theta)
+        (s, hn), (s_ref, hn_ref) = self._both(h, x, Var(np.asarray(theta)), p)
+        assert np.array_equal(s, s_ref) and np.array_equal(hn, hn_ref)
+        assert 0 < s.mean() < 1
+
+    def test_nan_potential_matches_tape(self):
+        # +inf is left out: there the taped reset computes inf * 0 = NaN
+        p = LIFParams(beta=0.5, v_reset=0.1)
+        h, x = self._draw(np.random.default_rng(29), p, p.threshold)
+        x.reshape(-1)[50:60] = np.nan
+        h.reshape(-1)[60:65] = np.nan
+        x.reshape(-1)[80:85] = -np.inf
+        (s, hn), (s_ref, hn_ref) = self._both(h, x, None, p)
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(hn, hn_ref, equal_nan=True)
+        assert np.isnan(hn).sum() == 15 and not s.reshape(-1)[50:65].any()
+
+    def test_scalar_neuron(self):
+        p = LIFParams()
+        for x in (0.4, 1.0, 3.0):
+            (s, hn), (s_ref, hn_ref) = self._both(np.array(0.2), np.array(x), None, p)
+            assert s.shape == () and np.array_equal(s, s_ref) and np.array_equal(hn, hn_ref)
+
+    def test_sn_forward_matches_taped_steps(self):
+        p = LIFParams(u_th=0.9, beta=0.7, v_reset=0.25, threshold_scale=0.8)
+        xs = np.random.default_rng(31).normal(0.4, 1.0, (5, 2, 3, 7, 7))
+        xs[1, 0, 0, 0, :3] = p.threshold - p.v_reset  # lands exactly on theta
+        h = Var(np.full(xs.shape[1:], p.v_reset))
+        want = []
+        for x in xs:
+            s, h = lif(Tape(), h, Var(x), None, p)
+            want.append(s.data)
+        got = sn_forward(p, DenseTensor(xs))
+        assert got.data.dtype == np.uint8
+        assert np.array_equal(got.data, np.stack(want))
+        assert 0 < got.data.mean() < 1
+
+    def test_smooth_mode_keeps_the_autodiff_route(self, monkeypatch):
+        calls = []
+        real = ad.spike
+        monkeypatch.setattr(ad, "spike", lambda *a, **k: calls.append(1) or real(*a, **k))
+        p = LIFParams()
+        h, x = np.zeros(4), np.array([0.2, 0.9, 1.0, 1.4])
+        s, _ = lif(None, Var(h), Var(x), None, p, smooth=True)
+        lif(None, Var(h), Var(x), None, p)
+        assert calls == [1]
+        assert np.array_equal(s.data, np.clip((x - 1.0) / (2 * p.window) + 0.5, 0, 1))
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("name", ["u_th", "beta", "v_reset", "threshold_scale",
+                                      "surrogate_window"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LIFParams(**{name: value})
