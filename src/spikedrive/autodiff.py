@@ -45,6 +45,11 @@ class Var:
 class Tape:
     """Ordered op records; one backward pass consumes the tape.
 
+    A record is ``(outputs, inputs, vjp)``: a tuple of the op's output Vars,
+    a tuple of its input Vars, and ``vjp(*output_grads)``, which returns one
+    gradient per input (None for an input it leaves out). Most ops have one
+    output; ``neuron.lif`` has two, the spikes and the new membrane.
+
     ``frozen`` holds the ids of the leaf Vars that get no gradient. It is
     empty until :func:`backward` is given ``params``; then it holds every
     leaf input that is not one of them, and a vjp may skip that input's
@@ -54,12 +59,12 @@ class Tape:
     the cyclic garbage collector runs."""
 
     def __init__(self):
-        self.records: list[tuple[Var, tuple[Var, ...], callable]] = []
+        self.records: list[tuple[tuple[Var, ...], tuple[Var, ...], callable]] = []
         self.consumed = False
         self.frozen: set[int] = set()
 
-    def push(self, out: Var, inputs: tuple[Var, ...], vjp):
-        self.records.append((out, inputs, vjp))
+    def push(self, outs: tuple[Var, ...], inputs: tuple[Var, ...], vjp):
+        self.records.append((outs, inputs, vjp))
 
     def __len__(self):
         return len(self.records)
@@ -83,9 +88,10 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
 
     Returns a mapping for ``params`` (every listed parameter gets a slot,
     zero-filled if the loss does not depend on it) and leaves ``grad`` set on
-    all touched Vars. Given ``params``, a leaf Var that is not one of them
-    gets no gradient (see ``Tape.frozen``); with ``params=None`` every leaf
-    does.
+    all touched Vars. A record is skipped when none of its outputs has a
+    gradient; otherwise its vjp gets every output's gradient, None for the
+    ungraded ones. Given ``params``, a leaf Var that is not one of them gets
+    no gradient (see ``Tape.frozen``); with ``params=None`` every leaf does.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -93,15 +99,15 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
     tape.consumed = True
     if params is not None:
-        keep = {id(out) for out, _, _ in tape.records} | {id(p) for p in params}
+        keep = {id(o) for outs, _, _ in tape.records for o in outs} | {id(p) for p in params}
         tape.frozen.update({id(v) for _, inputs, _ in tape.records for v in inputs} - keep)
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, vjp in reversed(tape.records):
-        if out.grad is None:
-            continue
-        for var, g in zip(inputs, vjp(out.grad)):
-            if id(var) not in tape.frozen:
-                _accum(var, g)
+    for outs, inputs, vjp in reversed(tape.records):
+        grads = [out.grad for out in outs]
+        if any(g is not None for g in grads):
+            for var, g in zip(inputs, vjp(*grads)):
+                if id(var) not in tape.frozen:
+                    _accum(var, g)
     grads: dict[Var, np.ndarray] = {}
     for p in params or ():
         if p.grad is None:
@@ -116,7 +122,7 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
 
 def _push(tape, out, inputs, vjp):
     if tape is not None:
-        tape.push(out, inputs, vjp)
+        tape.push((out,), inputs, vjp)
     return out
 
 

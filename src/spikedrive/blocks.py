@@ -139,9 +139,9 @@ class SN(Module):
         self._state = None
 
     def step(self, x: Var, ctx: ForwardContext) -> Var:
-        if self._state is None:
-            self._state = Var(np.full(x.shape, self.params.v_reset))
-        if self._state.shape != x.shape:
+        if self._state is None:  # the reset membrane, broadcast by lif
+            self._state = Var(self.params.v_reset)
+        elif self._state.shape != x.shape:
             raise ShapeError(f"{self.name}: state {self._state.shape} vs input {x.shape}")
         s, self._state = lif(ctx.tape, self._state, x, self.threshold, self.params, ctx.smooth)
         return s

@@ -132,6 +132,14 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError("label_smoothing must be in [0, 1)")
+        for name, value in (("lr", self.lr), ("eps", self.eps)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         if self.schedule not in ("constant", "cosine"):
             raise ConfigError(f"schedule must be constant or cosine, got {self.schedule!r}")
 

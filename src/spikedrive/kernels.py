@@ -97,6 +97,7 @@ class ConvKernel:
         _check_groups(self.c_out, self.groups)
         if self.padding is None:
             self.padding = self.k // 2
+        _check_geometry(self.stride, self.padding)
         if self.bias is None:
             self.bias = np.zeros(self.c_out, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
@@ -120,6 +121,12 @@ def _check_groups(c_out: int, groups: int):
     if groups < 1 or c_out % groups:
         raise ShapeError(f"groups must be a positive divisor of the {c_out} output "
                          f"channels, got {groups}")
+
+
+def _check_geometry(stride: int, padding: int):
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv needs stride >= 1 and padding >= 0, got stride {stride}, "
+                         f"padding {padding}")
 
 
 @dataclass
@@ -396,6 +403,7 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     b, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     _check_groups(c_out, groups)
+    _check_geometry(stride, padding)
     if c != c_in_g * groups:
         raise ShapeError(f"input has {c} channels, kernel expects {c_in_g * groups}")
     if conv_output_size(h, k, stride, padding) <= 0 or \
@@ -436,6 +444,7 @@ def _scatter(s: np.ndarray, kern: ConvKernel, counter: OpCounter | None) -> np.n
     ``SCATTER_BLOCK`` (event, output) pairs per ``np.bincount`` call."""
     c_out, cig, k, _ = kern.weights.shape
     p, st = kern.padding, kern.stride
+    _check_geometry(st, p)
     ho = conv_output_size(s.shape[1], k, st, p)
     wo = conv_output_size(s.shape[2], k, st, p)
     if ho <= 0 or wo <= 0:

@@ -11,18 +11,18 @@ fired positions and decays the rest:
 The Heaviside is non-differentiable; training uses a rectangular surrogate
 window of half-width ``w`` around the threshold.
 
-:func:`lif` is the one implementation of this update. With a tape, and in
-smooth mode, it is built from autodiff ops that record their vjps. With no
-tape in spike mode (eval ``blocks.SN.step``, :func:`lif_step` and
-:func:`sn_forward`) it is plain numpy that records nothing: U is a new array,
-scaled by beta in place, with v_reset written where it fired. Both routes
-fire on the same test: the taped route computes ``U + (-theta)``, which IEEE
-arithmetic rounds exactly as the branch's ``U - theta``. The taped reset
-``v_reset * S + (beta*U) * (1 - S)`` is v_reset on fired entries and beta*U on
-silent ones, up to the sign of a zero, which changes no later spike or
-nonzero value. So spikes and membranes are equal for every finite or NaN
-potential; only U = +inf differs (the taped route gives NaN from inf * 0,
-the branch v_reset).
+:func:`lif` is the one implementation of this update, with or without a
+tape, in spike and in smooth mode. Its forward is plain numpy: U = h + x and
+U - theta are new arrays, and the spikes are made in place in the second.
+The new membrane is beta*U with v_reset written where it fired; with no tape
+it is written into U's array. Smooth mode (for finite-difference checks)
+fires the clamped-linear relaxation clip((U - theta) / 2w + 1/2, 0, 1) and
+blends ``v_reset * S + (beta*U) * (1 - S)``. With a tape, :func:`lif` pushes
+one record whose outputs are S and H. Its vjp recomputes U - theta and
+beta*U and accumulates the gradients in the order of the same update
+composed of nine single-output autodiff ops (add, sub or shift, spike,
+scale, shift, scale, scale, mul, add), so they equal that composition's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -97,31 +97,35 @@ def lif(tape, h: Var, x: Var, threshold: Var | None, params: LIFParams,
     S[t] and the new membrane H[t].
 
     ``threshold`` is a learnable threshold, or None for ``params.threshold``.
-    The ops record on ``tape``. With ``tape=None`` in spike mode nothing is
-    recorded and only new arrays are written, never ``h`` or ``x`` (see the
-    module docstring for why both routes agree).
+    Only new arrays are written, never ``h`` or ``x``. With a tape, one record
+    of both outputs is pushed; with none, H is written into U's array.
     """
-    if tape is None and not smooth:
-        theta = params.threshold if threshold is None else threshold.data
-        shape = np.broadcast_shapes(h.shape, x.shape)
-        u, spikes = np.empty(shape), np.empty(shape)
-        np.add(h.data, x.data, out=u)
-        np.subtract(u, theta, out=spikes)
-        fired = spikes >= 0
-        np.copyto(spikes, fired)
-        u *= params.beta
-        np.copyto(u, params.v_reset, where=fired)
-        return Var(spikes), Var(u)
-    u = ad.add(tape, h, x)
-    if threshold is not None:
-        pre = ad.sub(tape, u, threshold)
+    theta = params.threshold if threshold is None else threshold.data
+    beta, v_reset, w = params.beta, params.v_reset, params.window
+    shape = np.broadcast_shapes(h.shape, x.shape)
+    u = np.add(h.data, x.data, out=np.empty(shape))
+    s = np.subtract(u, theta, out=np.empty(shape))
+    if smooth:
+        np.clip(s / (2.0 * w) + 0.5, 0.0, 1.0, out=s)
+        h_new = s * v_reset + (u * beta) * (s * -1.0 + 1.0)
     else:
-        pre = ad.shift(tape, u, -params.threshold)
-    s = ad.spike(tape, pre, params.window, smooth=smooth)
-    silent = ad.shift(tape, ad.scale(tape, s, -1.0), 1.0)
-    h_new = ad.add(tape, ad.scale(tape, s, params.v_reset),
-                   ad.mul(tape, ad.scale(tape, u, params.beta), silent))
-    return s, h_new
+        fired = s >= 0
+        np.copyto(s, fired)
+        h_new = np.multiply(u, beta, out=u if tape is None else np.empty(shape))
+        np.copyto(h_new, v_reset, where=fired)
+    out = Var(s), Var(h_new)
+    if tape is not None:
+        def vjp(g_s, g_h):
+            if g_h is not None:
+                g_u = (g_h * (s * -1.0 + 1.0)) * beta
+                g_s = g_h * v_reset if g_s is None else g_s + g_h * v_reset
+                g_s = g_s + (g_h * (u * beta)) * -1.0
+            g_pre = g_s * ad.window_grad(u - theta, w)
+            g_u = g_pre if g_h is None else g_u + g_pre
+            return g_u, g_u, -g_pre
+
+        tape.push(out, (h, x) if threshold is None else (h, x, threshold), vjp)
+    return out
 
 
 def lif_step(params: LIFParams, state: LIFState, x: DenseTensor):

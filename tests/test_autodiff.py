@@ -116,11 +116,54 @@ class TestFrozenLeaves:
 
     def test_frozen_holds_only_leaves_that_are_not_parameters(self):
         _, tape, params = self._step(True)
-        made = {id(out) for out, _, _ in tape.records}
+        made = {id(out) for outs, _, _ in tape.records for out in outs}
         assert tape.frozen and not tape.frozen & made
         assert not tape.frozen & {id(p) for p in params}
         inputs = {id(v): v for _, ins, _ in tape.records for v in ins}
         assert all(inputs[i].grad is None for i in tape.frozen)
+
+
+class TestRecordsOfSeveralOutputs:
+    """A record holds a tuple of outputs; ``backward`` hands its vjp every
+    output's gradient (None where there is none) and skips the record only
+    when no output has one."""
+
+    @staticmethod
+    def _record(tape, x):
+        seen = []
+        a, b = Var(x.data * 2.0), Var(x.data * 3.0)
+
+        def vjp(ga, gb):
+            seen.append((ga is None, gb is None))
+            return ((0.0 if ga is None else ga * 2.0) + (0.0 if gb is None else gb * 3.0),)
+
+        tape.push((a, b), (x,), vjp)
+        return a, b, seen
+
+    @pytest.mark.parametrize("graded", [(True, False), (False, True), (True, True)])
+    def test_vjp_gets_each_output_gradient(self, graded):
+        tape, x = Tape(), Var(np.array([1.0, -2.0]))
+        a, b, seen = self._record(tape, x)
+        terms = [ad.sum_axes(tape, out, (0,), keepdims=False)
+                 for out, on in zip((a, b), graded) if on]
+        ad.backward(tape, terms[0] if len(terms) == 1 else ad.add(tape, *terms))
+        assert seen == [tuple(not on for on in graded)]
+        assert x.grad.tolist() == [2.0 * graded[0] + 3.0 * graded[1]] * 2
+
+    def test_record_with_no_graded_output_is_skipped(self):
+        tape, x = Tape(), Var(np.array([1.0]))
+        _, _, seen = self._record(tape, x)
+        y = Var(np.array([4.0]))
+        ad.backward(tape, ad.sum_axes(tape, ad.scale(tape, y, 2.0), (0,), keepdims=False))
+        assert seen == [] and x.grad is None and y.grad.tolist() == [2.0]
+
+    def test_every_output_is_kept_from_the_frozen_set(self):
+        tape, x = Tape(), Var(np.array([1.0, 2.0]), name="w")
+        a, b, _ = self._record(tape, x)
+        c = ad.mul(tape, a, b)
+        grads = ad.backward(tape, ad.sum_axes(tape, c, (0,), keepdims=False), params=[x])
+        assert not tape.frozen & {id(a), id(b), id(c)}
+        assert grads[x].tolist() == [12.0, 24.0]  # d(6 x^2)/dx
 
 
 class TestAdjointWithoutInputGradient:

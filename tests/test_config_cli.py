@@ -593,3 +593,43 @@ class TestNonFiniteNeuronSettings:
     def test_sdsa_config_refuses(self, value):
         with pytest.raises(ValueError, match="threshold_scale"):
             SDSAConfig(threshold_scale=value)
+
+
+class TestOptimizerSettings:
+    """An optimizer setting that cannot train is a config error: exit 2, no
+    checkpoint written."""
+
+    CASES = [("lr", "nan"), ("lr", "inf"), ("lr", "0.0"), ("lr", "-0.01"),
+             ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-0.0001"),
+             ("beta1", "1.5"), ("beta1", "1.0"), ("beta1", "-0.1"), ("beta1", "nan"),
+             ("beta2", "1.0"), ("beta2", "nan"), ("beta2", "-1.0"),
+             ("eps", "0.0"), ("eps", "-1e-08"), ("eps", "nan"), ("eps", "inf")]
+
+    @staticmethod
+    def _text(key, value):
+        lines = [ln for ln in TOY_CONFIG.splitlines() if not ln.startswith(f"{key} =")]
+        at = lines.index("[train]") + 1
+        return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+    @pytest.mark.parametrize("key,value", CASES)
+    def test_train_config_refuses(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: float(value)})
+
+    @pytest.mark.parametrize("key,value", CASES)
+    def test_train_exits_2_and_writes_no_checkpoint(self, key, value, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(self._text(key, value))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--data", "blobs", "--epochs", "1",
+                     "--out-dir", str(out)]) == 2
+        assert not (out / "model.ckpt").exists()
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [("lr", 1e6), ("lr", 1e-12), ("weight_decay", 0.0),
+                                           ("beta1", 0.0), ("beta2", 0.0), ("eps", 1e-300)])
+    def test_edges_that_can_train_are_accepted(self, key, value):
+        assert getattr(TrainConfig(**{key: value}), key) == value
+        _, tc = parse_config_text(self._text(key, repr(value)))
+        assert getattr(tc, key) == value

@@ -717,3 +717,44 @@ class TestKn2row:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestConvGeometry:
+    """A stride below 1 or a negative padding cannot be computed: every conv
+    entry point refuses it with ShapeError, the dense and the event route
+    alike."""
+
+    BAD = [(0, 1), (-1, 1), (1, -1), (2, -2)]  # (stride, padding)
+
+    @pytest.mark.parametrize("stride,padding", BAD)
+    def test_kernel_refuses(self, stride, padding):
+        with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+            ConvKernel(weights=np.ones((2, 1, 3, 3)), stride=stride, padding=padding)
+
+    @pytest.mark.parametrize("stride,padding", BAD)
+    def test_array_entry_points_refuse(self, stride, padding):
+        x, w = np.ones((1, 2, 6, 6)), np.ones((2, 2, 3, 3))
+        calls = [lambda: kernels.conv2d_core(x, w, stride, padding),
+                 lambda: kernels.conv2d_raw(x, w, None, stride, padding),
+                 lambda: ad.conv2d(None, ad.Var(x), ad.Var(w), None, stride, padding),
+                 lambda: ad.conv2d(ad.Tape(), ad.Var(x), ad.Var(w), None, stride, padding)]
+        for call in calls:
+            with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+                call()
+
+    @pytest.mark.parametrize("stride,padding", BAD)
+    def test_both_routes_refuse_a_kernel_changed_after_construction(self, stride, padding):
+        kern = ConvKernel(weights=np.ones((2, 2, 3, 3)))
+        kern.stride, kern.padding = stride, padding
+        s = np.ones((2, 6, 6), dtype=np.uint8)
+        for call in (lambda: dense_conv2d(DenseTensor(s.astype(np.float64)), kern),
+                     lambda: event_conv2d(SpikeTensor(s), kern)):
+            with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+                call()
+
+    def test_zero_padding_and_large_stride_still_run(self):
+        kern = ConvKernel(weights=np.ones((1, 1, 3, 3)), stride=5, padding=0)
+        s = np.ones((1, 7, 7), dtype=np.uint8)
+        dense = dense_conv2d(DenseTensor(s.astype(np.float64)), kern).data
+        assert dense.shape == (1, 1, 1) and dense[0, 0, 0] == 9.0
+        assert np.array_equal(event_conv2d(SpikeTensor(s), kern).data, dense)

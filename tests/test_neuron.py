@@ -169,19 +169,70 @@ class TestOneUpdate:
         assert 0 < s_np.data.mean() < 1
 
 
+def composed_lif(tape, h, x, threshold, params, smooth=False):
+    """Reference oracle: the LIF update as nine single-output autodiff ops,
+    which ``lif``'s one record must equal bit for bit, forward and backward
+    (save the membrane at U = +inf, where this gives inf * 0 = NaN)."""
+    u = ad.add(tape, h, x)
+    if threshold is not None:
+        pre = ad.sub(tape, u, threshold)
+    else:
+        pre = ad.shift(tape, u, -params.threshold)
+    s = ad.spike(tape, pre, params.window, smooth=smooth)
+    silent = ad.shift(tape, ad.scale(tape, s, -1.0), 1.0)
+    h_new = ad.add(tape, ad.scale(tape, s, params.v_reset),
+                   ad.mul(tape, ad.scale(tape, u, params.beta), silent))
+    return s, h_new
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
 class TestTapeFreeUpdate:
-    """With no tape, spike-mode ``lif`` runs fused numpy; it must equal the
-    taped autodiff route entry for entry and never write its inputs."""
+    """``lif`` without a tape, ``lif`` with one, and :func:`composed_lif`
+    agree bit for bit: spikes, membranes and the gradients of h, x and a
+    learnable threshold, in spike and smooth mode, with the spikes, the
+    membrane or both graded. ``lif`` pushes one record and never writes its
+    inputs."""
+
+    GRADED = [(True, False), (False, True), (True, True)]
 
     @staticmethod
-    def _both(h, x, threshold, p):
+    def _route(fn, tape, h, x, theta, p, smooth, graded):
+        hv, xv = Var(h), Var(x)
+        tv = None if theta is None else Var(np.asarray(theta))
+        s, hn = fn(tape, hv, xv, tv, p, smooth)
+        if tape is None:
+            return s.data, hn.data, None, 0
+        records = len(tape)
+        rng = np.random.default_rng(5)
+        terms = [ad.sum_axes(tape, ad.mul(tape, out, Var(rng.normal(0, 1, out.shape))),
+                             tuple(range(out.data.ndim)), keepdims=False)
+                 for out, on in zip((s, hn), graded) if on]
+        ad.backward(tape, terms[0] if len(terms) == 1 else ad.add(tape, *terms))
+        return s.data, hn.data, [v.grad for v in (hv, xv, tv) if v is not None], records
+
+    def _check(self, h, x, theta, p, finite_membrane=True):
+        """Runs the three routes in both modes under each grading; returns
+        the tape-free and the reference spike-mode (S, H)."""
         h0, x0 = h.copy(), x.copy()
-        s_free, h_free = lif(None, Var(h), Var(x), threshold, p)
-        tape = Tape()
-        s_tape, h_tape = lif(tape, Var(h), Var(x), threshold, p)
-        assert len(tape) == 9
+        for smooth in (False, True):
+            s_free, h_free, _, _ = self._route(lif, None, h, x, theta, p, smooth, None)
+            for graded in self.GRADED:
+                s, hn, grads, n = self._route(lif, Tape(), h, x, theta, p, smooth, graded)
+                s_ref, h_ref, grads_ref, n_ref = self._route(composed_lif, Tape(), h, x, theta,
+                                                             p, smooth, graded)
+                assert n == 1 and n_ref == 9
+                assert _same(s, s_free) and _same(hn, h_free) and _same(s, s_ref)
+                if finite_membrane:
+                    assert _same(hn, h_ref)
+                assert len(grads) == len(grads_ref) == (2 if theta is None else 3)
+                assert all(_same(g, g_ref) for g, g_ref in zip(grads, grads_ref))
+            if not smooth:
+                spike_mode = (s_free, h_free), (s_ref, h_ref)
         assert np.array_equal(h, h0, equal_nan=True) and np.array_equal(x, x0, equal_nan=True)
-        return (s_free.data, h_free.data), (s_tape.data, h_tape.data)
+        return spike_mode
 
     @staticmethod
     def _draw(rng, p, theta, shape=(3, 4, 6, 6)):
@@ -199,8 +250,7 @@ class TestTapeFreeUpdate:
     def test_fixed_threshold_matches_tape(self, beta, v_reset):
         p = LIFParams(u_th=0.8, beta=beta, v_reset=v_reset, threshold_scale=0.6)
         h, x = self._draw(np.random.default_rng(17), p, p.threshold)
-        (s, hn), (s_ref, hn_ref) = self._both(h, x, None, p)
-        assert np.array_equal(s, s_ref) and np.array_equal(hn, hn_ref)
+        (s, hn), _ = self._check(h, x, None, p)
         assert s.dtype == np.float64 and hn.dtype == np.float64
         assert s.reshape(-1)[:20].all() and not s.reshape(-1)[20:30].any()
 
@@ -208,27 +258,68 @@ class TestTapeFreeUpdate:
     def test_learnable_threshold_matches_tape(self, theta):
         p = LIFParams(beta=0.6, v_reset=0.2)
         h, x = self._draw(np.random.default_rng(23), p, theta)
-        (s, hn), (s_ref, hn_ref) = self._both(h, x, Var(np.asarray(theta)), p)
-        assert np.array_equal(s, s_ref) and np.array_equal(hn, hn_ref)
+        (s, _), _ = self._check(h, x, theta, p)
         assert 0 < s.mean() < 1
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_potential_matches_tape(self):
-        # +inf is left out: there the taped reset computes inf * 0 = NaN
         p = LIFParams(beta=0.5, v_reset=0.1)
         h, x = self._draw(np.random.default_rng(29), p, p.threshold)
         x.reshape(-1)[50:60] = np.nan
         h.reshape(-1)[60:65] = np.nan
         x.reshape(-1)[80:85] = -np.inf
-        (s, hn), (s_ref, hn_ref) = self._both(h, x, None, p)
-        assert np.array_equal(s, s_ref)
-        assert np.array_equal(hn, hn_ref, equal_nan=True)
+        (s, hn), _ = self._check(h, x, None, p)
         assert np.isnan(hn).sum() == 15 and not s.reshape(-1)[50:65].any()
 
     def test_scalar_neuron(self):
         p = LIFParams()
         for x in (0.4, 1.0, 3.0):
-            (s, hn), (s_ref, hn_ref) = self._both(np.array(0.2), np.array(x), None, p)
-            assert s.shape == () and np.array_equal(s, s_ref) and np.array_equal(hn, hn_ref)
+            for theta in (None, 0.9):
+                (s, hn), _ = self._check(np.array(0.2), np.array(x), theta, p)
+                assert s.shape == () and hn.shape == ()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_potential_resets_with_and_without_a_tape(self):
+        p = LIFParams(beta=0.5, v_reset=0.3)
+        h, x = np.zeros(4), np.array([np.inf, 2.0, 0.2, np.inf])
+        (s, hn), (s_ref, h_ref) = self._check(h, x, None, p, finite_membrane=False)
+        _, h_taped = lif(Tape(), Var(h), Var(x), None, p)
+        for got in (hn, h_taped.data):
+            assert got.tolist() == [0.3, 0.3, 0.1, 0.3]
+        assert s.tolist() == s_ref.tolist() == [1.0, 1.0, 0.0, 1.0]
+        assert np.isnan(h_ref[[0, 3]]).all()  # the composition's inf * 0
+
+    def test_one_record_of_both_outputs_on_a_fresh_tape(self):
+        tape = Tape()
+        assert not tape  # an empty tape is falsy, yet it must record
+        h, x, theta = Var(np.zeros(3)), Var(np.array([0.5, 1.0, 2.0])), Var(np.asarray(0.9))
+        s, hn = lif(tape, h, x, theta, LIFParams())
+        assert len(tape) == 1
+        outs, inputs, _ = tape.records[0]
+        assert outs == (s, hn) and inputs == (h, x, theta)
+        lif(tape, hn, x, None, LIFParams())
+        assert len(tape) == 2 and tape.records[1][1] == (hn, x)
+
+    def test_membrane_only_loss_reaches_x_and_theta_through_params(self):
+        # x comes from a parameter, and only the second step's membrane is
+        # graded: every gradient flows through the first step's outputs
+        p = LIFParams(u_th=0.8, beta=0.7, v_reset=0.1, surrogate_window=1.0)
+        inp = np.random.default_rng(41).normal(0.6, 0.5, (2, 3, 4, 4))
+        grads = []
+        for fn in (lif, composed_lif):
+            tape = Tape()
+            w, theta = Var(np.full((3, 1, 1), 0.9)), Var(np.asarray(p.threshold))
+            xs = [ad.mul(tape, Var(a), w) for a in inp]
+            h = Var(np.asarray(p.v_reset))
+            for x in xs:
+                _, h = fn(tape, h, x, theta, p)
+            loss = ad.sum_axes(tape, h, (0, 1, 2), keepdims=False)
+            got = ad.backward(tape, loss, params=[w, theta])
+            assert all(x.grad is not None for x in xs)
+            grads.append([got[w], got[theta], xs[0].grad, xs[1].grad])
+        assert all(_same(a, b) for a, b in zip(*grads))
+        assert np.abs(grads[0][0]).sum() > 0 and grads[0][1] != 0
+        assert np.abs(grads[0][2]).sum() > 0
 
     def test_sn_forward_matches_taped_steps(self):
         p = LIFParams(u_th=0.9, beta=0.7, v_reset=0.25, threshold_scale=0.8)
@@ -244,16 +335,30 @@ class TestTapeFreeUpdate:
         assert np.array_equal(got.data, np.stack(want))
         assert 0 < got.data.mean() < 1
 
-    def test_smooth_mode_keeps_the_autodiff_route(self, monkeypatch):
-        calls = []
-        real = ad.spike
-        monkeypatch.setattr(ad, "spike", lambda *a, **k: calls.append(1) or real(*a, **k))
+    def test_smooth_mode_fires_the_clamped_relaxation(self):
         p = LIFParams()
         h, x = np.zeros(4), np.array([0.2, 0.9, 1.0, 1.4])
-        s, _ = lif(None, Var(h), Var(x), None, p, smooth=True)
-        lif(None, Var(h), Var(x), None, p)
-        assert calls == [1]
-        assert np.array_equal(s.data, np.clip((x - 1.0) / (2 * p.window) + 0.5, 0, 1))
+        want = np.clip((x - 1.0) / (2 * p.window) + 0.5, 0, 1)
+        for tape in (None, Tape()):
+            s, _ = lif(tape, Var(h), Var(x), None, p, smooth=True)
+            assert np.array_equal(s.data, want)
+
+
+class TestResetMembrane:
+    def test_first_step_starts_from_a_0d_reset_and_matches_a_full_one(self):
+        p = LIFParams(v_reset=0.3)
+        x = np.random.default_rng(43).normal(0.8, 1.0, (2, 3, 5, 5))
+        sn = SN(p)
+        s = sn.step(Var(x), ForwardContext())
+        s_ref, h_ref = lif(None, Var(np.full(x.shape, 0.3)), Var(x), None, p)
+        assert np.array_equal(s.data, s_ref.data) and np.array_equal(sn._state.data, h_ref.data)
+        assert sn._state.shape == x.shape
+
+    def test_carried_state_of_another_shape_is_refused(self):
+        sn = SN(LIFParams(), name="sn7")
+        sn.step(Var(np.zeros((2, 3))), ForwardContext())
+        with pytest.raises(ShapeError, match="sn7"):
+            sn.step(Var(np.zeros((2, 4))), ForwardContext())
 
 
 class TestNonFiniteSettings:
