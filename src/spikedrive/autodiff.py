@@ -227,48 +227,56 @@ def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
     return _push(tape, Var(out), (x, w, b), lambda g: vjp(g) + (g.sum(axis=(0, 2, 3)),))
 
 
-def batch_norm(tape, x: Var, gamma: Var, beta: Var, mu: np.ndarray, var: np.ndarray) -> Var:
+def _shifted(tape, x: Var, gamma: Var, beta: Var | None, y: np.ndarray, vjp) -> Var:
+    """Add the per-channel shift ``beta`` to the scaled ``y`` in place and
+    record the normalization: ``vjp`` gives the gradients of ``x`` and
+    ``gamma``, the shift's is the output gradient summed per channel. With
+    ``beta`` None (a depthwise ``blocks.ConvBN``) nothing is added, and the
+    record has two inputs and computes no shift gradient."""
+    if beta is None:
+        return _push(tape, Var(y), (x, gamma), vjp)
+    y += beta.data[None, :, None, None]
+    return _push(tape, Var(y), (x, gamma, beta), lambda g: (*vjp(g), g.sum(axis=(0, 2, 3))))
+
+
+def batch_norm(tape, x: Var, gamma: Var, beta: Var | None, mu: np.ndarray,
+               var: np.ndarray) -> Var:
     """Per-channel normalization over (B, H, W) by the batch statistics ``mu``
     and ``var`` of ``x`` (per channel, computed by the caller); the backward
-    differentiates through them."""
+    differentiates through them. ``beta`` None means no shift."""
     axes = (0, 2, 3)
     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
     inv = 1.0 / np.sqrt(var[None, :, None, None] + BN_EPS)
     xhat = (x.data - mu[None, :, None, None]) * inv
     gm = gamma.data[None, :, None, None]
-    out = Var(gm * xhat + beta.data[None, :, None, None])
 
     def vjp(g):
-        gbeta = g.sum(axis=axes)
         ggamma = (g * xhat).sum(axis=axes)
         gxhat = g * gm
         gx = (inv / m) * (m * gxhat - gxhat.sum(axis=axes, keepdims=True)
                           - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
-        return gx, ggamma, gbeta
+        return gx, ggamma
 
-    return _push(tape, out, (x, gamma, beta), vjp)
+    return _shifted(tape, x, gamma, beta, gm * xhat, vjp)
 
 
-def normalize_affine(tape, x: Var, gamma: Var, beta: Var,
+def normalize_affine(tape, x: Var, gamma: Var, beta: Var | None,
                      mu: np.ndarray, var: np.ndarray) -> Var:
     """Affine normalization with frozen statistics (finetune / inference):
-    ``(x - mu) * (gamma / sqrt(var + eps)) + beta`` per channel. The result is
-    one new array, the last two steps done in place on it, so it is
-    bit-identical with or without a tape; ``x`` is never written."""
+    ``(x - mu) * (gamma / sqrt(var + eps)) + beta`` per channel, with no
+    ``+ beta`` when it is None. The result is one new array, the later steps
+    done in place on it, so it is bit-identical with or without a tape; ``x``
+    is never written."""
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat_scale = (gamma.data * inv)[None, :, None, None]
     y = x.data - mu[None, :, None, None]
     y *= xhat_scale
-    y += beta.data[None, :, None, None]
-    out = Var(y)
 
     def vjp(g):
         xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-        return (g * xhat_scale,
-                (g * xhat).sum(axis=(0, 2, 3)),
-                g.sum(axis=(0, 2, 3)))
+        return g * xhat_scale, (g * xhat).sum(axis=(0, 2, 3))
 
-    return _push(tape, out, (x, gamma, beta), vjp)
+    return _shifted(tape, x, gamma, beta, y, vjp)
 
 
 def cross_entropy(tape, logits: Var, labels: np.ndarray, smoothing: float = 0.0) -> Var:

@@ -7,7 +7,9 @@ only exception is the stage-1 encoding conv, which reads raw pixels.
 
 The depthwise 7x7 and the pointwise conv that follows it form one fused
 spike-driven unit (no neuron between them); instrumentation and the energy
-model treat the pair at that granularity.
+model treat the pair at that granularity. Because the pointwise conv's batch
+norm directly follows, every depthwise conv (in ``SepConv`` and in
+``RepConv``) normalizes with a scale and no shift (see :class:`ConvBN`).
 
 The three spiking mixers (:class:`SepConv`, :class:`ChannelConv` and
 :class:`ChannelMLP`) share one forward, :meth:`Mixer.forward`, over the
@@ -148,14 +150,25 @@ class SN(Module):
 
 
 class ConvBN(Module):
-    """Bias-free convolution followed by per-channel normalization."""
+    """Bias-free convolution followed by per-channel normalization.
+
+    A depthwise one (``groups == cin == cout > 1``) normalizes with a scale
+    ``gamma`` and no shift: ``beta`` is None. Each one the library builds --
+    the 7x7 of ``SepConv`` and the 3x3 of ``RepConv`` -- feeds a
+    batch-normalized pointwise conv directly, with no neuron between. In
+    training that conv's normalization subtracts each channel's batch mean,
+    which cancels any per-channel shift before it, so such a shift gets an
+    exact gradient of zero; in eval mode the pointwise conv's running mean
+    absorbs it. A neuron placed between the two would make the shift live
+    again, and it would have to come back.
+    """
 
     def __init__(self, rng, cin, cout, k, stride=1, groups=1, name="conv"):
         fan_in = (cin // groups) * k * k
         self.w = Var(rng.normal(0.0, np.sqrt(2.0 / fan_in), (cout, cin // groups, k, k)),
                      name=f"{name}.w")
         self.gamma = Var(np.ones(cout), name=f"{name}.gamma")
-        self.beta = Var(np.zeros(cout), name=f"{name}.beta")
+        self.beta = None if groups == cin == cout > 1 else Var(np.zeros(cout), name=f"{name}.beta")
         self.run_mean = np.zeros(cout)
         self.run_var = np.ones(cout)
         self.stride, self.groups, self.name = stride, groups, name
@@ -174,13 +187,18 @@ class ConvBN(Module):
 
     def folded_kernel(self) -> ConvKernel:
         """Inference kernel with the normalization folded into weights."""
-        return fold_bn(self.w.data, self.gamma.data, self.beta.data,
+        beta = None if self.beta is None else self.beta.data
+        return fold_bn(self.w.data, self.gamma.data, beta,
                        self.run_mean, self.run_var, self.stride, self.padding, self.groups)
 
 
 def fold_bn(w, gamma, beta, mean, var, stride=1, padding=None, groups=1) -> ConvKernel:
+    """The kernel of a conv and its normalization: weights scaled by
+    a = gamma / sqrt(var + eps), bias beta - mean * a (-mean * a when
+    ``beta`` is None)."""
     a = gamma / np.sqrt(var + BN_EPS)
-    return ConvKernel(weights=w * a[:, None, None, None], bias=beta - mean * a,
+    bias = -mean * a if beta is None else beta - mean * a
+    return ConvKernel(weights=w * a[:, None, None, None], bias=bias,
                       stride=stride, padding=padding, groups=groups)
 
 

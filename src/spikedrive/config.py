@@ -66,6 +66,12 @@ class ModelConfig:
         if not (math.isfinite(self.threshold_scale) and self.threshold_scale > 0):
             raise ConfigError(f"threshold_scale must be finite and > 0, "
                               f"got {self.threshold_scale}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        if self.stage4_dim is not None and self.stage4_dim < 1:
+            raise ConfigError(f"stage4_dim must be >= 1, got {self.stage4_dim}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sdsa_variant in (3, 4):
             for d in self.dims[3:]:
                 if d % self.heads:
@@ -130,6 +136,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError("label_smoothing must be in [0, 1)")
         for name, value in (("lr", self.lr), ("eps", self.eps)):

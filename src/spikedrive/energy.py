@@ -220,7 +220,10 @@ def estimate_energy(model_cfg: ModelConfig, rates: FiringRateReport, timesteps: 
 
     Spike-driven layers are charged from the measured rates; missing rates
     raise. The encoding conv ignores the report and charges dense MACs.
+    ``timesteps < 1`` raises ``ArgError``.
     """
+    if timesteps < 1:
+        raise ArgError(f"timesteps must be >= 1, got {timesteps}")
     rows = []
     for op in charged_ops(model_cfg):
         if op.kind == "encoding":

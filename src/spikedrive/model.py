@@ -24,7 +24,7 @@ __all__ = ["Model", "build_model", "count_params", "forward",
            "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = b"MSF2"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Linear(Module):
@@ -73,24 +73,28 @@ class Model(Module):
 
         ``x`` is either a static (B, C, H, W) batch, replicated along T, or a
         pre-binned (T, B, C, H, W) event tensor, with B >= 1 and C, H and W
-        those of the config; other shapes raise ``ShapeError``, and
-        ``timesteps < 1`` or non-finite values ``ArgError``.
+        those of the config; other shapes raise ``ShapeError``. A static batch
+        runs ``timesteps`` steps (``cfg.timesteps`` when None); an event tensor
+        runs its T, and a ``timesteps`` other than that T raises ``ArgError``,
+        as do ``timesteps < 1`` and non-finite values.
         """
         a = x.data if isinstance(x, (DenseTensor, Var)) else np.asarray(x, dtype=np.float64)
+        if timesteps is not None and timesteps < 1:
+            raise ArgError(f"timesteps must be >= 1, got {timesteps}")
         if a.ndim == 4:
-            t_len = self.cfg.timesteps if timesteps is None else timesteps
-            if t_len < 1:
-                raise ArgError(f"timesteps must be >= 1, got {t_len}")
-            seq = [a] * t_len
+            seq = [a] * (self.cfg.timesteps if timesteps is None else timesteps)
         elif a.ndim == 5:
-            t_len = a.shape[0]
-            seq = [a[t] for t in range(t_len)]
+            seq = list(a)
         else:
             raise ShapeError(f"expected (B, C, H, W) or (T, B, C, H, W), got {a.shape}")
+        t_len = len(seq)
         want = (self.cfg.in_channels, self.cfg.resolution, self.cfg.resolution)
         if t_len < 1 or a.shape[-4] < 1 or a.shape[-3:] != want:
             raise ShapeError(f"expected T >= 1 frames of (B >= 1, {want[0]}, {want[1]}, "
                              f"{want[2]}), got {a.shape}")
+        if timesteps not in (None, t_len):
+            raise ArgError(f"timesteps {timesteps} differs from the event tensor's "
+                           f"T = {t_len}")
         if not np.isfinite(a).all():
             raise ArgError("input must be finite")
         ctx = ForwardContext(tape=tape, probe=probe, training=training, smooth=smooth)

@@ -47,6 +47,51 @@ class TestNormalizeAffine:
         assert free.data.tobytes() == want.tobytes()
 
 
+class TestNormalizationWithoutShift:
+    """``beta`` None adds no shift and records no shift gradient."""
+
+    @staticmethod
+    def _operands():
+        rng = np.random.default_rng(4)
+        x = Var(rng.normal(0.5, 2.0, (3, 6, 5, 7)))
+        gamma = Var(rng.normal(1.0, 0.5, 6))
+        mu, var = rng.normal(0.0, 1.0, 6), rng.uniform(0.01, 3.0, 6)
+        return rng, x, gamma, mu, var
+
+    @pytest.mark.parametrize("op", [ad.batch_norm, ad.normalize_affine])
+    def test_equals_a_zero_shift_with_two_inputs_and_two_gradients(self, op):
+        rng, x, gamma, mu, var = self._operands()
+        if op is ad.batch_norm:
+            mu, var = x.data.mean(axis=(0, 2, 3)), x.data.var(axis=(0, 2, 3))
+        g = rng.normal(0, 1, x.shape)
+        tape0, tape1 = Tape(), Tape()
+        zero = op(tape0, x, gamma, Var(np.zeros(6)), mu, var)
+        none = op(tape1, x, gamma, None, mu, var)
+        assert np.array_equal(none.data, zero.data)
+        (_, inputs0, vjp0), = tape0.records
+        (outs1, inputs1, vjp1), = tape1.records
+        assert outs1 == (none,) and inputs1 == (x, gamma) and len(inputs0) == 3
+        grads0, grads1 = vjp0(g), vjp1(g)
+        assert len(grads1) == 2
+        for a, b in zip(grads1, grads0[:2]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("op", [ad.batch_norm, ad.normalize_affine])
+    def test_backward_matches_a_zero_shift(self, op):
+        _, x, gamma, mu, var = self._operands()
+        got = []
+        for beta in (Var(np.zeros(6)), None):
+            x.grad = gamma.grad = None
+            tape = Tape()
+            out = op(tape, x, gamma, beta, mu, var)
+            loss = ad.mean_axes(tape, ad.mul(tape, out, out), (0, 1, 2, 3))
+            grads = ad.backward(tape, loss, params=[x, gamma])
+            got.append((grads[x], grads[gamma]))
+        (gx0, gg0), (gx1, gg1) = got
+        assert np.array_equal(gx0, gx1) and np.array_equal(gg0, gg1)
+        assert np.abs(gg1).max() > 0
+
+
 class TestWholeModelWithoutTape:
     @pytest.mark.parametrize("shortcut", ["MS", "SEW", "VS"])
     @pytest.mark.parametrize("variant", [1, 3, 4])

@@ -152,7 +152,7 @@ class TestRepConvLayerFold:
         layer.dw.run_var = rng.uniform(0.5, 2.0, 5)
         layer.pw2.run_mean = rng.normal(0, 0.2, 5)
         layer.pw2.run_var = rng.uniform(0.5, 2.0, 5)
-        layer.dw.beta.data = rng.normal(0, 0.5, 5)
+        layer.pw2.beta.data = rng.normal(0, 0.5, 5)
         layer.pw2.gamma.data = rng.uniform(0.5, 1.5, 5)
         folded = layer.fold()
         from spikedrive.autodiff import Var
@@ -434,3 +434,54 @@ class TestConvBNBatchStatistics:
         want = (layer.gamma.data[:, None, None] * (y - mu[:, None, None])
                 / np.sqrt(var[:, None, None] + 1e-5) + layer.beta.data[:, None, None])
         assert np.allclose(out, want, atol=1e-12)
+
+
+class TestDepthwiseHasNoShift:
+    """Every depthwise ``ConvBN`` feeds a batch-normalized pointwise conv
+    directly, so in training a per-channel shift on its output cancels in
+    that conv's batch mean; the layer therefore has none."""
+
+    @pytest.mark.parametrize("make", [lambda rng: SepConv(rng, 4, LIF),
+                                      lambda rng: RepConv(rng, 4)], ids=["SepConv", "RepConv"])
+    def test_shift_on_the_depthwise_output_leaves_the_training_output(self, make,
+                                                                       monkeypatch):
+        rng = np.random.default_rng(30)
+        layer = make(rng)
+        x = rng.normal(0, 3, (3, 4, 6, 6))
+
+        def run():
+            layer.reset_state()
+            return layer.forward(Var(x), ForwardContext(tape=Tape(), training=True)).data
+
+        want = run()
+        shift = rng.normal(0, 2, layer.dw.w.shape[0])[None, :, None, None]
+        dw_forward, calls = layer.dw.forward, []
+
+        def shifted(y, ctx):
+            calls.append(ctx.training)
+            return Var(dw_forward(y, ctx).data + shift)
+
+        monkeypatch.setattr(layer.dw, "forward", shifted)
+        got = run()
+        assert calls == [True] and np.abs(want).max() > 0.1
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max() + 1e-13
+
+    def test_only_a_grouping_of_one_channel_per_group_drops_the_shift(self):
+        rng = np.random.default_rng(31)
+        assert ConvBN(rng, 6, 6, 3, groups=6).beta is None
+        assert ConvBN(rng, 6, 6, 3).beta is not None
+        assert ConvBN(rng, 1, 1, 1).beta is not None  # a 1->1 pointwise conv
+        assert ConvBN(rng, 6, 12, 3, groups=6).beta is not None
+
+    def test_folded_depthwise_bias_is_minus_mean_times_scale(self):
+        rng = np.random.default_rng(32)
+        layer = ConvBN(rng, 5, 5, 3, groups=5)
+        layer.gamma.data = rng.uniform(0.5, 1.5, 5)
+        layer.run_mean = rng.normal(0, 0.3, 5)
+        layer.run_var = rng.uniform(0.5, 2.0, 5)
+        a = layer.gamma.data / np.sqrt(layer.run_var + 1e-5)
+        kern = layer.folded_kernel()
+        assert np.array_equal(kern.bias, -layer.run_mean * a)
+        x = rng.normal(0, 1, (5, 6, 6))
+        want = layer.apply(DenseTensor(x)).data
+        assert np.abs(run_convbn_eval(layer, x) - want).max() < 1e-12

@@ -1,3 +1,5 @@
+import configparser
+import io
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -129,7 +131,7 @@ class TestCliInfo:
         rc = main(["info", "--config", str(p)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "31,292,344" in out
+        assert "31,278,232" in out
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["info", "--config", str(tmp_path / "absent.ini")])
@@ -633,3 +635,46 @@ class TestOptimizerSettings:
         assert getattr(TrainConfig(**{key: value}), key) == value
         _, tc = parse_config_text(self._text(key, repr(value)))
         assert getattr(tc, key) == value
+
+
+class TestModelSettings:
+    """Head counts, stage-4 widths and seeds that cannot build a model are
+    config errors: exit 2, no traceback, no checkpoint written."""
+
+    CASES = [("model", {"heads": "0"}), ("model", {"heads": "-2", "sdsa_variant": "1"}),
+             ("model", {"stage4_dim": "-8"}), ("model", {"stage4_dim": "0"}),
+             ("model", {"seed": "-1"}), ("train", {"seed": "-3"})]
+
+    @staticmethod
+    def _text(section, settings):
+        cp = configparser.ConfigParser()
+        cp.read_string(TOY_CONFIG)
+        cp[section].update(settings)
+        buf = io.StringIO()
+        cp.write(buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("section,settings", CASES)
+    def test_config_refuses(self, section, settings):
+        key = next(iter(settings))
+        cls = ModelConfig if section == "model" else TrainConfig
+        with pytest.raises(ConfigError, match=f"{key} must be >= "):
+            cls(**{k: int(v) for k, v in settings.items()})
+
+    @pytest.mark.parametrize("section,settings", CASES)
+    def test_train_exits_2_and_writes_no_checkpoint(self, section, settings, tmp_path,
+                                                    capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(self._text(section, settings))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--data", "blobs", "--epochs", "0",
+                     "--out-dir", str(out)]) == 2
+        assert not (out / "model.ckpt").exists()
+        err = capsys.readouterr().err
+        assert next(iter(settings)) in err and "Traceback" not in err
+
+    def test_edges_are_accepted(self):
+        assert ModelConfig(heads=1).heads == 1
+        assert ModelConfig(stage4_dim=1, sdsa_variant=1).dims[4] == 1
+        assert ModelConfig(seed=0).seed == 0 and TrainConfig(seed=0).seed == 0
+        assert ModelConfig(base_channels=4, heads=2, stage4_dim=None).dims[4] == 40

@@ -147,6 +147,11 @@ class TestEstimateEnergy:
         assert base == pytest.approx(enc.energy_pj)
         assert enc.energy_pj == pytest.approx(E_MAC_PJ * enc.flops)
 
+    @pytest.mark.parametrize("timesteps", [0, -1])
+    def test_timesteps_below_one_are_refused(self, timesteps):
+        with pytest.raises(ArgError, match="timesteps must be >= 1"):
+            estimate_energy(toy_cfg(), load_rate_fixture(), timesteps)
+
     def test_zero_rates_leave_only_encoding_charge(self):
         cfg = toy_cfg()
         rates = FiringRateReport()

@@ -129,6 +129,18 @@ class TestForward:
         with pytest.raises(ArgError, match="timesteps"):
             sd.forward(model, np.zeros((1, 3, 32, 32)), timesteps=timesteps)
 
+    @pytest.mark.parametrize("timesteps", [0, -1, 2, 4])
+    def test_event_tensor_refuses_timesteps_other_than_its_t(self, timesteps):
+        # the event tensor fixes T; a different value would be ignored
+        model = sd.build_model(toy_cfg())
+        with pytest.raises(ArgError, match="timesteps"):
+            sd.forward(model, np.zeros((3, 1, 3, 32, 32)), timesteps=timesteps)
+
+    def test_event_tensor_accepts_its_own_t(self):
+        model = sd.build_model(toy_cfg())
+        x = np.random.default_rng(3).normal(0, 3, (3, 1, 3, 32, 32))
+        assert np.array_equal(sd.forward(model, x, timesteps=3).data, sd.forward(model, x).data)
+
     def test_other_resolution_is_a_shape_error(self):
         # rates recorded at 40x40 would not match the FLOPs charged at 32x32
         model = sd.build_model(toy_cfg())
@@ -304,7 +316,6 @@ stage1.block1.sepconv.pw1.gamma     8
 stage1.block1.sepconv.pw1.beta      8
 stage1.block1.sepconv.dw.w          8 1 7 7
 stage1.block1.sepconv.dw.gamma      8
-stage1.block1.sepconv.dw.beta       8
 stage1.block1.sepconv.pw2.w         4 8 1 1
 stage1.block1.sepconv.pw2.gamma     4
 stage1.block1.sepconv.pw2.beta      4
@@ -326,21 +337,18 @@ stage3.ds.conv.beta                 32
 stage3.block1.rep_q.pw1.w           32 32 1 1
 stage3.block1.rep_q.dw.w            32 1 3 3
 stage3.block1.rep_q.dw.gamma        32
-stage3.block1.rep_q.dw.beta         32
 stage3.block1.rep_q.pw2.w           32 32 1 1
 stage3.block1.rep_q.pw2.gamma       32
 stage3.block1.rep_q.pw2.beta        32
 stage3.block1.rep_k.pw1.w           32 32 1 1
 stage3.block1.rep_k.dw.w            32 1 3 3
 stage3.block1.rep_k.dw.gamma        32
-stage3.block1.rep_k.dw.beta         32
 stage3.block1.rep_k.pw2.w           32 32 1 1
 stage3.block1.rep_k.pw2.gamma       32
 stage3.block1.rep_k.pw2.beta        32
 stage3.block1.rep_v.pw1.w           32 32 1 1
 stage3.block1.rep_v.dw.w            32 1 3 3
 stage3.block1.rep_v.dw.gamma        32
-stage3.block1.rep_v.dw.beta         32
 stage3.block1.rep_v.pw2.w           32 32 1 1
 stage3.block1.rep_v.pw2.gamma       32
 stage3.block1.rep_v.pw2.beta        32
@@ -348,7 +356,6 @@ stage3.block1.sn_attn.threshold     -
 stage3.block1.rep4.pw1.w            32 32 1 1
 stage3.block1.rep4.dw.w             32 1 3 3
 stage3.block1.rep4.dw.gamma         32
-stage3.block1.rep4.dw.beta          32
 stage3.block1.rep4.pw2.w            32 32 1 1
 stage3.block1.rep4.pw2.gamma        32
 stage3.block1.rep4.pw2.beta         32
@@ -456,6 +463,34 @@ class TestArchitecture:
         extra = {f"{op.layer.rsplit('.', 1)[0]}.{masked}" for op in ops
                  if op.kind == "sdsa" and masked}
         assert {e.layer for e in probe.entries} == keys | extra
+
+
+class TestNoDepthwiseShift:
+    @pytest.mark.parametrize("shortcut", ["MS", "SEW", "VS"])
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    def test_no_dw_beta_and_every_other_beta(self, shortcut, variant):
+        model = sd.build_model(toy_cfg(shortcut=shortcut, sdsa_variant=variant))
+        names = [n for n, _ in model.named_params()]
+        scaled = {n.removesuffix(".gamma") for n in names if n.endswith(".gamma")}
+        shifted = {n.removesuffix(".beta") for n in names if n.endswith(".beta")}
+        depthwise = {n for n in scaled if n.endswith(".dw")}
+        # one per SepConv (3 conv blocks) and per RepConv (4 or 3 per transformer block)
+        assert len(depthwise) == 3 + 2 * (3 if variant == 2 else 4)
+        assert shifted == scaled - depthwise
+
+
+class TestCheckpointVersion:
+    def test_version_1_is_refused_naming_the_version(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = sd.build_model(toy_cfg())
+        sd.save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes()[:-4])
+        assert struct.unpack_from("<I", raw, 4) == (sd.model.CHECKPOINT_VERSION,) == (2,)
+        struct.pack_into("<I", raw, 4, 1)
+        raw += struct.pack("<I", zlib.crc32(bytes(raw)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="version 1"):
+            sd.load_checkpoint(sd.build_model(toy_cfg()), path)
 
 
 class TestCheckpointDtype:
