@@ -229,35 +229,48 @@ def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
 
 def _shifted(tape, x: Var, gamma: Var, beta: Var | None, y: np.ndarray, vjp) -> Var:
     """Add the per-channel shift ``beta`` to the scaled ``y`` in place and
-    record the normalization: ``vjp`` gives the gradients of ``x`` and
-    ``gamma``, the shift's is the output gradient summed per channel. With
-    ``beta`` None (a depthwise ``blocks.ConvBN``) nothing is added, and the
-    record has two inputs and computes no shift gradient."""
+    record the normalization: ``vjp`` gives the gradients of ``x``, ``gamma``
+    and the shift, the last being the output gradient summed per channel.
+    With ``beta`` None (a depthwise ``blocks.ConvBN``) nothing is added, and
+    the record has two inputs and hands back two gradients."""
     if beta is None:
-        return _push(tape, Var(y), (x, gamma), vjp)
+        return _push(tape, Var(y), (x, gamma), lambda g: vjp(g)[:2])
     y += beta.data[None, :, None, None]
-    return _push(tape, Var(y), (x, gamma, beta), lambda g: (*vjp(g), g.sum(axis=(0, 2, 3))))
+    return _push(tape, Var(y), (x, gamma, beta), vjp)
 
 
-def batch_norm(tape, x: Var, gamma: Var, beta: Var | None, mu: np.ndarray,
-               var: np.ndarray) -> Var:
-    """Per-channel normalization over (B, H, W) by the batch statistics ``mu``
-    and ``var`` of ``x`` (per channel, computed by the caller); the backward
-    differentiates through them. ``beta`` None means no shift."""
+def batch_norm(tape, x: Var, gamma: Var,
+               beta: Var | None) -> tuple[Var, np.ndarray, np.ndarray]:
+    """Per-channel normalization of ``x`` over (B, H, W) by its own batch
+    statistics; returns ``(out, mu, var)``, the statistics per channel and
+    equal to ``np.mean`` and ``np.var`` over those axes. One centring pass
+    serves both the variance and x-hat, and the output reuses the buffer the
+    variance was summed from. The backward differentiates through the
+    statistics (Ioffe & Szegedy, arXiv 1502.03167) from two per-channel sums,
+    sum(g) and sum(g * x-hat), which are also the gradients of ``beta`` and
+    ``gamma``. ``beta`` None means no shift."""
     axes = (0, 2, 3)
     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+    mu = x.data.sum(axis=axes, keepdims=True) / m
+    xhat = x.data - mu
+    y = np.multiply(xhat, xhat)
+    var = y.sum(axis=axes) / m
     inv = 1.0 / np.sqrt(var[None, :, None, None] + BN_EPS)
-    xhat = (x.data - mu[None, :, None, None]) * inv
+    xhat *= inv
     gm = gamma.data[None, :, None, None]
+    np.multiply(xhat, gm, out=y)
 
     def vjp(g):
-        ggamma = (g * xhat).sum(axis=axes)
-        gxhat = g * gm
-        gx = (inv / m) * (m * gxhat - gxhat.sum(axis=axes, keepdims=True)
-                          - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
-        return gx, ggamma
+        gsum = np.einsum("bchw->c", g)
+        ggamma = np.einsum("bchw,bchw->c", g, xhat)
+        # gx = (gamma * inv / m) * (m * g - sum(g) - xhat * ggamma), built in one buffer
+        gx = xhat * (ggamma / m)[None, :, None, None]
+        gx += (gsum / m)[None, :, None, None]
+        np.subtract(g, gx, out=gx)
+        gx *= gm * inv
+        return gx, ggamma, gsum
 
-    return _shifted(tape, x, gamma, beta, gm * xhat, vjp)
+    return _shifted(tape, x, gamma, beta, y, vjp), mu.reshape(-1), var
 
 
 def normalize_affine(tape, x: Var, gamma: Var, beta: Var | None,
@@ -274,7 +287,7 @@ def normalize_affine(tape, x: Var, gamma: Var, beta: Var | None,
 
     def vjp(g):
         xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-        return g * xhat_scale, (g * xhat).sum(axis=(0, 2, 3))
+        return g * xhat_scale, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
     return _shifted(tape, x, gamma, beta, y, vjp)
 

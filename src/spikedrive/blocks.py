@@ -152,6 +152,11 @@ class SN(Module):
 class ConvBN(Module):
     """Bias-free convolution followed by per-channel normalization.
 
+    In training, ``autodiff.batch_norm`` normalizes by the batch statistics
+    it computes and hands back, and the running statistics move toward them
+    by ``BN_MOMENTUM``; in eval, ``autodiff.normalize_affine`` normalizes by
+    the running statistics.
+
     A depthwise one (``groups == cin == cout > 1``) normalizes with a scale
     ``gamma`` and no shift: ``beta`` is None. Each one the library builds --
     the 7x7 of ``SepConv`` and the 3x3 of ``RepConv`` -- feeds a
@@ -177,11 +182,10 @@ class ConvBN(Module):
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         y = ad.conv2d(ctx.tape, x, self.w, None, self.stride, self.padding, self.groups)
         if ctx.training:
-            mu = y.data.mean(axis=(0, 2, 3))
-            var = y.data.var(axis=(0, 2, 3))
+            out, mu, var = ad.batch_norm(ctx.tape, y, self.gamma, self.beta)
             self.run_mean[...] = (1 - BN_MOMENTUM) * self.run_mean + BN_MOMENTUM * mu
             self.run_var[...] = (1 - BN_MOMENTUM) * self.run_var + BN_MOMENTUM * var
-            return ad.batch_norm(ctx.tape, y, self.gamma, self.beta, mu, var)
+            return out
         return ad.normalize_affine(ctx.tape, y, self.gamma, self.beta,
                                    self.run_mean, self.run_var)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import attention, blocks, energy, kernels
-from .autodiff import Tape, backward
+from .autodiff import Tape, Var, backward, batch_norm, mul, sum_axes
 from .config import ModelConfig
 from .errors import SpikeDriveError
 from .kernels import ConvKernel
@@ -239,6 +239,44 @@ def suite_energy():
     return True, lines
 
 
+def _fd_error(p: Var, idx, grad: float, loss_value, h: float = 1e-6) -> float:
+    """Relative error of ``grad``, the gradient at entry ``idx`` of ``p``,
+    against a central difference of ``loss_value()``."""
+    orig = p.data[idx]
+    p.data[idx] = orig + h
+    up = loss_value()
+    p.data[idx] = orig - h
+    down = loss_value()
+    p.data[idx] = orig
+    fd = (up - down) / (2 * h)
+    return abs(grad - fd) / max(abs(grad), abs(fd), 1.0)
+
+
+def _batch_norm_gradcheck(rng) -> tuple[float, int]:
+    """The training-mode ``batch_norm`` op, with and without the shift, at
+    every entry of x (through the batch statistics), gamma and beta. Returns
+    the worst relative error and the number of entries."""
+    worst, entries = 0.0, 0
+    for shift in (True, False):
+        x = Var(rng.normal(0.5, 2.0, (3, 4, 5, 5)))
+        gamma = Var(rng.normal(1.0, 0.5, 4))
+        beta = Var(rng.normal(0.0, 0.5, 4)) if shift else None
+        weight = Var(rng.normal(0.0, 1.0, x.shape))
+        params = [v for v in (x, gamma, beta) if v is not None]
+
+        def loss(tape=None):
+            out = batch_norm(tape, x, gamma, beta)[0]
+            return sum_axes(tape, mul(tape, out, weight), (0, 1, 2, 3), keepdims=False)
+
+        tape = Tape()
+        grads = backward(tape, loss(tape), params=params)
+        for p in params:
+            for idx in np.ndindex(p.shape):
+                worst = max(worst, _fd_error(p, idx, grads[p][idx], lambda: float(loss().data)))
+                entries += 1
+    return worst, entries
+
+
 def suite_gradcheck():
     samples = 40
     cfg = ModelConfig(base_channels=4, num_classes=3, in_channels=2, resolution=16,
@@ -258,24 +296,17 @@ def suite_gradcheck():
 
     params = model.parameters()
     worst = 0.0
-    h = 1e-6
     for _ in range(samples):
         p = params[int(rng.integers(0, len(params)))]
         idx = np.unravel_index(int(rng.integers(0, p.data.size)), p.data.shape)
-        orig = p.data[idx]
         p.data = p.data.copy()
-        p.data[idx] = orig + h
-        up = loss_value()
-        p.data[idx] = orig - h
-        down = loss_value()
-        p.data[idx] = orig
-        fd = (up - down) / (2 * h)
-        ad_g = p.grad[idx]
-        rel = abs(ad_g - fd) / max(abs(ad_g), abs(fd), 1.0)
-        worst = max(worst, rel)
-    ok = worst <= 1e-4
-    return ok, [f"gradcheck max relative error {worst:.2e} over {samples} parameters "
-                f"({'<=' if ok else '>'} 1e-4)"]
+        worst = max(worst, _fd_error(p, idx, p.grad[idx], loss_value))
+    bn_worst, bn_entries = _batch_norm_gradcheck(rng)
+    lines = [f"gradcheck max relative error {err:.2e} over {what} "
+             f"({'<=' if err <= 1e-4 else '>'} 1e-4)"
+             for what, err in ((f"{samples} parameters", worst),
+                               (f"{bn_entries} entries of training-mode batch_norm", bn_worst))]
+    return max(worst, bn_worst) <= 1e-4, lines
 
 
 SUITES = {

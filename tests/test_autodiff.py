@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spikedrive import autodiff as ad
-from spikedrive import kernels, train
+from spikedrive import blocks, kernels, train
 from spikedrive.autodiff import Tape, Var
 from spikedrive.config import ModelConfig
 from spikedrive.model import build_model
@@ -58,15 +58,20 @@ class TestNormalizationWithoutShift:
         mu, var = rng.normal(0.0, 1.0, 6), rng.uniform(0.01, 3.0, 6)
         return rng, x, gamma, mu, var
 
+    @staticmethod
+    def _normalize(op, tape, x, gamma, beta, mu, var):
+        """The op's output; ``batch_norm`` computes its own statistics."""
+        if op is ad.batch_norm:
+            return op(tape, x, gamma, beta)[0]
+        return op(tape, x, gamma, beta, mu, var)
+
     @pytest.mark.parametrize("op", [ad.batch_norm, ad.normalize_affine])
     def test_equals_a_zero_shift_with_two_inputs_and_two_gradients(self, op):
         rng, x, gamma, mu, var = self._operands()
-        if op is ad.batch_norm:
-            mu, var = x.data.mean(axis=(0, 2, 3)), x.data.var(axis=(0, 2, 3))
         g = rng.normal(0, 1, x.shape)
         tape0, tape1 = Tape(), Tape()
-        zero = op(tape0, x, gamma, Var(np.zeros(6)), mu, var)
-        none = op(tape1, x, gamma, None, mu, var)
+        zero = self._normalize(op, tape0, x, gamma, Var(np.zeros(6)), mu, var)
+        none = self._normalize(op, tape1, x, gamma, None, mu, var)
         assert np.array_equal(none.data, zero.data)
         (_, inputs0, vjp0), = tape0.records
         (outs1, inputs1, vjp1), = tape1.records
@@ -83,13 +88,144 @@ class TestNormalizationWithoutShift:
         for beta in (Var(np.zeros(6)), None):
             x.grad = gamma.grad = None
             tape = Tape()
-            out = op(tape, x, gamma, beta, mu, var)
+            out = self._normalize(op, tape, x, gamma, beta, mu, var)
             loss = ad.mean_axes(tape, ad.mul(tape, out, out), (0, 1, 2, 3))
             grads = ad.backward(tape, loss, params=[x, gamma])
             got.append((grads[x], grads[gamma]))
         (gx0, gg0), (gx1, gg1) = got
         assert np.array_equal(gx0, gx1) and np.array_equal(gg0, gg1)
         assert np.abs(gg1).max() > 0
+
+
+def three_step_batch_norm(x, gamma, beta):
+    """Reference oracle: training-mode batch normalization in three steps --
+    ``np.mean``, ``np.var``, then a third centring -- whose vjp runs four full
+    reductions. Returns the output, the statistics and the vjp, which gives
+    the gradients of x, gamma and (with a shift) beta."""
+    axes = (0, 2, 3)
+    mu, var = x.mean(axis=axes), x.var(axis=axes)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    inv = 1.0 / np.sqrt(var[None, :, None, None] + ad.BN_EPS)
+    xhat = (x - mu[None, :, None, None]) * inv
+    gm = gamma[None, :, None, None]
+    out = gm * xhat
+    if beta is not None:
+        out += beta[None, :, None, None]
+
+    def vjp(g):
+        gxhat = g * gm
+        gx = (inv / m) * (m * gxhat - gxhat.sum(axis=axes, keepdims=True)
+                          - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
+        grads = (gx, (g * xhat).sum(axis=axes))
+        return grads if beta is None else grads + (g.sum(axis=axes),)
+
+    return out, mu, var, vjp
+
+
+# the batch-norm inputs of one step of the bench's toy net (B=32, C=8, 32x32)
+TOY_BN_SHAPES = [(32, 8, 16, 16), (32, 16, 8, 8), (32, 16, 16, 16), (32, 32, 4, 4),
+                 (32, 32, 8, 8), (32, 32, 16, 16), (32, 64, 2, 2), (32, 64, 4, 4),
+                 (32, 64, 8, 8), (32, 80, 2, 2), (32, 128, 4, 4), (32, 256, 2, 2),
+                 (32, 320, 2, 2)]
+
+
+class TestTrainingBatchNorm:
+    """``batch_norm`` computes its own batch statistics and differentiates
+    through them."""
+
+    @pytest.mark.parametrize("shift", [True, False])
+    @pytest.mark.parametrize("shape", TOY_BN_SHAPES, ids=str)
+    def test_layer_matches_the_three_step_oracle(self, shape, shift):
+        """Through a 1x1 ``ConvBN`` (depthwise when unshifted): output and
+        running statistics bit for bit, gradients within 1e-9 max|g| + 1e-11."""
+        c = shape[1]
+        rng = np.random.default_rng(c + shift)
+        layer = blocks.ConvBN(rng, c, c, 1, groups=1 if shift else c)
+        assert (layer.beta is not None) == shift
+        layer.gamma.data = rng.normal(1.0, 0.5, c)
+        if shift:
+            layer.beta.data = rng.normal(0.0, 0.5, c)
+        layer.run_mean[...] = rng.normal(0.0, 1.0, c)
+        layer.run_var[...] = rng.uniform(0.5, 2.0, c)
+        mean0, var0 = layer.run_mean.copy(), layer.run_var.copy()
+        x = Var(rng.normal(0.3, 2.0, shape))
+        y = ad.conv2d(None, x, layer.w, None, 1, 0, layer.groups).data
+        want, mu, var, vjp_ref = three_step_batch_norm(
+            y, layer.gamma.data, layer.beta.data if shift else None)
+
+        tape = Tape()
+        out = layer.forward(x, blocks.ForwardContext(tape=tape, training=True))
+        assert np.array_equal(out.data, want)
+        m = blocks.BN_MOMENTUM
+        assert np.array_equal(layer.run_mean, (1 - m) * mean0 + m * mu)
+        assert np.array_equal(layer.run_var, (1 - m) * var0 + m * var)
+        outs, inputs, vjp = tape.records[-1]
+        assert outs == (out,) and len(inputs) == 2 + shift
+        g = rng.normal(0.0, 1.0, shape)
+        got, ref = vjp(g), vjp_ref(g)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max() + 1e-11
+
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_gradients_match_central_differences(self, shift):
+        """Every entry of x (through the batch statistics), gamma and beta."""
+        rng = np.random.default_rng(9)
+        x = Var(rng.normal(0.5, 2.0, (3, 6, 5, 7)))
+        gamma = Var(rng.normal(1.0, 0.5, 6))
+        beta = Var(rng.normal(0.0, 0.5, 6)) if shift else None
+        weight = rng.normal(0.0, 1.0, x.shape)
+        tape = Tape()
+        out = ad.batch_norm(tape, x, gamma, beta)[0]
+        loss = ad.sum_axes(tape, ad.mul(tape, out, Var(weight)), (0, 1, 2, 3), keepdims=False)
+        params = [v for v in (x, gamma, beta) if v is not None]
+        grads = ad.backward(tape, loss, params=params)
+        h = 1e-6
+        for p in params:
+            fd = np.empty_like(p.data)
+            for idx in np.ndindex(p.shape):
+                orig = p.data[idx]
+                sides = []
+                for value in (orig + h, orig - h):
+                    p.data[idx] = value
+                    sides.append((ad.batch_norm(None, x, gamma, beta)[0].data * weight).sum())
+                p.data[idx] = orig
+                fd[idx] = (sides[0] - sides[1]) / (2 * h)
+            assert np.abs(grads[p] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_statistics_are_handed_back(self):
+        x = Var(np.random.default_rng(2).normal(0.5, 2.0, (3, 6, 5, 7)))
+        x0 = x.data.copy()
+        _, mu, var = ad.batch_norm(None, x, Var(np.ones(6)), None)
+        assert np.array_equal(mu, x0.mean(axis=(0, 2, 3)))
+        assert np.array_equal(var, x0.var(axis=(0, 2, 3)))
+        assert np.array_equal(x.data, x0)
+
+
+class TestVjpLeavesItsGradientAlone:
+    """A gradient may reach several vjps (``add`` hands one array to both
+    inputs) and ``backward`` stores it by reference, so no vjp writes into
+    its incoming gradient: a read-only one must go through."""
+
+    @pytest.mark.parametrize("shift", [True, False])
+    @pytest.mark.parametrize("op", [ad.batch_norm, ad.normalize_affine])
+    def test_read_only_gradient(self, op, shift):
+        rng = np.random.default_rng(6)
+        x = Var(rng.normal(0.5, 2.0, (3, 6, 5, 7)))
+        gamma = Var(rng.normal(1.0, 0.5, 6))
+        beta = Var(rng.normal(0.0, 0.5, 6)) if shift else None
+        tape = Tape()
+        if op is ad.batch_norm:
+            op(tape, x, gamma, beta)
+        else:
+            op(tape, x, gamma, beta, rng.normal(0.0, 1.0, 6), rng.uniform(0.1, 2.0, 6))
+        (_, inputs, vjp), = tape.records
+        g = rng.normal(0.0, 1.0, x.shape)
+        g0 = g.copy()
+        g.flags.writeable = False
+        grads = vjp(g)
+        assert len(grads) == len(inputs) and np.array_equal(g, g0)
+        assert not any(np.shares_memory(gr, g) for gr in grads)
 
 
 class TestWholeModelWithoutTape:

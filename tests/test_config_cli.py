@@ -265,6 +265,12 @@ class TestCliVerify:
         rc = main(["verify", "--suite", "energy"])
         assert rc == 0
 
+    def test_gradcheck_suite_passes(self, capsys):
+        rc = main(["verify", "--suite", "gradcheck"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "training-mode batch_norm" in out and "[gradcheck] PASS" in out
+
     def test_injected_bug_fails_suite(self, monkeypatch, capsys):
         import spikedrive.kernels as kernels_mod
 
