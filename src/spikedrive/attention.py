@@ -3,18 +3,21 @@
 All four spike-driven variants take binary Q/K/V and emit binary output with
 no softmax and no scale multiplication:
 
-* variant 1 masks V's columns by a fired column-sum of K AND V
-* variant 2 masks V's columns by a fired column-sum of Q alone
-* variant 3 fires the integer product Q (K^T V) against a scaled threshold
+* variant 1 masks Q's channels by the fired channel totals of K AND V
+* variant 2 masks V's channels by the fired channel totals of Q alone
+* variant 3 fires the integer product Q (K^T V) against a scaled threshold;
+  with K^T V computed first it stays linear in the token count N = H*W
 * variant 4 is variant 3 with the threshold as a trainable scalar
 
 Each variant is written once, in :func:`attend`, from the autodiff ops on
-(B, N, D) operands; the caller supplies ``fire``, which turns the integer
-sums into spikes. ``blocks.TransformerBlock`` passes the step of its
-stateful attention neuron and records on its tape; the functional forms
-``sdsa1``..``sdsa4`` pass a Heaviside at a fixed threshold with no tape, so
-they implement single-timestep semantics (the neuron state starts from
-reset).
+the (B, D, H, W) spike maps of the conv layout; the caller supplies ``fire``,
+which turns the integer sums into spikes. ``blocks.TransformerBlock`` passes
+the maps its Q/K/V neurons fire and the step of its one attention neuron,
+and records on its tape. The functional forms ``sdsa1``..``sdsa4`` are the
+only token boundary: each (N, D) operand goes in as a (1, D, N, 1) map and
+the output comes back as (N, D). They fire a Heaviside at a fixed threshold
+with no tape, so they implement single-timestep semantics (the neuron state
+starts from reset).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ShapeError
+from .errors import ArgError, ShapeError
 from .kernels import conv2d_raw
 from .neuron import LIFParams, heaviside, sn_forward
 from .tensors import DenseTensor, SpikeTensor, check_same_shape
@@ -100,33 +103,30 @@ def gen_qkv(u: DenseTensor, rep1, rep2, rep3, params: LIFParams | None = None):
 
 
 def attend(tape, variant: int, q: Var, k: Var | None, v: Var, heads: int, fire):
-    """One spike-driven self-attention step on (B, N, D) spike operands.
+    """One spike-driven self-attention step on (B, D, H, W) spike maps.
 
     ``fire`` turns the integer sums a variant thresholds into spikes: the
-    (B, 1, D) column totals of variants 1 and 2, or the (B, N, D) product
+    (B, D, 1, 1) map totals of variants 1 and 2, or the (B, D, H, W) map of
     Q (K^T V) of variants 3 and 4. ``k`` is None for variant 2. The ops record
-    on ``tape``. Returns the output spikes, then the per-head K^T V and
-    Q (K^T V) of variants 3 and 4 (None for variants 1 and 2).
+    on ``tape``. Returns the output spikes, then the per-head K^T V
+    (B, heads, D/heads, D/heads) and (Q K^T V)^T (B, heads, D/heads, H*W) of
+    variants 3 and 4 (None for variants 1 and 2).
     """
     if variant == 1:
-        return ad.mul(tape, q, fire(ad.sum_axes(tape, ad.mul(tape, k, v), (1,)))), None, None
+        return ad.mul(tape, q, fire(ad.sum_axes(tape, ad.mul(tape, k, v), (2, 3)))), None, None
     if variant == 2:
-        return ad.mul(tape, fire(ad.sum_axes(tape, q, (1,))), v), None, None
-    b, n, d = q.shape
-
-    def headed(z):  # (B, N, D) -> (B, heads, N, D/heads)
-        return ad.transpose(tape, ad.reshape(tape, z, (b, n, heads, d // heads)), (0, 2, 1, 3))
-
-    qh, kh, vh = headed(q), headed(k), headed(v)
-    ktv = ad.matmul(tape, ad.transpose(tape, kh, (0, 1, 3, 2)), vh)
-    qktv = ad.matmul(tape, qh, ktv)
-    merged = ad.reshape(tape, ad.transpose(tape, qktv, (0, 2, 1, 3)), (b, n, d))
-    return fire(merged), ktv, qktv
+        return ad.mul(tape, fire(ad.sum_axes(tape, q, (2, 3))), v), None, None
+    b, d, h, w = q.shape
+    qh, kh, vh = (ad.reshape(tape, z, (b, heads, d // heads, h * w)) for z in (q, k, v))
+    ktv = ad.matmul(tape, kh, ad.transpose(tape, vh, (0, 1, 3, 2)))
+    qktv = ad.matmul(tape, ad.transpose(tape, ktv, (0, 1, 3, 2)), qh)
+    return fire(ad.reshape(tape, qktv, (b, d, h, w))), ktv, qktv
 
 
 def _functional(variant, q, k, v, threshold, heads=1) -> SpikeTensor:
-    """:func:`attend` on (N, D) spike tensors from the reset state: a batch
-    axis of 1, no tape, and firing wherever a sum reaches ``threshold``."""
+    """:func:`attend` on (N, D) spike tensors from the reset state: (1, D, N, 1)
+    maps, no tape, and firing wherever a sum reaches ``threshold``, which
+    must be finite."""
     for z in (k, v):
         if z is not None:
             check_same_shape(q, z)
@@ -134,9 +134,11 @@ def _functional(variant, q, k, v, threshold, heads=1) -> SpikeTensor:
         raise ShapeError(f"SDSA expects (N, D) operands, got {q.shape}")
     if q.shape[1] % heads:
         raise ShapeError(f"dim {q.shape[1]} not divisible by {heads} heads")
-    batch = [None if z is None else Var(z.data[None]) for z in (q, k, v)]
-    out, _, _ = attend(None, variant, *batch, heads, lambda z: Var(heaviside(z.data - threshold)))
-    return SpikeTensor(out.data[0].astype(np.uint8))
+    if not np.isfinite(threshold):
+        raise ArgError(f"SDSA threshold must be finite, got {threshold}")
+    maps = [None if z is None else Var(z.data.T[None, :, :, None]) for z in (q, k, v)]
+    out, _, _ = attend(None, variant, *maps, heads, lambda z: Var(heaviside(z.data - threshold)))
+    return SpikeTensor(out.data[0, :, :, 0].T.astype(np.uint8))
 
 
 def sdsa1(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, u_th: float = 1.0) -> SpikeTensor:

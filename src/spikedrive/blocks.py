@@ -14,7 +14,11 @@ norm directly follows, every depthwise conv (in ``SepConv`` and in
 The three spiking mixers (:class:`SepConv`, :class:`ChannelConv` and
 :class:`ChannelMLP`) share one forward, :meth:`Mixer.forward`, over the
 stages each lists in ``_stages``. ``TransformerBlock`` runs its attention
-through :func:`attention.attend`, the one definition of the SDSA variants.
+through :func:`attention.attend`, the one definition of the SDSA variants,
+on the (B, D, H, W) Q/K/V spike maps its neurons fire; the output map feeds
+``rep4`` as it is. One attention neuron, ``sn_attn``, fires every variant:
+at the LIF threshold for SDSA-1/2, at the scaled threshold for SDSA-3/4,
+and with that threshold trainable for SDSA-4.
 
 Every layer derives from :class:`Module`, which finds what a layer holds by
 walking its public instance attributes in assignment order: a ``Var`` is a
@@ -27,7 +31,7 @@ skipped. Assignment order is therefore checkpoint order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -361,9 +365,7 @@ class TransformerBlock(Module):
 
     def __init__(self, rng, dim, lif: LIFParams, sdsa: SDSAConfig, shortcut="MS",
                  name="block"):
-        if sdsa.variant in (3, 4) and dim % sdsa.heads:
-            raise ValueError(f"dim {dim} not divisible by {sdsa.heads} heads")
-        self.sdsa = sdsa
+        self.sdsa = replace(sdsa, dim=dim)
         self.sn_in = SN(lif, name=f"{name}.sn_in")
         self.rep_q = RepConv(rng, dim, name=f"{name}.rep_q")
         self.rep_k = RepConv(rng, dim, name=f"{name}.rep_k") if sdsa.variant != 2 else None
@@ -371,14 +373,8 @@ class TransformerBlock(Module):
         self.sn_q = SN(lif, name=f"{name}.sn_q")
         self.sn_k = SN(lif, name=f"{name}.sn_k") if sdsa.variant != 2 else None
         self.sn_v = SN(lif, name=f"{name}.sn_v")
-        if sdsa.variant in (1, 2):
-            self.sn_gate = SN(lif, name=f"{name}.sn_gate")
-            self.sn_attn = None
-        else:
-            scaled = lif.scaled(sdsa.threshold_scale)
-            self.sn_gate = None
-            self.sn_attn = SN(scaled, name=f"{name}.sn_attn",
-                              learnable=(sdsa.variant == 4))
+        self.sn_attn = SN(lif if sdsa.variant < 3 else lif.scaled(sdsa.threshold_scale),
+                          name=f"{name}.sn_attn", learnable=sdsa.variant == 4)
         self.rep4 = RepConv(rng, dim, name=f"{name}.rep4")
         self.mlp = ChannelMLP(rng, dim, lif, name=f"{name}.mlp")
         self.shortcut = shortcut
@@ -386,29 +382,25 @@ class TransformerBlock(Module):
         self.name = name
 
     def _attend(self, x: Var, ctx: ForwardContext) -> Var:
-        tape = ctx.tape
-        b, c, h, w = x.shape
         s_in = self.sn_in.step(x, ctx)
         ctx.observe(f"{self.name}.qkv", s_in)
 
-        def stream(leaf):  # conv, fire and record Q, K or V, as (B, N, D) tokens
+        def stream(leaf):  # conv, fire and record the Q, K or V map
             rep, sn = getattr(self, f"rep_{leaf}"), getattr(self, f"sn_{leaf}")
             if rep is None:
                 return None
             s = sn.step(rep.forward(s_in, ctx), ctx)
             ctx.observe(f"{self.name}.{leaf}", s)
-            return ad.transpose(tape, ad.reshape(tape, s, (b, c, h * w)), (0, 2, 1))
+            return s
 
         q, v, k = stream("q"), stream("v"), stream("k")
-        sn = self.sn_attn or self.sn_gate
-        attn, ktv, qktv = attend(tape, self.sdsa.variant, q, k, v, self.sdsa.heads,
-                                 lambda z: sn.step(z, ctx))
+        attn, ktv, qktv = attend(ctx.tape, self.sdsa.variant, q, k, v, self.sdsa.heads,
+                                 lambda z: self.sn_attn.step(z, ctx))
         if ktv is not None:
             ctx.observe(f"{self.name}.ktv", ktv)
             ctx.observe(f"{self.name}.qktv", qktv)
-        spatial = ad.reshape(tape, ad.transpose(tape, attn, (0, 2, 1)), (b, c, h, w))
-        ctx.observe(f"{self.name}.repconv4", spatial)
-        return self.rep4.forward(spatial, ctx)
+        ctx.observe(f"{self.name}.repconv4", attn)
+        return self.rep4.forward(attn, ctx)
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         return _residual(self, x, ctx, self._attend, self.mlp.forward)

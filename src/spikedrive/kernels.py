@@ -441,14 +441,15 @@ def _scatter(s: np.ndarray, kern: ConvKernel, counter: OpCounter | None) -> np.n
     time. Event (c, y, x) feeds output (oy, ox) at tap (ky, kx) when
     y + padding - ky == oy * stride, likewise x; every valid (event, tap)
     pair adds the C_out/G weights of its group, summed in float64, at most
-    ``SCATTER_BLOCK`` (event, output) pairs per ``np.bincount`` call."""
+    ``SCATTER_BLOCK`` (event, output) pairs per ``np.bincount`` call. An
+    output with no entries (no rows, columns or channels) is returned as
+    zeros with no adds counted."""
     c_out, cig, k, _ = kern.weights.shape
     p, st = kern.padding, kern.stride
-    _check_geometry(st, p)
     ho = conv_output_size(s.shape[1], k, st, p)
     wo = conv_output_size(s.shape[2], k, st, p)
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv output would be empty for input {s.shape}")
+    if min(c_out, ho, wo) == 0:
+        return np.zeros((c_out, ho, wo))
     og = c_out // kern.groups
     cs, ys, xs = np.nonzero(s)
     group, c_local = np.divmod(cs, cig)
@@ -480,6 +481,9 @@ def event_conv2d(s: SpikeTensor, kern: ConvKernel, counter: OpCounter | None = N
         raise ShapeError(f"event_conv2d expects (C, H, W), got {s.shape}")
     if s.shape[0] != kern.c_in:
         raise ShapeError(f"input has {s.shape[0]} channels, kernel expects {kern.c_in}")
+    _check_geometry(kern.stride, kern.padding)
+    if min(conv_output_size(n, kern.k, kern.stride, kern.padding) for n in s.shape[1:]) <= 0:
+        raise ShapeError(f"conv output would be empty for input {s.shape}")
     return DenseTensor(_scatter(s.data, kern, counter))
 
 

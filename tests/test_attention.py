@@ -7,7 +7,7 @@ from spikedrive.attention import (SDSAConfig, attend, gen_qkv, merge_heads, sdsa
                                   sdsa3, sdsa4, split_heads, vsa_reference)
 from spikedrive import autodiff as ad
 from spikedrive.autodiff import Tape, Var, backward
-from spikedrive.errors import ShapeError
+from spikedrive.errors import ArgError, ShapeError
 from spikedrive.kernels import ConvKernel, conv2d_raw
 from spikedrive.neuron import LIFParams
 from spikedrive.tensors import DenseTensor, SpikeTensor
@@ -273,6 +273,18 @@ class TestGenQKV:
             gen_qkv(DenseTensor(np.zeros((1, 3, 4, 4))), None, None, None)
 
 
+def _map(tokens, h, w):
+    """(B, N, D) tokens -> the (B, D, H, W) map attend takes, N = H*W."""
+    b, n, d = tokens.shape
+    return tokens.transpose(0, 2, 1).reshape(b, d, h, w)
+
+
+def _tokens(a):
+    """(B, D, H, W) map -> (B, N, D) tokens."""
+    b, d = a.shape[:2]
+    return a.reshape(b, d, -1).transpose(0, 2, 1)
+
+
 class TestAttend:
     def _fire(self, thr):
         return lambda z: Var((z.data - thr >= 0).astype(np.float64))
@@ -283,32 +295,34 @@ class TestAttend:
         for heads in (1, 2, 4):
             q, k, v = ((rng.random((3, 6, 8)) < 0.5).astype(np.float64) for _ in range(3))
             thr = float(rng.uniform(0.5, 3))
-            out, ktv, qktv = attend(None, variant, Var(q), None if variant == 2 else Var(k),
-                                    Var(v), heads, self._fire(thr))
+            out, ktv, qktv = attend(None, variant, Var(_map(q, 2, 3)),
+                                    None if variant == 2 else Var(_map(k, 2, 3)),
+                                    Var(_map(v, 2, 3)), heads, self._fire(thr))
             assert (ktv is None) == (qktv is None) == (variant in (1, 2))
             for b in range(3):
                 qb, kb, vb = (SpikeTensor(z[b]) for z in (q, k, v))
                 want = {1: lambda: sdsa1(qb, kb, vb, thr), 2: lambda: sdsa2(qb, vb, thr),
                         3: lambda: sdsa3(qb, kb, vb, thr, heads),
                         4: lambda: sdsa4(qb, kb, vb, thr, heads)}[variant]()
-                assert np.array_equal(out.data[b], want.data)
-                if ktv is not None:
-                    assert np.array_equal(qktv.data[b], np.stack(
+                assert np.array_equal(_tokens(out.data)[b], want.data)
+                if ktv is not None:  # attend returns (Q K^T V)^T per head
+                    assert np.array_equal(qktv.data[b].transpose(0, 2, 1), np.stack(
                         [split_heads(q[b], heads)[i] @ split_heads(k[b], heads)[i].T
                          @ split_heads(v[b], heads)[i] for i in range(heads)]))
 
     def test_records_on_the_tape_and_differentiates(self):
         # smooth stand-in for the neuron: the gradient reaches q, k and v
         rng = np.random.default_rng(22)
-        q, k, v = (Var((rng.random((1, 4, 4)) < 0.6).astype(np.float64)) for _ in range(3))
+        q, k, v = (Var(_map((rng.random((1, 4, 4)) < 0.6).astype(np.float64), 2, 2))
+                   for _ in range(3))
         tape = Tape()
         out, _, _ = attend(tape, 3, q, k, v, 2, lambda z: z)
-        backward(tape, ad.sum_axes(tape, out, (0, 1, 2), keepdims=False))
-        qd, kd, vd = (z.data.reshape(4, 2, 2).transpose(1, 0, 2) for z in (q, k, v))
+        backward(tape, ad.sum_axes(tape, out, (0, 1, 2, 3), keepdims=False))
+        qd, kd, vd = (_tokens(z.data).reshape(4, 2, 2).transpose(1, 0, 2) for z in (q, k, v))
         ones = np.ones((4, 2))
         # d/dQ sum(Q K^T V) = 1 (K^T V)^T per head
         want_q = np.stack([ones @ (kd[i].T @ vd[i]).T for i in range(2)])
-        assert np.allclose(q.grad.reshape(4, 2, 2).transpose(1, 0, 2), want_q)
+        assert np.allclose(_tokens(q.grad).reshape(4, 2, 2).transpose(1, 0, 2), want_q)
         assert k.grad is not None and v.grad is not None
 
     def test_functional_forms_keep_their_errors(self):
@@ -322,3 +336,12 @@ class TestAttend:
         with pytest.raises(ValueError):
             sdsa4(a, a, SpikeTensor(np.ones((3, 5))), 0.5)
         assert sdsa3(a, a, a).data.dtype == np.uint8
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_functional_forms_refuse_a_non_finite_threshold(self, threshold):
+        a = SpikeTensor(np.ones((3, 4)))
+        calls = (lambda: sdsa1(a, a, a, threshold), lambda: sdsa2(a, a, threshold),
+                 lambda: sdsa3(a, a, a, threshold, 2), lambda: sdsa4(a, a, a, threshold, 2))
+        for call in calls:
+            with pytest.raises(ArgError, match="finite"):
+                call()

@@ -370,9 +370,9 @@ class TestTransformerBlockVariants:
         v = to_tokens(heaviside(rep(block.rep_v, s_in)))
         if variant == 1:
             k = to_tokens(heaviside(rep(block.rep_k, s_in)))
-            a = sdsa1(q, k, v, u_th=block.sn_gate.params.threshold)
+            a = sdsa1(q, k, v, u_th=block.sn_attn.params.threshold)
         elif variant == 2:
-            a = sdsa2(q, v, u_th=block.sn_gate.params.threshold)
+            a = sdsa2(q, v, u_th=block.sn_attn.params.threshold)
         else:
             k = to_tokens(heaviside(rep(block.rep_k, s_in)))
             a = sdsa4(q, k, v, learnable_threshold=float(block.sn_attn.threshold.data),
@@ -384,6 +384,37 @@ class TestTransformerBlockVariants:
         y = run_convbn_eval(block.mlp.fc1, s1)
         want = u1 + run_convbn_eval(block.mlp.fc2, heaviside(y))
         assert np.abs(got - want).max() < 1e-9
+
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    def test_one_attention_neuron_per_variant(self, variant):
+        cfg = SDSAConfig(variant=variant, heads=2, threshold_scale=0.25)
+        block = TransformerBlock(np.random.default_rng(33), 4, LIF, cfg)
+        want = LIF if variant < 3 else LIF.scaled(0.25)
+        assert block.sn_attn.params == want
+        assert (block.sn_attn.threshold is not None) == (variant == 4)
+
+    def test_heads_must_divide_the_block_width_of_the_matmul_variants(self):
+        rng = np.random.default_rng(32)
+        for variant in (3, 4):
+            with pytest.raises(ValueError, match="dim 6 not divisible by 4 heads"):
+                TransformerBlock(rng, 6, LIF, SDSAConfig(variant=variant, heads=4))
+        for variant in (1, 2):  # the mask variants have no heads to split
+            assert TransformerBlock(rng, 6, LIF, SDSAConfig(variant=variant, heads=4)) \
+                .sdsa.variant == variant
+
+    @pytest.mark.parametrize("variant, attention_records", [(1, 3), (2, 2), (3, 8), (4, 8)])
+    def test_tape_records_of_one_forward(self, variant, attention_records):
+        # the Q/K/V maps enter attend and its output enters rep4 as they are:
+        # SDSA-1/2 record only their mul and sum ops; SDSA-3/4 three head
+        # reshapes, two transposes, two matmuls and one reshape back
+        rng = np.random.default_rng(31)
+        block = TransformerBlock(rng, 4, LIF, SDSAConfig(variant=variant, heads=2), "MS")
+        tape = Tape()
+        block.forward(Var(rng.normal(0, 2, (2, 4, 3, 3))), ForwardContext(tape=tape))
+        streams = 2 if variant == 2 else 3
+        # sn_in; per stream a RepConv (5 records) and its neuron; sn_attn;
+        # rep4 (5); the two shortcut adds; the MLP (two neurons, two ConvBNs)
+        assert len(tape) == 1 + 6 * streams + attention_records + 1 + 5 + 2 + 6
 
 
 class TestShortcutValidation:

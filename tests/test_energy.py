@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import spikedrive as sd
+from spikedrive import autodiff as ad
+from spikedrive.blocks import Module
 from spikedrive.energy import (E_AC_PJ, E_MAC_PJ, FiringRateReport, charged_ops,
                                estimate_energy, flops_conv, flops_conv_dw, flops_mlp,
                                load_rate_fixture, record_rates, sdsa_flops, vsa_flops)
@@ -340,3 +342,70 @@ class TestFixtureTimesteps:
         want = f"line 3: timestep must be >= 1 in '1 ds1 conv {t} 0.5'"
         with pytest.raises(ParseError, match=want):
             load_rate_fixture(p)
+
+
+class TestChargedFlopsMatchTheBuiltModel:
+    """Each conv/mlp op's FLOPs in ``charged_ops`` equal those worked out
+    again from a built model: its weights and the output maps its convs give
+    in one forward."""
+
+    @pytest.mark.parametrize("shortcut", ["MS", "SEW"])
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    def test_conv_and_mlp_flops(self, monkeypatch, shortcut, variant):
+        cfg = toy_cfg(shortcut=shortcut, sdsa_variant=variant, resolution=33)
+        model = sd.build_model(cfg)
+        maps, conv2d = {}, ad.conv2d  # weight name -> (Ho, Wo) of its conv
+
+        def recording(tape, x, w, *args):
+            out = conv2d(tape, x, w, *args)
+            maps[w.name] = out.shape[2:]
+            return out
+
+        monkeypatch.setattr(ad, "conv2d", recording)
+        model.forward(np.zeros((1, 3, 33, 33)), timesteps=1)
+        layers = {}
+
+        def walk(m):
+            layers[getattr(m, "name", "")] = m
+            for value in vars(m).values():
+                for child in value if isinstance(value, list) else (value,):
+                    if isinstance(child, Module):
+                        walk(child)
+
+        walk(model)
+
+        charged = set()  # weight names of the convs an op counts
+
+        def conv(weights, out_name):  # k^2 (C_in/G) C_out Ho Wo
+            c_out, c_in_g, k, _ = weights.shape
+            ho, wo = maps[out_name]
+            charged.add(out_name)
+            return k * k * c_in_g * c_out * ho * wo
+
+        def conv_bn(layer):
+            return conv(layers[layer].w.data, layers[layer].w.name)
+
+        def rep_conv(layer):  # the folded 3x3, on the map of its last conv
+            rep = layers[layer]
+            charged.update((rep.pw1.name, rep.dw.w.name))
+            return conv(rep.fold().weights, rep.pw2.w.name)
+
+        for op in charged_ops(cfg):
+            prefix, leaf = op.layer.rsplit(".", 1)
+            if op.kind == "sdsa":
+                continue
+            if op.layer == "head.fc":
+                want = layers[op.layer].w.data.size  # C * K
+            elif leaf.startswith("ds"):
+                want = conv_bn(f"{op.layer}.conv")
+            elif leaf == "dwpw2":
+                want = conv_bn(f"{prefix}.dw") + conv_bn(f"{prefix}.pw2")
+            elif leaf == "qkv":
+                want = sum(rep_conv(f"{prefix}.rep_{m}") for m in "qkv"
+                           if layers.get(f"{prefix}.rep_{m}") is not None)
+            elif leaf == "repconv4":
+                want = rep_conv(f"{prefix}.rep4")
+            else:
+                want = conv_bn(op.layer)
+            assert op.flops == want, op.layer
+        assert charged == set(maps)  # no conv of the forward goes uncharged

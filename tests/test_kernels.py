@@ -417,6 +417,34 @@ class TestEventRouteGroupedStrided:
         with pytest.raises(ShapeError):
             event_conv2d(SpikeTensor(np.ones((1, 3, 3))), kern)
 
+    @pytest.mark.parametrize("size, k", [(2, 3), (3, 7), (0, 1)])  # output side 0, -3, 0
+    def test_both_routes_refuse_an_output_with_no_positions(self, size, k):
+        kern = ConvKernel(weights=np.ones((1, 1, k, k)), padding=0)
+        s = np.ones((1, size, 4), dtype=np.uint8)
+        for call in (lambda: dense_conv2d(DenseTensor(s.astype(np.float64)), kern),
+                     lambda: event_conv2d(SpikeTensor(s), kern)):
+            with pytest.raises(ShapeError, match="conv output would be empty"):
+                call()
+
+    @pytest.mark.parametrize("n, d, m", [(2, 3, 0), (0, 4, 3)])
+    def test_zero_size_matmul_matches_dense(self, n, d, m):
+        s = SpikeTensor(np.ones((n, d), dtype=np.uint8))
+        w = DenseTensor(np.ones((d, m)))
+        counter = OpCounter()
+        got = event_matmul(s, w, counter)
+        want = dense_matmul(DenseTensor(s.data.astype(np.float64)), w)
+        assert got.shape == want.shape == (n, m)
+        assert np.array_equal(got.data, want.data) and counter.adds == 0
+
+    def test_zero_output_channels_match_dense(self):
+        kern = ConvKernel(weights=np.ones((0, 2, 3, 3)))
+        s = SpikeTensor(np.ones((2, 4, 4), dtype=np.uint8))
+        counter = OpCounter()
+        got = event_conv2d(s, kern, counter)
+        want = dense_conv2d(DenseTensor(s.data.astype(np.float64)), kern)
+        assert got.shape == want.shape == (0, 4, 4)
+        assert counter.adds == 0
+
 
 class TestScatterBlocks:
     """The event route feeds np.bincount at most SCATTER_BLOCK (event,
