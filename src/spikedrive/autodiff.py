@@ -45,6 +45,10 @@ class Var:
 class Tape:
     """Ordered op records; one backward pass consumes the tape.
 
+    :func:`backward` pops each record as its vjp runs, so a consumed tape is
+    empty and holds no operand, closure or gradient. What the caller holds
+    itself (parameters, inputs, any intermediate Var) keeps its ``grad``.
+
     A record is ``(outputs, inputs, vjp)``: a tuple of the op's output Vars,
     a tuple of its input Vars, and ``vjp(*output_grads)``, which returns one
     gradient per input (None for an input it leaves out). Most ops have one
@@ -92,6 +96,8 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
     gradient; otherwise its vjp gets every output's gradient, None for the
     ungraded ones. Given ``params``, a leaf Var that is not one of them gets
     no gradient (see ``Tape.frozen``); with ``params=None`` every leaf does.
+    Each record leaves the tape as its vjp runs: the tape ends empty, and a
+    Var the caller does not hold is freed once backward has passed it.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -102,7 +108,8 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
         keep = {id(o) for outs, _, _ in tape.records for o in outs} | {id(p) for p in params}
         tape.frozen.update({id(v) for _, inputs, _ in tape.records for v in inputs} - keep)
     loss.grad = np.ones_like(loss.data)
-    for outs, inputs, vjp in reversed(tape.records):
+    while tape.records:
+        outs, inputs, vjp = tape.records.pop()
         grads = [out.grad for out in outs]
         if any(g is not None for g in grads):
             for var, g in zip(inputs, vjp(*grads)):

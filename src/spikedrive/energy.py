@@ -30,7 +30,7 @@ from importlib import resources
 
 from .blocks import ChannelConv, ChannelMLP, SepConv
 from .config import ModelConfig, stages
-from .errors import ArgError, ParseError, ReportError
+from .errors import ArgError, ParseError, ReportError, check_int
 from .instrument import Probe
 
 __all__ = [
@@ -214,28 +214,27 @@ def record_rates(model, x, timesteps: int | None = None) -> FiringRateReport:
     return probe
 
 
-def estimate_energy(model_cfg: ModelConfig, rates: FiringRateReport, timesteps: int,
-                    e_ac: float = E_AC_PJ, e_mac: float = E_MAC_PJ) -> EnergyReport:
+def estimate_energy(model_cfg: ModelConfig, rates: FiringRateReport,
+                    timesteps: int) -> EnergyReport:
     """Theoretical energy of one inference at the given timestep count.
 
     Spike-driven layers are charged from the measured rates; missing rates
     raise. The encoding conv ignores the report and charges dense MACs.
-    ``timesteps < 1`` raises ``ArgError``.
+    A ``timesteps`` that is not an integer >= 1 raises ``ArgError``.
     """
-    if timesteps < 1:
-        raise ArgError(f"timesteps must be >= 1, got {timesteps}")
+    check_int("timesteps", timesteps, 1)
     rows = []
     for op in charged_ops(model_cfg):
         if op.kind == "encoding":
-            rows.append(EnergyRow(op.layer, op.flops, 1.0, "MAC", e_mac * timesteps * op.flops))
+            rows.append(EnergyRow(op.layer, op.flops, 1.0, "MAC", E_MAC_PJ * timesteps * op.flops))
         elif op.kind == "sdsa":
             means = [sum(rates.series(k, timesteps)) / timesteps for k in op.rate_keys]
             fl = sdsa_flops(op.variant, op.n, op.d, timesteps, means)
-            rows.append(EnergyRow(op.layer, fl, sum(means), "AC", e_ac * fl))
+            rows.append(EnergyRow(op.layer, fl, sum(means), "AC", E_AC_PJ * fl))
         else:
             total = sum(rates.series(op.rate_keys[0], timesteps))
             rows.append(EnergyRow(op.layer, op.flops, total / timesteps, "AC",
-                                  e_ac * op.flops * total))
+                                  E_AC_PJ * op.flops * total))
     return EnergyReport(rows=rows)
 
 

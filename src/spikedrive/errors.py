@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+import numbers
+
 
 class SpikeDriveError(Exception):
     """Base class for all library errors."""
@@ -61,3 +63,12 @@ class DivergenceError(SpikeDriveError, RuntimeError):
 
 class OutputError(SpikeDriveError, OSError):
     """A run's outputs (report, metrics, checkpoint, array) cannot be written."""
+
+
+def check_int(name: str, value, low: int):
+    """Raise ``ArgError`` unless ``value`` is an integer >= ``low``. Numpy
+    integers pass; ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ArgError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ArgError(f"{name} must be >= {low}, got {value}")

@@ -16,7 +16,7 @@ from .attention import SDSAConfig
 from .autodiff import Tape, Var
 from .blocks import SN, ConvBlock, Downsample, ForwardContext, Module, TransformerBlock
 from .config import ModelConfig, TrainConfig, config_to_text, parse_config_text, stages
-from .errors import ArgError, CheckpointError, ConfigError, ShapeError
+from .errors import ArgError, CheckpointError, ConfigError, ShapeError, check_int
 from .instrument import Probe
 from .tensors import DenseTensor
 
@@ -76,11 +76,11 @@ class Model(Module):
         those of the config; other shapes raise ``ShapeError``. A static batch
         runs ``timesteps`` steps (``cfg.timesteps`` when None); an event tensor
         runs its T, and a ``timesteps`` other than that T raises ``ArgError``,
-        as do ``timesteps < 1`` and non-finite values.
+        as do a ``timesteps`` that is not an integer >= 1 and non-finite values.
         """
         a = x.data if isinstance(x, (DenseTensor, Var)) else np.asarray(x, dtype=np.float64)
-        if timesteps is not None and timesteps < 1:
-            raise ArgError(f"timesteps must be >= 1, got {timesteps}")
+        if timesteps is not None:
+            check_int("timesteps", timesteps, 1)
         if a.ndim == 4:
             seq = [a] * (self.cfg.timesteps if timesteps is None else timesteps)
         elif a.ndim == 5:

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var, backward
 from .config import TrainConfig
-from .errors import ArgError, DivergenceError
+from .errors import ArgError, DivergenceError, check_int
 from .model import Model
 
 __all__ = ["loss", "OptimState", "step", "train_toy", "finetune_timesteps",
@@ -127,8 +127,11 @@ class Dataset:
 
 def make_blobs(n: int, resolution: int = 32, classes: int = 2, seed: int = 0,
                channels: int = 3) -> Dataset:
-    """Linearly separable image blobs: each class lights up its own spatial
-    quadrant on top of pixel noise of standard deviation 0.25."""
+    """Image blobs: class y lights up spatial quadrant y mod 4 on top of pixel
+    noise of standard deviation 0.25. Up to four classes are linearly
+    separable by quadrant; beyond four, classes share quadrants. ``classes``
+    below 1 raises ``ArgError``."""
+    check_int("classes", classes, 1)
     rng = np.random.default_rng(seed)
     images = rng.normal(0.0, 0.25, (n, channels, resolution, resolution))
     labels = rng.integers(0, classes, size=n)
@@ -177,8 +180,10 @@ def train_toy(model: Model, data: Dataset, epochs: int, tc: TrainConfig | None =
     forward runs in eval mode, so batch norm keeps its running statistics.
     Raises ``DivergenceError``, naming the epoch and batch, when a batch loss
     is not finite or exceeds ``DIVERGENCE_FACTOR`` times the larger of the
-    call's first batch loss and ln K, for K logits.
+    call's first batch loss and ln K, for K logits. ``epochs`` that is not an
+    integer >= 0 raises ``ArgError``.
     """
+    check_int("epochs", epochs, 0)
     tc = tc or TrainConfig()
     optim = OptimState.from_config(tc)
     rng = np.random.default_rng(tc.seed)
@@ -220,7 +225,9 @@ def finetune_timesteps(model: Model, t_from: int, t_to: int, epochs: int,
                        data: Dataset, tc: TrainConfig | None = None,
                        log=None) -> list[dict]:
     """Briefly re-fit a model trained at ``t_from`` timesteps to run at
-    ``t_to``. Batch-norm statistics stay frozen (near-converged regime)."""
+    ``t_to``. Batch-norm statistics stay frozen (near-converged regime).
+    ``epochs`` that is not an integer >= 0 raises ``ArgError``."""
+    check_int("epochs", epochs, 0)
     if t_to < 1:
         raise ArgError(f"target timestep count must be >= 1, got {t_to}")
     if t_from < 1:

@@ -252,14 +252,17 @@ class TestFrozenLeaves:
         loss = train.loss(model.forward(data.images, tape=tape, training=True), data.labels,
                           0.0, tape=tape)
         params = model.parameters()
-        ad.backward(tape, loss, params=params if params_given else None)
+        # backward empties the tape, so read the records first
         image = tape.records[0][1][0]  # the raw-pixel input of the encoding conv
+        made = {id(out) for outs, _, _ in tape.records for out in outs}
+        inputs = {id(v): v for _, ins, _ in tape.records for v in ins}
+        ad.backward(tape, loss, params=params if params_given else None)
         assert np.array_equal(image.data, data.images)
-        return image, tape, params
+        return image, tape, params, made, inputs
 
     def test_parameter_gradients_unchanged_and_input_gradient_skipped(self):
-        x, tape, params = self._step(True)
-        x_ref, tape_ref, params_ref = self._step(False)
+        x, tape, params, _, _ = self._step(True)
+        x_ref, tape_ref, params_ref, _, _ = self._step(False)
         assert id(x) in tape.frozen and not tape_ref.frozen
         assert x.grad is None and x_ref.grad is not None
         assert len(params) == len(params_ref)
@@ -288,7 +291,7 @@ class TestFrozenLeaves:
     def test_a_tape_is_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
-            _, tape, _ = self._step(True)
+            _, tape, *_ = self._step(True)
             ref = weakref.ref(tape)
             del tape
             assert ref() is None
@@ -296,12 +299,52 @@ class TestFrozenLeaves:
             gc.enable()
 
     def test_frozen_holds_only_leaves_that_are_not_parameters(self):
-        _, tape, params = self._step(True)
-        made = {id(out) for outs, _, _ in tape.records for out in outs}
+        _, tape, params, made, inputs = self._step(True)
         assert tape.frozen and not tape.frozen & made
         assert not tape.frozen & {id(p) for p in params}
-        inputs = {id(v): v for _, ins, _ in tape.records for v in ins}
         assert all(inputs[i].grad is None for i in tape.frozen)
+
+
+class TestBackwardConsumesTheTape:
+    """``backward`` pops each record as its vjp runs: the tape ends empty,
+    an intermediate the caller dropped is freed by reference counting alone,
+    and one the caller holds keeps its gradient."""
+
+    @staticmethod
+    def _chain(tape):
+        x = Var(np.random.default_rng(4).normal(size=(3, 4)))
+        w = Var(np.random.default_rng(5).normal(size=(4, 2)))
+        mid = ad.matmul(tape, x, w)
+        loss = ad.sum_axes(tape, ad.mul(tape, mid, mid), (0, 1), keepdims=False)
+        return x, w, mid, loss
+
+    def test_a_consumed_tape_holds_no_records(self):
+        tape = Tape()
+        _, w, _, loss = self._chain(tape)
+        assert len(tape) == 3
+        ad.backward(tape, loss, params=[w])
+        assert len(tape) == 0 and tape.records == []
+
+    def test_an_intermediate_the_caller_dropped_is_freed(self):
+        gc.disable()
+        try:
+            tape = Tape()
+            _, w, mid, loss = self._chain(tape)
+            ref = weakref.ref(mid.data)  # a Var has slots and no weakref slot
+            del mid
+            assert ref() is not None  # the tape still holds it
+            ad.backward(tape, loss, params=[w])
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_a_held_intermediate_keeps_its_gradient(self):
+        tape = Tape()
+        x, w, mid, loss = self._chain(tape)
+        ad.backward(tape, loss)
+        assert np.array_equal(mid.grad, 2 * mid.data)
+        assert np.allclose(w.grad, x.data.T @ (2 * mid.data))
+        assert np.allclose(x.grad, (2 * mid.data) @ w.data.T)
 
 
 class TestRecordsOfSeveralOutputs:

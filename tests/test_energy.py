@@ -154,6 +154,16 @@ class TestEstimateEnergy:
         with pytest.raises(ArgError, match="timesteps must be >= 1"):
             estimate_energy(toy_cfg(), load_rate_fixture(), timesteps)
 
+    @pytest.mark.parametrize("timesteps", [1.5, 1.0, True])
+    def test_timesteps_that_are_not_integers_are_refused(self, timesteps):
+        with pytest.raises(ArgError, match="timesteps must be an integer"):
+            estimate_energy(toy_cfg(), load_rate_fixture(), timesteps)
+
+    def test_numpy_integer_timesteps_are_accepted(self):
+        cfg, rates = sd.ModelConfig(base_channels=48), load_rate_fixture()
+        assert (estimate_energy(cfg, rates, np.int64(4)).total_pj
+                == estimate_energy(cfg, rates, 4).total_pj)
+
     def test_zero_rates_leave_only_encoding_charge(self):
         cfg = toy_cfg()
         rates = FiringRateReport()
@@ -185,14 +195,15 @@ class TestEstimateEnergy:
         with pytest.raises(ReportError):
             estimate_energy(cfg, FiringRateReport(), timesteps=1)
 
-    def test_all_rates_one_mac_mode_equals_dense_reference(self):
+    def test_all_rates_one_mac_mode_equals_dense_reference(self, monkeypatch):
         # independent dense-ANN accounting of the same op graph
         cfg = toy_cfg()
         rates = FiringRateReport()
         for op in charged_ops(cfg):
             for key in op.rate_keys:
                 rates.add(key, 1, 1.0)
-        got = estimate_energy(cfg, rates, 1, e_ac=E_MAC_PJ).total_pj
+        monkeypatch.setattr(sd.energy, "E_AC_PJ", E_MAC_PJ)  # charge every AC as a MAC
+        got = estimate_energy(cfg, rates, 1).total_pj
 
         want = 0.0
         for op in charged_ops(cfg):

@@ -129,6 +129,19 @@ class TestForward:
         with pytest.raises(ArgError, match="timesteps"):
             sd.forward(model, np.zeros((1, 3, 32, 32)), timesteps=timesteps)
 
+    @pytest.mark.parametrize("timesteps", [2.5, 2.0, True, "2"])
+    def test_timesteps_that_are_not_integers_are_refused(self, timesteps):
+        # 2.5 used to die in list repetition, and True ran one step
+        model = sd.build_model(toy_cfg())
+        with pytest.raises(ArgError, match="timesteps must be an integer"):
+            sd.forward(model, np.zeros((1, 3, 32, 32)), timesteps=timesteps)
+
+    def test_numpy_integer_timesteps_are_accepted(self):
+        model = sd.build_model(toy_cfg())
+        x = np.random.default_rng(3).normal(0, 3, (1, 3, 32, 32))
+        assert np.array_equal(sd.forward(model, x, timesteps=np.int64(2)).data,
+                              sd.forward(model, x, timesteps=2).data)
+
     @pytest.mark.parametrize("timesteps", [0, -1, 2, 4])
     def test_event_tensor_refuses_timesteps_other_than_its_t(self, timesteps):
         # the event tensor fixes T; a different value would be ignored

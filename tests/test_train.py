@@ -226,7 +226,30 @@ class TestToyTraining:
         assert set(history[0]) == {"epoch", "split", "loss", "accuracy"}
 
 
+    @pytest.mark.parametrize("epochs", [-1, 2.5, True])
+    def test_epochs_that_are_not_counts_are_refused(self, epochs):
+        # -1 used to return [] silently, and 2.5 died in range
+        model = sd.build_model(toy_cfg(num_classes=2))
+        data = make_blobs(16, resolution=32, classes=2, seed=0)
+        with pytest.raises(ArgError, match="epochs must be"):
+            train_toy(model, data, epochs)
+
+    def test_zero_epochs_train_nothing(self):
+        model = sd.build_model(toy_cfg(num_classes=2))
+        data = make_blobs(16, resolution=32, classes=2, seed=0)
+        assert train_toy(model, data, 0) == []
+
+
 class TestFinetune:
+    @pytest.mark.parametrize("epochs", [-1, 2.5, True])
+    @pytest.mark.parametrize("t_to", [1, 2])
+    def test_epochs_that_are_not_counts_are_refused(self, epochs, t_to):
+        # refused before the no-op shortcut for t_to == t_from
+        model = sd.build_model(toy_cfg(num_classes=2))
+        data = make_blobs(16, resolution=32, classes=2, seed=0)
+        with pytest.raises(ArgError, match="epochs must be"):
+            finetune_timesteps(model, 1, t_to, epochs, data)
+
     def test_rejects_bad_timesteps(self):
         model = sd.build_model(toy_cfg(num_classes=2))
         data = make_blobs(16, resolution=32, classes=2, seed=0)
@@ -312,6 +335,18 @@ class TestDivergenceBound:
 
 
 class TestDatasetChecks:
+    @pytest.mark.parametrize("classes", [0, -2])
+    def test_blobs_need_at_least_one_class(self, classes):
+        with pytest.raises(ArgError, match="classes must be >= 1"):
+            make_blobs(4, resolution=16, classes=classes)
+
+    def test_blob_classes_cycle_over_the_four_quadrants(self):
+        data = make_blobs(64, resolution=16, classes=6, seed=0, channels=1)
+        quadrant = data.images[:, 0].reshape(64, 2, 8, 2, 8).mean(axis=(2, 4)).reshape(64, 4)
+        lit = quadrant.argmax(axis=1)  # corners in order (0,0) (0,h) (h,0) (h,h)
+        want = np.array([0, 3, 1, 2])[data.labels % 4]
+        assert np.array_equal(lit, want) and set(data.labels) == set(range(6))
+
     def test_zero_samples_are_refused(self):
         with pytest.raises(ValueError, match="at least one sample"):
             Dataset(images=np.zeros((0, 3, 32, 32)), labels=np.zeros(0, dtype=np.int64))
