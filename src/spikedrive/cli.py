@@ -95,9 +95,13 @@ def cmd_profile(args) -> int:
 
 def _load_dataset(path, cfg: ModelConfig, seed: int) -> Dataset:
     """``make_blobs`` for "blobs", else the images and labels of an ``.npz``;
-    raises ``ParseError`` for any file that cannot give a training set that
-    fits ``cfg``."""
+    raises ``ConfigError`` for blobs of more than four classes, which share
+    quadrants and cannot be told apart, and ``ParseError`` for any file that
+    cannot give a training set that fits ``cfg``."""
     if path == "blobs":
+        if cfg.num_classes > 4:
+            raise ConfigError(f"--data blobs separates at most 4 classes, the config has "
+                              f"num_classes = {cfg.num_classes}")
         return make_blobs(256, resolution=cfg.resolution, classes=cfg.num_classes,
                           seed=seed, channels=cfg.in_channels)
     try:

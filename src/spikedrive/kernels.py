@@ -23,12 +23,13 @@ having skipped its work, when ``need_x`` is false. Two take the depthwise
 convs (``groups == C_in == C_out``):
 
 * on a small map, H*W <= B*k*k, so that its operator has no more entries
-  than the shifted taps do multiply-adds -- one matmul batched over channels
+  than the k*k taps do multiply-adds -- one matmul batched over channels
   against each channel's (H*W, Ho*Wo) Toeplitz operator, ``OPERATOR_BLOCK``
   operator entries at a time (:func:`toeplitz_conv`);
-* on every other map -- k*k shifted multiply-adds over the padded input,
-  with no patch tensor, ``DEPTHWISE_BLOCK`` output entries at a time
-  (:func:`depthwise_conv`).
+* on every other map -- one matmul batched over (B, C) per kernel row and
+  block of ``ROW_BLOCK`` output columns: the padded input's rows, a strided
+  view, times a banded operator that holds the row's k weights; the 1-D
+  form of the Toeplitz operator, with no patch tensor (:func:`depthwise_conv`).
 
 Two take the rest:
 
@@ -72,10 +73,12 @@ SCATTER_BLOCK = 1 << 20
 # when a single channel's operator is larger), so its operator and its x^T g
 # product stay at 8 MB each however many channels there are
 OPERATOR_BLOCK = 1 << 20
-# most output entries one channel block of depthwise_conv's forward holds
-# (more only when a single channel's map is larger), so that the block's
-# input, output and product, 0.5 MB each, stay in a 2 MB L2 cache
-DEPTHWISE_BLOCK = 1 << 16
+# output columns per block of depthwise_conv (fewer in a map's last block):
+# the banded operators of an n-column block do (stride*(n-1) + k) / k times
+# the multiply-adds of the k*k taps, so wider blocks waste more on the band's
+# zeros and narrower ones make more matmul calls; 8 beat 16 and 32 on the
+# 15M net's depthwise convs in its T=1 forward
+ROW_BLOCK = 8
 
 
 @dataclass
@@ -185,42 +188,73 @@ def _taps(k: int, stride: int, ho: int, wo: int):
                          slice(j, j + stride * wo, stride))
 
 
+def _band_operators(weights: np.ndarray, stride: int, block: int) -> np.ndarray:
+    """Each kernel row's banded operator per channel, (k, C, stride*(block-1)
+    + k, block): band[i, c, stride*q + j, q] = weights[c, 0, i, j]. A block of
+    n < ``block`` columns uses its top-left (stride*(n-1) + k, n) corner."""
+    c, _, k, _ = weights.shape
+    q = np.arange(block)
+    bands = np.zeros((k, c, stride * (block - 1) + k, block))
+    for j in range(k):
+        bands[:, :, stride * q + j, q] = weights[:, 0, :, j].T[:, :, None]
+    return bands
+
+
 def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int):
-    """Depthwise convolution (one (1, k, k) filter per channel) as k*k shifted
-    multiply-adds over the padded input; no patch tensor is built. The
-    forward runs all taps over one channel block before the next, at most
-    ``DEPTHWISE_BLOCK`` output entries a block, so that the block's input,
-    output and product stay in cache across the taps; each output entry sees
-    the same multiply-adds in the same order whatever the block size. Returns
-    the output and its adjoint ``(g, need_x=True) -> (gx, gw)``."""
+    """Depthwise convolution (one (1, k, k) filter per channel) as one matmul
+    per kernel row i and block of ``ROW_BLOCK`` output columns, batched over
+    (B, C): the padded input's rows i, i + stride, ... and the stride*(n-1) +
+    k columns that the block's n outputs read, a strided view with no copy,
+    times row i's banded operator (:func:`_band_operators`). The k products
+    are summed in a contiguous buffer, then copied into the block. Returns
+    the output and its adjoint ``(g, need_x=True) -> (gx, gw)``, which pads
+    the input again rather than keeping the forward's padded copy: gx adds g
+    times each transposed band into the padded gradient, and gw sums the
+    band diagonals of each kernel row's x^T g, summed over the blocks."""
     b, c, h, w = x.shape
     k = weights.shape[2]
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
-    taps = weights[:, 0, :, :, None, None]  # (C, k, k, 1, 1)
+    block = min(ROW_BLOCK, wo)
+    rows = [slice(i, i + stride * ho, stride) for i in range(k)]  # read by kernel row i
+    blocks = [(slice(o0, o0 + n), slice(stride * o0, stride * (o0 + n - 1) + k))
+              for o0 in range(0, wo, block) for n in [min(block, wo - o0)]]
+    # in this order: other orders of the same four arrays left up to 13 MB
+    # more heap fragmentation at the peak RSS of the 15M net's T=4 eval
+    # forward and T=1 training step
     xp = _pad2d(x, padding)
-    per = max(1, DEPTHWISE_BLOCK // (b * ho * wo))  # channels per block
-    out = np.zeros((b, c, ho, wo))
-    tmp = np.empty((b, min(per, c), ho, wo))
-    for c0 in range(0, c, per):
-        blk = slice(c0, c0 + per)
-        outb, xpb = out[:, blk], xp[:, blk]
-        tmpb = tmp[:, :outb.shape[1]]
-        for i, j, win in _taps(k, stride, ho, wo):
-            outb += np.multiply(xpb[win], taps[blk, i, j], out=tmpb)
+    out = np.empty((b, c, ho, wo))
+    bands = _band_operators(weights, stride, block)
+    buf = np.empty((2, b * c * ho * block))
+    for cols, span in blocks:
+        n, m = cols.stop - cols.start, span.stop - span.start
+        acc, tmp = buf[:, :b * c * ho * n].reshape(2, b, c, ho, n)
+        for i, r in enumerate(rows):
+            np.matmul(xp[:, :, r, span], bands[i, :, :m, :n], out=tmp if i else acc)
+            if i:
+                acc += tmp
+        out[..., cols] = acc
 
     def adjoint(g, need_x=True):
         xp = _pad2d(x, padding)  # padded again, not held from the forward
+        bands = _band_operators(weights, stride, block)
+        xg = np.zeros(bands.shape)  # x^T g per kernel row, summed over the blocks
+        gxp = np.zeros(xp.shape) if need_x else None
+        for cols, span in blocks:
+            gb = g[..., cols]
+            n, m = cols.stop - cols.start, span.stop - span.start
+            gspan = np.zeros((b, c, xp.shape[2], m)) if need_x else None
+            for i, r in enumerate(rows):
+                xg[i, :, :m, :n] += np.matmul(xp[:, :, r, span].swapaxes(-1, -2), gb).sum(axis=0)
+                if need_x:
+                    gspan[:, :, r] += np.matmul(gb, bands[i, :, :m, :n].swapaxes(-1, -2))
+            if need_x:
+                gxp[..., span] += gspan
+        q = np.arange(block)
         gw = np.empty(weights.shape)
-        for i, j, win in _taps(k, stride, ho, wo):
-            gw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, xp[win])
-        if not need_x:
-            return None, gw
-        gxp = np.zeros(xp.shape)
-        tmp = np.empty(g.shape)
-        for i, j, win in _taps(k, stride, ho, wo):
-            gxp[win] += np.multiply(g, taps[:, i, j], out=tmp)
-        return _unpad2d(gxp, padding), gw
+        for j in range(k):
+            gw[:, 0, :, j] = xg[:, :, stride * q + j, q].sum(axis=-1).T
+        return None if gxp is None else _unpad2d(gxp, padding), gw
 
     return out, adjoint
 
@@ -392,8 +426,8 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     output would be empty. Four algorithms, picked by shape:
 
     * a depthwise conv (``groups == C_in == C_out``) runs :func:`toeplitz_conv`
-      when H*W <= B*k*k (its operator has no more entries than
-      :func:`depthwise_conv` does multiply-adds) and :func:`depthwise_conv`
+      when H*W <= B*k*k (its operator has no more entries than the k*k taps
+      do multiply-adds) and the row bands of :func:`depthwise_conv`
       otherwise;
     * an ungrouped stride-1 conv with k > 1 runs :func:`kn2row_conv` when
       C_out < C_in (its tap product is smaller than the patch tensor) and

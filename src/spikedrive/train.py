@@ -226,12 +226,12 @@ def finetune_timesteps(model: Model, t_from: int, t_to: int, epochs: int,
                        log=None) -> list[dict]:
     """Briefly re-fit a model trained at ``t_from`` timesteps to run at
     ``t_to``. Batch-norm statistics stay frozen (near-converged regime).
-    ``epochs`` that is not an integer >= 0 raises ``ArgError``."""
+    ``epochs`` that is not an integer >= 0, or a timestep count that is not
+    an integer >= 1, raises ``ArgError``, even when there is nothing to
+    adapt."""
     check_int("epochs", epochs, 0)
-    if t_to < 1:
-        raise ArgError(f"target timestep count must be >= 1, got {t_to}")
-    if t_from < 1:
-        raise ArgError(f"source timestep count must be >= 1, got {t_from}")
+    check_int("target timestep count", t_to, 1)
+    check_int("source timestep count", t_from, 1)
     if epochs == 0 or t_to == t_from:
         return []  # nothing to adapt
     return train_toy(model, data, epochs, tc=tc, timesteps=t_to, bn_frozen=True, log=log)

@@ -4,6 +4,8 @@ composition) and compares against the library path."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import attention, blocks, energy, kernels
@@ -117,14 +119,25 @@ def suite_kernels():
             got[name] = out[0] + kern.bias[:, None, None]
         for name, out in got.items():
             worst[name] = max(worst[name], float(np.abs(out - want).max()))
+    # fixed depthwise cases wider than one ROW_BLOCK column block, whose
+    # output width is not a multiple of it
+    wide = np.random.default_rng(8)
+    wide_cases = 0
+    for (h, w), stride, k in itertools.product(((37, 37), (20, 37)), (1, 2), (3, 7)):
+        kern = _random_kernel(wide, 3, 3, k, stride=stride, groups=3)
+        x = wide.normal(0, 1, (3, h, w))
+        out, _ = kernels.depthwise_conv(x[None], kern.weights, stride, kern.padding)
+        diff = np.abs(out[0] + kern.bias[:, None, None] - _direct_conv2d(x, kern)).max()
+        worst["depthwise_conv"] = max(worst["depthwise_conv"], float(diff))
+        wide_cases += 1
     for name, diff in worst.items():
         if diff > 1e-10:
             return False, [f"{name} deviation {diff:.2e} > 1e-10"]
     lines.append(f"dense_conv2d vs direct loop (groups 1, 2, C): {cases} cases, "
                  f"max |diff| {worst['dense_conv2d']:.2e}")
     lines.append(f"depthwise_conv / toeplitz_conv vs direct loop: {depthwise_cases} "
-                 f"depthwise cases each, max |diff| {worst['depthwise_conv']:.2e} / "
-                 f"{worst['toeplitz_conv']:.2e}")
+                 f"depthwise cases each, {wide_cases} wider depthwise_conv cases, max "
+                 f"|diff| {worst['depthwise_conv']:.2e} / {worst['toeplitz_conv']:.2e}")
     lines.append(f"im2col_conv / kn2row_conv vs direct loop: {ungrouped_cases} ungrouped "
                  f"stride-1 k > 1 cases each, max |diff| {worst['im2col_conv']:.2e} / "
                  f"{worst['kn2row_conv']:.2e}")

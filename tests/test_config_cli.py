@@ -1,4 +1,5 @@
 import configparser
+import functools
 import io
 from dataclasses import fields
 from typing import get_type_hints
@@ -224,6 +225,23 @@ class TestCliTrain:
         assert rc == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("classes", [5, 1000])
+    def test_blobs_of_more_than_four_classes_are_refused(self, tmp_path, capsys, classes):
+        p = tmp_path / "many.ini"
+        p.write_text(TOY_CONFIG.replace("num_classes = 2", f"num_classes = {classes}"))
+        rc = main(["train", "--config", str(p), "--data", "blobs", "--epochs", "0",
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "at most 4 classes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_blobs_of_four_classes_train(self, tmp_path):
+        p = tmp_path / "four.ini"
+        p.write_text(TOY_CONFIG.replace("num_classes = 2", "num_classes = 4"))
+        rc = main(["train", "--config", str(p), "--data", "blobs", "--epochs", "0",
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 0 and (tmp_path / "run" / "model.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
     def test_diverged_run_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "hot.ini"
@@ -270,6 +288,24 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert "training-mode batch_norm" in out and "[gradcheck] PASS" in out
+
+    def test_kernels_suite_checks_wide_depthwise_maps(self, monkeypatch, capsys):
+        assert main(["verify", "--suite", "kernels"]) == 0
+        assert "8 wider depthwise_conv cases" in capsys.readouterr().out
+        import spikedrive.kernels as kernels_mod
+
+        real = kernels_mod.depthwise_conv
+
+        @functools.wraps(real)  # the suite keys its results by function name
+        def broken_on_wide_maps(x, weights, stride, padding):
+            out, adjoint = real(x, weights, stride, padding)
+            if x.shape[-1] > 9:  # wider than any of the suite's random draws
+                out += 1.0
+            return out, adjoint
+
+        monkeypatch.setattr(kernels_mod, "depthwise_conv", broken_on_wide_maps)
+        assert main(["verify", "--suite", "kernels"]) == 1
+        assert "depthwise_conv deviation" in capsys.readouterr().out
 
     def test_injected_bug_fails_suite(self, monkeypatch, capsys):
         import spikedrive.kernels as kernels_mod

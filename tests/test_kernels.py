@@ -505,7 +505,7 @@ class TestScatterBlocks:
 
 
 class TestSmallMapDepthwise:
-    """The two depthwise algorithms, shifted taps (``depthwise_conv``) and
+    """The two depthwise algorithms, row bands (``depthwise_conv``) and
     the per-channel Toeplitz operator (``toeplitz_conv``), each against the
     naive loop and by the adjoint dot-product test, and the dispatch between
     them: the operator runs iff H*W <= B*k*k."""
@@ -633,9 +633,8 @@ class TestSmallMapDepthwise:
 
 class TestKn2row:
     """The output-side lowering (``kn2row_conv``) of ungrouped stride-1 convs
-    with k > 1 against the naive loop and by the adjoint dot-product test; the
-    dispatch that gives it those convs with C_out < C_in; and the channel
-    blocks of the shifted-tap depthwise forward."""
+    with k > 1 against the naive loop and by the adjoint dot-product test, and
+    the dispatch that gives it those convs with C_out < C_in."""
 
     MAPS = [(n, n) for n in range(1, 10)] + [(1, 9), (9, 2)]
 
@@ -711,25 +710,6 @@ class TestKn2row:
         assert len(conv2) == 4
         assert len(seen) == 4 and all(any(w is c for c in conv2) for w in seen)
 
-    def test_depthwise_channel_blocks_give_identical_results(self, monkeypatch):
-        rng = np.random.default_rng(1200)
-        x = rng.normal(0, 1, (2, 7, 12, 12))
-        weights = rng.normal(0, 1, (7, 1, 3, 3))
-        whole, _ = kernels.depthwise_conv(x, weights, 1, 1)
-        widths = []
-        real = np.multiply
-
-        def spy(a, b, out):
-            widths.append(out.shape[1])
-            return real(a, b, out=out)
-
-        # room for two channels' 2x12x12 outputs per block: blocks of 2, 2, 2, 1
-        monkeypatch.setattr(kernels, "DEPTHWISE_BLOCK", 2 * 2 * 144 + 1)
-        monkeypatch.setattr(kernels.np, "multiply", spy)
-        blocked, _ = kernels.depthwise_conv(x, weights, 1, 1)
-        assert widths == [2] * 27 + [1] * 9
-        assert np.array_equal(blocked, whole)
-
     def test_peak_memory_of_the_widest_channel_conv_output(self):
         import tracemalloc
 
@@ -745,6 +725,81 @@ class TestKn2row:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestRowBandDepthwise:
+    """``depthwise_conv`` on maps wider than one ``ROW_BLOCK`` column block,
+    whose width is not a multiple of it, and with ``ROW_BLOCK`` patched
+    small: against the naive loop and by the adjoint dot-product test, with
+    and without gx; and the memory it holds on a 15M-net stage-1 map."""
+
+    C = 2
+    MAPS = [(17, 17), (37, 37), (20, 37), (37, 20)]
+
+    @staticmethod
+    def _check(rng, x, k, stride):
+        c = x.shape[1]
+        kern = ConvKernel(weights=rng.normal(0, 1, (c, 1, k, k)), stride=stride, groups=c)
+        want = np.stack([naive_conv2d(xi, kern) for xi in x])
+        y, vjp = kernels.depthwise_conv(x, kern.weights, stride, kern.padding)
+        assert np.abs(y - want).max() <= 1e-12
+        g = rng.normal(0, 1, want.shape)
+        gx, gw = vjp(g)
+        assert gx.shape == x.shape and gw.shape == kern.weights.shape
+        lhs = np.vdot(want, g)
+        tol = 1e-10 * max(abs(lhs), 1.0)
+        assert abs(np.vdot(x, gx) - lhs) <= tol
+        assert abs(np.vdot(kern.weights, gw) - lhs) <= tol
+        gx_none, gw_only = vjp(g, need_x=False)
+        assert gx_none is None and np.array_equal(gw_only, gw)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_wide_maps_match_naive_and_adjoint(self, k, stride, batch):
+        rng = np.random.default_rng(1400 + 10 * k + stride + batch)
+        for h, w in self.MAPS:
+            self._check(rng, rng.normal(0, 1, (batch, self.C, h, w)), k, stride)
+
+    def test_column_blocks_match_naive_and_adjoint(self, monkeypatch):
+        rng = np.random.default_rng(1500)
+        widths = []
+        real = np.matmul
+
+        def spy(a, b, **kw):
+            if "out" in kw:  # the forward's products
+                widths.append(b.shape[-1])
+            return real(a, b, **kw)
+
+        monkeypatch.setattr(kernels.np, "matmul", spy)
+        for block in (3, 5):
+            monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+            for stride in (1, 2, 3):
+                for k in (3, 7):
+                    widths.clear()
+                    self._check(rng, rng.normal(0, 1, (2, self.C, 11, 13)), k, stride)
+                    wo = kernels.conv_output_size(13, k, stride, k // 2)
+                    blocks = [block] * (wo // block) + [wo % block] * (wo % block > 0)
+                    assert widths == [n for n in blocks for _ in range(k)]
+
+    def test_large_map_memory(self):
+        import tracemalloc
+
+        # the 15M net's stage-1 SepConv: its padded input is 7.1 MB, its output 6.1 MB
+        rng = np.random.default_rng(1600)
+        x = rng.normal(0, 1, (1, 64, 112, 112))
+        weights = rng.normal(0, 1, (64, 1, 7, 7))
+        tracemalloc.start()
+        try:
+            y, vjp = kernels.depthwise_conv(x, weights, 1, 3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the padded input, the output, two 0.5 MB block buffers and the 0.4 MB bands
+        assert peak < 16 * 2 ** 20
+        # the adjoint keeps x and the weights, allocated before, but no padded copy
+        assert kept - y.nbytes < 2 ** 20
+        assert vjp(np.ones_like(y))[0].shape == x.shape
 
 
 class TestConvGeometry:

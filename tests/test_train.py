@@ -256,6 +256,15 @@ class TestFinetune:
         with pytest.raises(ArgError):
             finetune_timesteps(model, 1, 0, 1, data)
 
+    @pytest.mark.parametrize("t", [2.5, True, "2"])
+    def test_equal_timesteps_that_are_not_counts_are_refused(self, t):
+        # refused before the no-op shortcut for t_to == t_from, as (1, t) is
+        model = sd.build_model(toy_cfg(num_classes=2))
+        data = make_blobs(16, resolution=32, classes=2, seed=0)
+        for t_from, t_to in ((t, t), (1, t)):
+            with pytest.raises(ArgError, match="timestep count must be an integer"):
+                finetune_timesteps(model, t_from, t_to, 1, data)
+
     def test_same_timesteps_is_a_noop(self):
         model = sd.build_model(toy_cfg(num_classes=2))
         before = {n: v.data.copy() for n, v in model.named_params()}
