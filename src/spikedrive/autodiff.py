@@ -6,6 +6,13 @@ in exact reverse order and accumulates vector-Jacobian products into each
 backward uses the rectangular surrogate window, either as a straight-through
 estimator (spike mode) or as the true derivative of a clamped-linear
 relaxation (smooth-check mode, used for finite-difference validation).
+
+What the tape keeps is split from what the forward computes. A ``Var``
+carries its array and a small :class:`Node`, which holds only its gradient
+and its shape; a record holds the nodes of its op, never a ``Var``. So an op
+output is freed as soon as the forward drops it, unless a vjp captured its
+array because the gradient formula reads it. Each vjp captures exactly what
+its formula reads: an array, a shape, or the ``Var`` whose array it reads.
 """
 
 from __future__ import annotations
@@ -15,28 +22,60 @@ import numpy as np
 from .errors import TapeError
 from .kernels import conv2d_core
 
-__all__ = ["Var", "Tape", "backward"]
+__all__ = ["Var", "Node", "Tape", "backward"]
 
 # the variance offset of every batch normalization, on the tape and folded
 BN_EPS = 1e-5
 
 
-class Var:
-    """A float64 array node in the computation graph."""
+class Node:
+    """What the tape keeps of a ``Var``: its gradient and its shape."""
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad = None
+        self.shape = shape
+
+
+class Var:
+    """A float64 array in the computation graph.
+
+    ``grad`` lives on ``node``, which the tape's records hold in place of the
+    Var; reading or setting ``Var.grad`` reads or sets ``node.grad``. The
+    node is made on first use, so a Var that no tape records and whose
+    gradient nobody reads makes none: neither a tape-free forward nor
+    building a model does (eager nodes slowed the 15M net's build by about
+    12%). Its shape is the array's shape at that moment; an array put in
+    ``data`` later must have that shape."""
+
+    __slots__ = ("data", "name", "_node")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.name = name
+        self._node = None
+
+    @property
+    def node(self) -> Node:
+        if self._node is None:
+            self._node = Node(self.data.shape)
+        return self._node
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
 
     @property
     def shape(self):
         return self.data.shape
 
     def zero_grad(self):
-        self.grad = None
+        self.node.grad = None
 
     def __repr__(self):
         return f"Var(shape={self.data.shape}, name={self.name!r})"
@@ -45,46 +84,56 @@ class Var:
 class Tape:
     """Ordered op records; one backward pass consumes the tape.
 
+    A record is ``(outputs, inputs, vjp)``: a tuple of the nodes of the op's
+    output Vars, a tuple of the nodes of its input Vars, and
+    ``vjp(*output_grads)``, which returns one gradient per input (None for an
+    input it leaves out). Most ops have one output; ``neuron.lif`` has two,
+    the spikes and the new membrane. :meth:`push` takes the Vars and stores
+    their nodes. A record keeps alive only those nodes (a gradient, None
+    until backward reaches it, and a shape) and what its vjp captured; an
+    array no vjp reads is freed once the forward drops its Var.
+
     :func:`backward` pops each record as its vjp runs, so a consumed tape is
-    empty and holds no operand, closure or gradient. What the caller holds
-    itself (parameters, inputs, any intermediate Var) keeps its ``grad``.
+    empty and holds no node, closure or gradient. What the caller holds
+    itself (parameters, inputs, any intermediate Var) keeps its ``grad``. A
+    consumed tape refuses new records: no backward could run on them, and
+    they would keep their arrays alive for nothing.
 
-    A record is ``(outputs, inputs, vjp)``: a tuple of the op's output Vars,
-    a tuple of its input Vars, and ``vjp(*output_grads)``, which returns one
-    gradient per input (None for an input it leaves out). Most ops have one
-    output; ``neuron.lif`` has two, the spikes and the new membrane.
-
-    ``frozen`` holds the ids of the leaf Vars that get no gradient. It is
+    ``frozen`` holds the ids of the leaf nodes that get no gradient. It is
     empty until :func:`backward` is given ``params``; then it holds every
-    leaf input that is not one of them, and a vjp may skip that input's
-    gradient (``conv2d`` does, for the raw image into the encoding conv).
-    A vjp holds the set itself, never the tape: a tape its own records
-    reach is a reference cycle, which keeps every activation alive until
-    the cyclic garbage collector runs."""
+    leaf input node that is not a parameter's, and a vjp may skip that
+    input's gradient (``conv2d`` does, for the raw image into the encoding
+    conv). The ids stay valid because the records keep those nodes alive;
+    an id of a Var would not, since a Var the forward dropped is freed and
+    a new one can reuse its id. A vjp holds the set itself, never the tape:
+    a tape its own records reach is a reference cycle, which keeps every
+    activation alive until the cyclic garbage collector runs."""
 
     def __init__(self):
-        self.records: list[tuple[tuple[Var, ...], tuple[Var, ...], callable]] = []
+        self.records: list[tuple[tuple[Node, ...], tuple[Node, ...], callable]] = []
         self.consumed = False
         self.frozen: set[int] = set()
 
     def push(self, outs: tuple[Var, ...], inputs: tuple[Var, ...], vjp):
-        self.records.append((outs, inputs, vjp))
+        if self.consumed:
+            raise TapeError("cannot record on a tape already consumed by a backward pass")
+        self.records.append((tuple(o.node for o in outs), tuple(v.node for v in inputs), vjp))
 
     def __len__(self):
         return len(self.records)
 
 
-def _accum(var: Var, g: np.ndarray):
+def _accum(node: Node, g: np.ndarray):
     if g is None:
         return
-    if g.shape != var.data.shape:  # undo numpy broadcasting
-        extra = g.ndim - var.data.ndim
+    if g.shape != node.shape:  # undo numpy broadcasting
+        extra = g.ndim - len(node.shape)
         if extra > 0:
             g = g.sum(axis=tuple(range(extra)))
-        keep = tuple(i for i, n in enumerate(var.data.shape) if n == 1 and g.shape[i] != 1)
+        keep = tuple(i for i, n in enumerate(node.shape) if n == 1 and g.shape[i] != 1)
         if keep:
             g = g.sum(axis=keep, keepdims=True)
-    var.grad = g if var.grad is None else var.grad + g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
@@ -92,12 +141,13 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
 
     Returns a mapping for ``params`` (every listed parameter gets a slot,
     zero-filled if the loss does not depend on it) and leaves ``grad`` set on
-    all touched Vars. A record is skipped when none of its outputs has a
+    all touched Vars. A record is skipped when none of its output nodes has a
     gradient; otherwise its vjp gets every output's gradient, None for the
-    ungraded ones. Given ``params``, a leaf Var that is not one of them gets
-    no gradient (see ``Tape.frozen``); with ``params=None`` every leaf does.
-    Each record leaves the tape as its vjp runs: the tape ends empty, and a
-    Var the caller does not hold is freed once backward has passed it.
+    ungraded ones. Given ``params``, a leaf node that is not a parameter's
+    gets no gradient (see ``Tape.frozen``, which holds node ids); with
+    ``params=None`` every leaf does. Each record leaves the tape as its vjp
+    runs: the tape ends empty, and a node or captured array the caller does
+    not hold is freed once backward has passed it.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -105,16 +155,16 @@ def backward(tape: Tape, loss: Var, params=None) -> dict[Var, np.ndarray]:
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
     tape.consumed = True
     if params is not None:
-        keep = {id(o) for outs, _, _ in tape.records for o in outs} | {id(p) for p in params}
-        tape.frozen.update({id(v) for _, inputs, _ in tape.records for v in inputs} - keep)
+        keep = {id(o) for outs, _, _ in tape.records for o in outs} | {id(p.node) for p in params}
+        tape.frozen.update({id(n) for _, inputs, _ in tape.records for n in inputs} - keep)
     loss.grad = np.ones_like(loss.data)
     while tape.records:
         outs, inputs, vjp = tape.records.pop()
         grads = [out.grad for out in outs]
         if any(g is not None for g in grads):
-            for var, g in zip(inputs, vjp(*grads)):
-                if id(var) not in tape.frozen:
-                    _accum(var, g)
+            for node, g in zip(inputs, vjp(*grads)):
+                if id(node) not in tape.frozen:
+                    _accum(node, g)
     grads: dict[Var, np.ndarray] = {}
     for p in params or ():
         if p.grad is None:
@@ -182,22 +232,24 @@ def matmul(tape, a: Var, b: Var) -> Var:
 
 
 def mean_axes(tape, a: Var, axes: tuple[int, ...]) -> Var:
-    n = int(np.prod([a.data.shape[i] for i in axes]))
+    shape = a.data.shape
+    n = int(np.prod([shape[i] for i in axes]))
     out = Var(a.data.mean(axis=axes))
 
     def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, axes), a.data.shape) / n,)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape) / n,)
 
     return _push(tape, out, (a,), vjp)
 
 
 def sum_axes(tape, a: Var, axes: tuple[int, ...], keepdims: bool = True) -> Var:
+    shape = a.data.shape
     out = Var(a.data.sum(axis=axes, keepdims=keepdims))
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _push(tape, out, (a,), vjp)
 
@@ -221,12 +273,15 @@ def spike(tape, x: Var, window: float, smooth: bool = False) -> Var:
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride: int, padding: int,
            groups: int = 1) -> Var:
     """Batched (B, C, H, W) convolution (:func:`kernels.conv2d_core`); exact
-    adjoints, with no input gradient when ``x`` is frozen."""
+    adjoints, with no input gradient when ``x``'s node is frozen. The vjp
+    holds that node's id, not ``x``: ``x.data`` stays alive only where the
+    adjoint reads it."""
     out, adjoint = conv2d_core(x.data, w.data, stride, padding, groups)
     frozen = () if tape is None else tape.frozen
+    xid = None if tape is None else id(x.node)
 
     def vjp(g):
-        return adjoint(g, id(x) not in frozen)
+        return adjoint(g, xid not in frozen)
 
     if b is None:
         return _push(tape, Var(out), (x, w), vjp)

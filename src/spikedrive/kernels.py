@@ -320,7 +320,7 @@ def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int)
                           out=gx.transpose(1, 0, 2)[blk])
             xg = np.matmul(xc[blk].transpose(0, 2, 1), gc[blk]).reshape(-1, size)
             gw[blk, taps] = np.add.reduceat(xg[:, entry], starts, axis=1)
-        return gx if gx is None else gx.reshape(x.shape), gw.reshape(weights.shape)
+        return gx if gx is None else gx.reshape(b, c, h, w), gw.reshape(weights.shape)
 
     return out.reshape(b, c, ho, wo), adjoint
 
@@ -331,7 +331,9 @@ def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     (B, C, k, k, Ho, Wo) patch tensor, viewed as (B, G, C/G*k*k, Ho*Wo), is
     multiplied by the weights viewed as (G, C_out/G, C/G*k*k). A 1x1,
     stride-1, unpadded conv uses ``x`` itself as the patch tensor. Returns
-    the output and its adjoint ``(g, need_x=True) -> (gx, gw)``."""
+    the output and its adjoint ``(g, need_x=True) -> (gx, gw)``, which keeps
+    the patch tensor and the shapes, not ``x`` (only a 1x1 conv's patch
+    tensor is ``x`` itself)."""
     b, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     ho = conv_output_size(h, k, stride, padding)
@@ -355,7 +357,7 @@ def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
             return None, gw
         gcols = np.matmul(wg.swapaxes(-1, -2), gg)
         if pointwise:
-            return gcols.reshape(x.shape), gw
+            return gcols.reshape(b, c, h, w), gw
         gcols = gcols.reshape(b, c, k, k, ho, wo)
         gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
         for i, j, win in _taps(k, stride, ho, wo):
@@ -374,9 +376,9 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
     contiguous; the Wp - Wo wrap-around columns of each row are cropped. It
     moves C_out*k*k values per output pixel where :func:`im2col_conv` moves
     C_in*k*k. Returns the output and its adjoint ``(g, need_x=True) ->
-    (gx, gw)``, which keeps only the padded input: gx runs one matmul on the
-    k*k shifted copies of g, and gw one matmul per tap on the flat slices of
-    the input."""
+    (gx, gw)``, which keeps only the padded input (not ``x``, when padding
+    made a copy): gx runs one matmul on the k*k shifted copies of g, and gw
+    one matmul per tap on the flat slices of the input."""
     b, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     xp = _pad2d(x, padding)
@@ -411,7 +413,7 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
         for i, j, win in _taps(k, 1, h, w):
             shifted[:, k - 1 - i, k - 1 - j] = gq[win]
         gx = np.matmul(stacked.T, shifted.reshape(b, k * k * c_out, h * w))
-        return gx.reshape(x.shape), gw
+        return gx.reshape(b, c, h, w), gw
 
     return out, adjoint
 

@@ -8,6 +8,7 @@ from spikedrive import autodiff as ad
 from spikedrive import blocks, kernels, train
 from spikedrive.autodiff import Tape, Var
 from spikedrive.config import ModelConfig
+from spikedrive.errors import TapeError
 from spikedrive.model import build_model
 from spikedrive.neuron import LIFParams
 
@@ -75,7 +76,7 @@ class TestNormalizationWithoutShift:
         assert np.array_equal(none.data, zero.data)
         (_, inputs0, vjp0), = tape0.records
         (outs1, inputs1, vjp1), = tape1.records
-        assert outs1 == (none,) and inputs1 == (x, gamma) and len(inputs0) == 3
+        assert outs1 == (none.node,) and inputs1 == (x.node, gamma.node) and len(inputs0) == 3
         grads0, grads1 = vjp0(g), vjp1(g)
         assert len(grads1) == 2
         for a, b in zip(grads1, grads0[:2]):
@@ -160,7 +161,7 @@ class TestTrainingBatchNorm:
         assert np.array_equal(layer.run_mean, (1 - m) * mean0 + m * mu)
         assert np.array_equal(layer.run_var, (1 - m) * var0 + m * var)
         outs, inputs, vjp = tape.records[-1]
-        assert outs == (out,) and len(inputs) == 2 + shift
+        assert outs == (out.node,) and len(inputs) == 2 + shift
         g = rng.normal(0.0, 1.0, shape)
         got, ref = vjp(g), vjp_ref(g)
         assert len(got) == len(ref)
@@ -249,15 +250,27 @@ class TestFrozenLeaves:
                                         lif=LIFParams(surrogate_window=1.0)))
         data = train.make_blobs(8, resolution=16, classes=2, seed=1)
         tape = Tape()
-        loss = train.loss(model.forward(data.images, tape=tape, training=True), data.labels,
-                          0.0, tape=tape)
+        conv_inputs = []
+        conv2d = ad.conv2d
+
+        def spying(tape, x, *args):
+            conv_inputs.append(x)
+            return conv2d(tape, x, *args)
+
+        ad.conv2d = spying
+        try:
+            loss = train.loss(model.forward(data.images, tape=tape, training=True), data.labels,
+                              0.0, tape=tape)
+        finally:
+            ad.conv2d = conv2d
         params = model.parameters()
         # backward empties the tape, so read the records first
-        image = tape.records[0][1][0]  # the raw-pixel input of the encoding conv
+        image = tape.records[0][1][0]  # the raw-pixel input node of the encoding conv
+        assert image is conv_inputs[0].node
         made = {id(out) for outs, _, _ in tape.records for out in outs}
         inputs = {id(v): v for _, ins, _ in tape.records for v in ins}
         ad.backward(tape, loss, params=params if params_given else None)
-        assert np.array_equal(image.data, data.images)
+        assert np.array_equal(conv_inputs[0].data, data.images)
         return image, tape, params, made, inputs
 
     def test_parameter_gradients_unchanged_and_input_gradient_skipped(self):
@@ -301,7 +314,7 @@ class TestFrozenLeaves:
     def test_frozen_holds_only_leaves_that_are_not_parameters(self):
         _, tape, params, made, inputs = self._step(True)
         assert tape.frozen and not tape.frozen & made
-        assert not tape.frozen & {id(p) for p in params}
+        assert not tape.frozen & {id(p.node) for p in params}
         assert all(inputs[i].grad is None for i in tape.frozen)
 
 
@@ -386,7 +399,7 @@ class TestRecordsOfSeveralOutputs:
         a, b, _ = self._record(tape, x)
         c = ad.mul(tape, a, b)
         grads = ad.backward(tape, ad.sum_axes(tape, c, (0,), keepdims=False), params=[x])
-        assert not tape.frozen & {id(a), id(b), id(c)}
+        assert not tape.frozen & {id(a.node), id(b.node), id(c.node)}
         assert grads[x].tolist() == [12.0, 24.0]  # d(6 x^2)/dx
 
 
@@ -414,3 +427,158 @@ class TestAdjointWithoutInputGradient:
         gx_none, gw_only = adjoint(g, False)
         assert gx.shape == x.shape and gx_none is None
         assert gw_only.tobytes() == gw.tobytes()
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Frees by reference counting alone: what a test sees freed is not
+    owed to the cyclic garbage collector."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def reaches_an_array(root) -> bool:
+    """Whether ``root`` reaches an ndarray through object references,
+    following no class."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        if isinstance(obj, np.ndarray):
+            return True
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    return False
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+class TestRecordsHoldNodes:
+    """A record holds the nodes of its op's Vars, not the Vars: an op output
+    that no vjp reads is freed once the forward drops it."""
+
+    def test_an_output_no_vjp_reads_is_dead_before_backward(self):
+        rng = np.random.default_rng(12)
+        layer = blocks.ConvBN(rng, 6, 8, 3)
+        x = Var(rng.normal(size=(2, 6, 8, 8)))
+        made = []
+        conv2d = ad.conv2d
+
+        def spying(*args):
+            out = conv2d(*args)
+            made.append(weakref.ref(out.data))
+            return out
+
+        tape = Tape()
+        ad.conv2d = spying
+        try:
+            out = layer.forward(x, blocks.ForwardContext(tape=tape, training=True))
+        finally:
+            ad.conv2d = conv2d
+        assert len(made) == 1 and len(tape) == 2
+        assert made[0]() is None  # batch_norm's vjp reads its own centred copy
+        ad.backward(tape, ad.sum_axes(tape, ad.mul(tape, out, out), (0, 1, 2, 3),
+                                      keepdims=False))
+        assert layer.w.grad is not None and x.grad.shape == x.shape
+
+    def test_no_record_entry_of_the_bench_toy_step_reaches_an_array(self):
+        model = build_model(ModelConfig(base_channels=8, num_classes=2, resolution=32,
+                                        depths=(1, 1, 1, 2, 1), heads=2, seed=3, timesteps=1,
+                                        lif=LIFParams(surrogate_window=1.0)))
+        data = train.make_blobs(32, resolution=32, classes=2, seed=0)
+        tape = Tape()
+        loss = train.loss(model.forward(data.images, tape=tape, training=True), data.labels,
+                          0.0, tape=tape)
+        assert len(tape) > 100
+        for outs, inputs, _ in tape.records:
+            for entry in outs + inputs:
+                assert not reaches_an_array(entry) and isinstance(entry, ad.Node)
+        ad.backward(tape, loss, params=model.parameters())
+        assert all(p.grad is not None for p in model.parameters())
+
+    # (x shape, w shape, padding): both copy x before the adjoint needs it
+    FREED_INPUT = {"im2col_conv": ((2, 3, 8, 8), (5, 3, 3, 3), 1),
+                   "kn2row_conv": ((2, 8, 6, 6), (4, 8, 3, 3), 1)}
+
+    def _conv_grads(self, algorithm, hold):
+        """gx, gw and the output of one conv through a loss; the input Var is
+        dropped right after the forward unless ``hold``. Returns whether its
+        array was alive while the tape was."""
+        xs, ws, padding = self.FREED_INPUT[algorithm]
+        rng = np.random.default_rng(13)
+        x, w = Var(rng.normal(size=xs)), Var(rng.normal(size=ws))
+        tape = Tape()
+        out = ad.conv2d(tape, x, w, None, 1, padding)
+        node, ref = x.node, weakref.ref(x.data)
+        if not hold:
+            del x
+        alive = ref() is not None
+        weight = Var(rng.normal(size=out.shape))
+        loss = ad.sum_axes(tape, ad.mul(tape, out, weight), (0, 1, 2, 3), keepdims=False)
+        ad.backward(tape, loss)
+        return alive, node.grad, w.grad, out.data
+
+    @pytest.mark.parametrize("algorithm", sorted(FREED_INPUT))
+    def test_a_conv_input_is_freed_while_the_tape_lives(self, algorithm, monkeypatch):
+        ran = []
+        real = getattr(kernels, algorithm)
+        monkeypatch.setattr(kernels, algorithm, lambda *a: ran.append(1) or real(*a))
+        alive, gx, gw, out = self._conv_grads(algorithm, hold=False)
+        held_alive, gx_held, gw_held, out_held = self._conv_grads(algorithm, hold=True)
+        assert ran == [1, 1]
+        assert not alive and held_alive
+        for a, b in ((gx, gx_held), (gw, gw_held), (out, out_held)):
+            assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _chain(hold):
+        """A 40-step chain whose sums and bias leaves no vjp reads; unless
+        ``hold``, they are dropped as soon as the next op has read them.
+        Returns the gradients of x and w and the ids of every Var made."""
+        rng = np.random.default_rng(14)
+        x, w = Var(rng.normal(size=(3, 4))), Var(rng.normal(0.0, 0.3, (4, 4)))
+        tape, held, ids = Tape(), [], []
+        h = x
+        for i in range(40):
+            bias = Var(np.full((1, 4), 0.01 * i))  # a leaf that is not a parameter
+            total = ad.add(tape, ad.matmul(tape, h, w), bias)
+            h = ad.scale(tape, total, 0.9)
+            ids += [id(bias), id(total)]
+            if hold:
+                held += [bias, total]
+            del bias, total
+        loss = ad.sum_axes(tape, ad.mul(tape, h, h), (0, 1), keepdims=False)
+        grads = ad.backward(tape, loss, params=[x, w])
+        return grads[x], grads[w], tape.frozen, ids
+
+    def test_reused_ids_give_the_gradients_of_a_run_that_holds_every_var(self):
+        gx, gw, frozen, ids = self._chain(hold=False)
+        gx_held, gw_held, frozen_held, ids_held = self._chain(hold=True)
+        assert len(set(ids)) < len(ids)  # dropped Vars were freed and their ids reused
+        assert len(set(ids_held)) == len(ids_held)
+        assert len(frozen) == len(frozen_held) == 40  # every bias node
+        assert gx.tobytes() == gx_held.tobytes() and gw.tobytes() == gw_held.tobytes()
+        assert np.abs(gx).max() > 0
+
+
+class TestConsumedTapeRefusesRecords:
+    def test_an_op_after_backward_raises_and_records_nothing(self):
+        tape, x = Tape(), Var(np.array([1.0, 2.0]))
+        ad.backward(tape, ad.sum_axes(tape, ad.mul(tape, x, x), (0,), keepdims=False))
+        assert len(tape) == 0
+        with pytest.raises(TapeError, match="consumed"):
+            ad.add(tape, x, x)
+        with pytest.raises(TapeError, match="consumed"):
+            tape.push((Var(np.ones(2)),), (x,), lambda g: (g,))
+        assert len(tape) == 0
+
+    def test_a_failed_backward_leaves_the_tape_open(self):
+        tape, x = Tape(), Var(np.array([1.0, 2.0]))
+        y = ad.mul(tape, x, x)
+        with pytest.raises(TapeError, match="scalar"):
+            ad.backward(tape, y)
+        ad.sum_axes(tape, y, (0,), keepdims=False)
+        assert len(tape) == 2

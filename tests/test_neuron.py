@@ -296,9 +296,9 @@ class TestTapeFreeUpdate:
         s, hn = lif(tape, h, x, theta, LIFParams())
         assert len(tape) == 1
         outs, inputs, _ = tape.records[0]
-        assert outs == (s, hn) and inputs == (h, x, theta)
+        assert outs == (s.node, hn.node) and inputs == (h.node, x.node, theta.node)
         lif(tape, hn, x, None, LIFParams())
-        assert len(tape) == 2 and tape.records[1][1] == (hn, x)
+        assert len(tape) == 2 and tape.records[1][1] == (hn.node, x.node)
 
     def test_membrane_only_loss_reaches_x_and_theta_through_params(self):
         # x comes from a parameter, and only the second step's membrane is
