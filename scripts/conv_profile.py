@@ -4,11 +4,13 @@
 
 The two runs are one T=1 forward of the 15M net (224x224, B=1) and one
 training step of the toy net (C=8, 32x32, B=32, the shapes of the
-benchmark's ``train_toy``). Each runs once to warm up and then ``--repeats``
-times. Every ``kernels.conv2d_core`` call is timed, forward and adjoint
-apart, and keyed by run, the algorithm that ran, phase and shape. A key
-reports its calls per pass and the minimum over the passes of their summed
-time; so does each (run, algorithm, phase) total. BLAS runs on one thread.
+benchmark's ``train_toy``), built as the ``15m_224_t1`` and ``toy`` cases of
+``memory_profile.build_case``. Each runs once to warm up and then
+``--repeats`` times. Every ``kernels.conv2d_core`` call is timed, forward
+and adjoint apart, and keyed by run, the algorithm that ran, phase and
+shape. A key reports its calls per pass and the minimum over the passes of
+their summed time; so does each (run, algorithm, phase) total. BLAS runs on
+one thread.
 
 The result is stored under ``--label`` in the JSON file ``--out`` (default
 ``BENCH_conv.json`` beside this directory), and other labels already in that
@@ -125,29 +127,23 @@ def main(argv=None) -> int:
         os.environ[var] = str(BLAS_THREADS)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
+    from memory_profile import build_case  # imports numpy: after the BLAS variables
     from spikedrive import autodiff, kernels, train
-    from spikedrive.config import ModelConfig
-    from spikedrive.model import build_model
-    from spikedrive.neuron import LIFParams
 
     timer = ConvTimer(kernels, autodiff)
 
-    big = build_model(ModelConfig(base_channels=32, resolution=224, num_classes=1000, seed=0))
-    image = np.random.default_rng(0).random((1, 3, 224, 224))
-    rows, totals = summarize(*timer.passes("infer_15m_t1",
-                                           lambda: big.forward(image, timesteps=1), args.repeats))
+    big, _, image, _, timesteps = build_case("15m_224_t1")
+    rows, totals = summarize(*timer.passes(
+        "infer_15m_t1", lambda: big.forward(image, timesteps=timesteps), args.repeats))
 
-    toy = build_model(ModelConfig(base_channels=8, num_classes=2, resolution=32,
-                                  depths=(1, 1, 1, 2, 1), heads=2, seed=3, timesteps=1,
-                                  lif=LIFParams(surrogate_window=1.0)))
-    data = train.make_blobs(32, resolution=32, classes=2, seed=0)
-    optim, params = train.OptimState(lr=1e-2), toy.parameters()
+    toy, params, images, labels, _ = build_case("toy")
+    optim = train.OptimState(lr=1e-2)
 
     def toy_step():
         tape = autodiff.Tape()
         toy.zero_grad()
-        loss = train.loss(toy.forward(data.images, tape=tape, training=True), data.labels,
-                          0.0, tape=tape)
+        loss = train.loss(toy.forward(images, tape=tape, training=True), labels, 0.0,
+                          tape=tape)
         autodiff.backward(tape, loss, params=params)
         train.step(optim, params)
 

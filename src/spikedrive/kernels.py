@@ -28,21 +28,26 @@ convs (``groups == C_in == C_out``):
   operator entries at a time (:func:`toeplitz_conv`);
 * on every other map -- one matmul batched over (B, C) per kernel row and
   block of ``ROW_BLOCK`` output columns: the padded input's rows, a strided
-  view, times a banded operator that holds the row's k weights; the 1-D
-  form of the Toeplitz operator, with no patch tensor (:func:`depthwise_conv`).
+  view, times a banded operator that holds the row's k weights
+  (:func:`_band_operators`), with no patch tensor (:func:`depthwise_conv`).
 
-Two take the rest:
+The Toeplitz operator is made of those row bands, one at each (input row,
+output row) pair a kernel row joins, and both algorithms reduce their
+weight gradient from x^T g in band layout (:func:`_band_weights`). Two take
+the rest:
 
 * ungrouped, stride 1, k > 1 and C_out < C_in -- one matmul of the k*k
   stacked taps against the padded input, then k*k shifted adds of its
   product, which is smaller than the patch tensor (:func:`kn2row_conv`);
+  its input gradient is :func:`im2col_conv` of g, the lowering the dispatch
+  picks for a conv with C_out > C_in;
 * every other conv -- the (B, C, k, k, Ho, Wo) patch tensor times the
-  weights in one matmul batched over the group axis (:func:`im2col_conv`).
+  weights in one matmul batched over the group axis (:func:`im2col_conv`),
+  the only algorithm that builds a patch tensor.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +205,14 @@ def _band_operators(weights: np.ndarray, stride: int, block: int) -> np.ndarray:
     return bands
 
 
+def _band_weights(xg: np.ndarray, stride: int) -> np.ndarray:
+    """The (C, 1, k, k) weight gradient from x^T g laid out as the bands of
+    :func:`_band_operators`, (k, C, rows, n): each weight's entries summed."""
+    k, c, _, n = xg.shape
+    q, j = np.arange(n), np.arange(k)[:, None]
+    return xg[:, :, stride * q + j, q].sum(axis=-1).transpose(1, 0, 2).reshape(c, 1, k, k)
+
+
 def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int):
     """Depthwise convolution (one (1, k, k) filter per channel) as one matmul
     per kernel row i and block of ``ROW_BLOCK`` output columns, batched over
@@ -250,59 +263,38 @@ def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
                     gspan[:, :, r] += np.matmul(gb, bands[i, :, :m, :n].swapaxes(-1, -2))
             if need_x:
                 gxp[..., span] += gspan
-        q = np.arange(block)
-        gw = np.empty(weights.shape)
-        for j in range(k):
-            gw[:, 0, :, j] = xg[:, :, stride * q + j, q].sum(axis=-1).T
-        return None if gxp is None else _unpad2d(gxp, padding), gw
+        return None if gxp is None else _unpad2d(gxp, padding), _band_weights(xg, stride)
 
     return out, adjoint
 
 
-@functools.lru_cache(maxsize=64)
-def _toeplitz_index(h: int, w: int, k: int, stride: int, padding: int):
-    """Where a k*k kernel's taps sit in its (H*W, Ho*Wo) operator. For every
-    (tap, output pixel) pair whose input pixel lies inside the map, in tap
-    order: the flat operator entry (input pixel * Ho*Wo + output pixel) and
-    the tap. Also the taps with at least one entry and where each one's run
-    of entries starts. A tap puts at most one entry in each output column,
-    so the entries are distinct. Cached and read-only: callers share them."""
-    ho = conv_output_size(h, k, stride, padding)
-    wo = conv_output_size(w, k, stride, padding)
-    ky, kx, oy, ox = np.meshgrid(np.arange(k), np.arange(k), np.arange(ho), np.arange(wo),
-                                 indexing="ij")
-    y, x = oy * stride + ky - padding, ox * stride + kx - padding
-    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
-    entry = ((y * w + x) * (ho * wo) + oy * wo + ox)[inside]
-    tap = (ky * k + kx)[inside]
-    taps, starts = np.unique(tap, return_index=True)
-    for a in (entry, tap, taps, starts):
-        a.setflags(write=False)
-    return entry, tap, taps, starts
-
-
 def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int):
     """Depthwise convolution as one matmul batched over channels: each
-    channel's (B, H*W) input times its (H*W, Ho*Wo) Toeplitz operator, built
-    by scattering the k*k weights at the entries of :func:`_toeplitz_index`.
-    Channels go ``OPERATOR_BLOCK`` operator entries at a time; the adjoint
-    rebuilds each block's operator instead of keeping it. Returns the output
-    and its adjoint ``(g, need_x=True) -> (gx, gw)``: gx = g A^T, and gw sums,
-    per tap, the entries of x^T g at that tap's operator entries."""
+    channel's (B, H*W) input times its (H*W, Ho*Wo) Toeplitz operator, made
+    of the row bands of :func:`_band_operators` cropped to the unpadded
+    columns: kernel row i puts its band at (input row y, output row oy) for
+    each y = oy*stride + i - padding inside the map. Channels go
+    ``OPERATOR_BLOCK`` operator entries at a time; the adjoint rebuilds each
+    block's operator instead of keeping it. Returns the output and its
+    adjoint ``(g, need_x=True) -> (gx, gw)``: gx = g A^T, and gw sums x^T g
+    over the same (y, oy) pairs into band layout and then each weight's band
+    diagonal (:func:`_band_weights`)."""
     b, c, h, w = x.shape
     k = weights.shape[2]
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
-    entry, tap, taps, starts = _toeplitz_index(h, w, k, stride, padding)
-    size = h * w * ho * wo
-    per = max(1, OPERATOR_BLOCK // size)  # channels per block
+    oy = np.arange(ho)
+    ys = oy * stride + np.arange(k)[:, None] - padding  # the input rows kernel row i reads
+    pairs = [(y[inside], oy[inside]) for y, inside in zip(ys, (ys >= 0) & (ys < h))]
+    cols = slice(padding, padding + w)  # the band rows of the unpadded columns
+    per = max(1, OPERATOR_BLOCK // (h * w * ho * wo))  # channels per block
     blocks = [slice(c0, min(c0 + per, c)) for c0 in range(0, c, per)]
-    wf = weights.reshape(c, k * k)
     xc = x.reshape(b, c, h * w).transpose(1, 0, 2)  # (C, B, H*W)
 
     def operator(blk):
-        a = np.zeros((blk.stop - blk.start, size))
-        a[:, entry] = wf[blk, tap]
+        a = np.zeros((blk.stop - blk.start, h, w, ho, wo))
+        for band, (y, oy) in zip(_band_operators(weights[blk], stride, wo)[:, :, cols], pairs):
+            a[:, y, :band.shape[1], oy] = band
         return a.reshape(-1, h * w, ho * wo)
 
     out = np.empty((b, c, ho * wo))
@@ -313,14 +305,17 @@ def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int)
     def adjoint(g, need_x=True):
         gc = g.reshape(b, c, ho * wo).transpose(1, 0, 2)
         gx = np.empty((b, c, h * w)) if need_x else None
-        gw = np.zeros((c, k * k))
+        gw = np.empty(weights.shape)
         for blk in blocks:
             if need_x:
                 np.matmul(gc[blk], operator(blk).transpose(0, 2, 1),
                           out=gx.transpose(1, 0, 2)[blk])
-            xg = np.matmul(xc[blk].transpose(0, 2, 1), gc[blk]).reshape(-1, size)
-            gw[blk, taps] = np.add.reduceat(xg[:, entry], starts, axis=1)
-        return gx if gx is None else gx.reshape(b, c, h, w), gw.reshape(weights.shape)
+            xg = np.matmul(xc[blk].transpose(0, 2, 1), gc[blk]).reshape(-1, h, w, ho, wo)
+            xgb = np.zeros((k, xg.shape[0], stride * (wo - 1) + k, wo))  # x^T g as bands
+            for band, (y, oy) in zip(xgb[:, :, cols], pairs):
+                band += xg[:, y, :band.shape[1], oy].sum(axis=0)
+            gw[blk] = _band_weights(xgb, stride)
+        return gx if gx is None else gx.reshape(b, c, h, w), gw
 
     return out.reshape(b, c, ho, wo), adjoint
 
@@ -377,8 +372,10 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
     moves C_out*k*k values per output pixel where :func:`im2col_conv` moves
     C_in*k*k. Returns the output and its adjoint ``(g, need_x=True) ->
     (gx, gw)``, which keeps only the padded input (not ``x``, when padding
-    made a copy): gx runs one matmul on the k*k shifted copies of g, and gw
-    one matmul per tap on the flat slices of the input."""
+    made a copy): gx is :func:`im2col_conv` of g with the kernel flipped in
+    space and its channels swapped, at padding k - 1 - padding (g cropped
+    when that is negative), and gw is one matmul per tap on the flat slices
+    of the input."""
     b, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     xp = _pad2d(x, padding)
@@ -406,14 +403,10 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
         if not need_x:
             return None, gw
         # gx[y, x] sums tap (i, j) against g[y + padding - i, x + padding - j]:
-        # with g padded by k - 1 - padding, the window at (k-1-i, k-1-j)
+        # the conv of g, padded by k - 1 - padding, with the kernel flipped
         q = k - 1 - padding
-        gq = _pad2d(g, q) if q >= 0 else _unpad2d(g, -q)
-        shifted = np.empty((b, k, k, c_out, h, w))
-        for i, j, win in _taps(k, 1, h, w):
-            shifted[:, k - 1 - i, k - 1 - j] = gq[win]
-        gx = np.matmul(stacked.T, shifted.reshape(b, k * k * c_out, h * w))
-        return gx.reshape(b, c, h, w), gw
+        flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return im2col_conv(_unpad2d(g, -q) if q < 0 else g, flipped, 1, max(q, 0))[0], gw
 
     return out, adjoint
 
@@ -430,10 +423,11 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     * a depthwise conv (``groups == C_in == C_out``) runs :func:`toeplitz_conv`
       when H*W <= B*k*k (its operator has no more entries than the k*k taps
       do multiply-adds) and the row bands of :func:`depthwise_conv`
-      otherwise;
+      otherwise; the operator is made of those row bands;
     * an ungrouped stride-1 conv with k > 1 runs :func:`kn2row_conv` when
       C_out < C_in (its tap product is smaller than the patch tensor) and
-      :func:`im2col_conv` otherwise;
+      :func:`im2col_conv` otherwise; kn2row's input gradient is
+      :func:`im2col_conv` of g, a conv with the channel counts swapped;
     * every other conv runs :func:`im2col_conv`.
     """
     b, c, h, w = x.shape

@@ -41,11 +41,11 @@ def loss(logits, labels, smoothing: float = 0.0, tape: Tape | None = None) -> Va
 class OptimState:
     """Per-parameter moment accumulators for the layerwise-adaptive update."""
 
-    lr: float = 5e-3
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = TrainConfig.lr
+    weight_decay: float = TrainConfig.weight_decay
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    eps: float = TrainConfig.eps
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)

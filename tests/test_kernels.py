@@ -602,14 +602,6 @@ class TestSmallMapDepthwise:
         for a, b in zip(whole, blocked):
             assert np.array_equal(a, b)
 
-    def test_cached_index_arrays_are_read_only(self):
-        arrays = kernels._toeplitz_index(5, 4, 3, 2, 1)
-        assert kernels._toeplitz_index(5, 4, 3, 2, 1) is arrays
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[...] = 0
-
     def test_blocked_operator_peak_memory(self):
         import tracemalloc
 
@@ -685,7 +677,18 @@ class TestKn2row:
         with monkeypatch.context() as m:
             self._refusing(m, skipped)
             y, vjp = kernels.conv2d_core(x, weights, stride, k // 2, groups)
+        # a kn2row adjoint takes its input gradient from one im2col_conv of g
+        calls = []
+        real = kernels.im2col_conv
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "im2col_conv", spy)
             vjp(np.ones_like(y))
+        assert calls == [y.shape] * (runs == "kn2row_conv")
         with monkeypatch.context() as m:
             self._refusing(m, runs)
             with pytest.raises(AssertionError, match=runs):
@@ -725,6 +728,121 @@ class TestKn2row:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+def naive_conv_grads(x, weights, g, stride, padding, groups):
+    """gx and gw of a grouped conv by the direct loop over output channels
+    and pixels: each g[:, o, oy, ox] scales the window of the padded input
+    that the output reads into gw[o], and weights[o] into that window of gx."""
+    _, _, h, w = x.shape
+    c_out, cig, k, _ = weights.shape
+    og = c_out // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros(xp.shape)
+    gw = np.zeros(weights.shape)
+    for o in range(c_out):
+        ch = slice(o // og * cig, (o // og + 1) * cig)
+        for oy in range(g.shape[2]):
+            for ox in range(g.shape[3]):
+                win = (slice(None), ch, slice(oy * stride, oy * stride + k),
+                       slice(ox * stride, ox * stride + k))
+                go = g[:, o, oy, ox]
+                gw[o] += np.tensordot(go, xp[win], axes=(0, 0))
+                gxp[win] += go[:, None, None, None] * weights[o]
+    return gxp[:, :, padding:padding + h, padding:padding + w], gw
+
+
+class TestGradientOracle:
+    """gx and gw of all four conv algorithms, entry by entry, against the
+    direct loop of :func:`naive_conv_grads`, within 1e-12 relative error: the
+    depthwise weights on ``toeplitz_conv``, ``depthwise_conv`` and
+    ``im2col_conv``, and ungrouped weights with C_out < C_in on
+    ``im2col_conv`` and, at stride 1, ``kn2row_conv``."""
+
+    @staticmethod
+    def _algorithms(stride, padding, groups):
+        yield "im2col_conv", lambda x, w: kernels.im2col_conv(x, w, stride, padding, groups)
+        if groups > 1:
+            for name in ("toeplitz_conv", "depthwise_conv"):
+                yield name, lambda x, w, f=getattr(kernels, name): f(x, w, stride, padding)
+        elif stride == 1:
+            yield "kn2row_conv", lambda x, w: kernels.kn2row_conv(x, w, padding)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_gradients_match_the_direct_loop(self, k, stride):
+        rng = np.random.default_rng(1700 + 10 * k + stride)
+        ran = set()
+        for h, w in TestSmallMapDepthwise.MAPS:
+            for padding in sorted({0, k // 2, k}):
+                if min(h, w) + 2 * padding < k:
+                    continue
+                for c_in, c_out, groups in ((2, 2, 2), (3, 2, 1)):
+                    x = rng.normal(0, 1, (2, c_in, h, w))
+                    weights = rng.normal(0, 1, (c_out, c_in // groups, k, k))
+                    ho = kernels.conv_output_size(h, k, stride, padding)
+                    wo = kernels.conv_output_size(w, k, stride, padding)
+                    g = rng.normal(0, 1, (2, c_out, ho, wo))
+                    want = naive_conv_grads(x, weights, g, stride, padding, groups)
+                    for name, conv in self._algorithms(stride, padding, groups):
+                        got = conv(x, weights)[1](g)
+                        for a, b in zip(got, want):
+                            assert a.shape == b.shape
+                            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), \
+                                (name, h, w, padding)
+                        ran.add(name)
+        assert ran == {"im2col_conv", "toeplitz_conv", "depthwise_conv"} | \
+            ({"kn2row_conv"} if stride == 1 else set())
+
+
+class TestToyStepTraffic:
+    """The convs of one bench ``train_toy`` step (C=8, 32x32, B=32): every
+    depthwise conv takes the Toeplitz operator and every ungrouped stride-1
+    conv with k > 1 and C_out < C_in takes kn2row, so the step's backward
+    runs both rewritten adjoints."""
+
+    def test_dispatch_and_adjoints_of_one_step(self, monkeypatch):
+        from spikedrive import train
+        from spikedrive.config import ModelConfig
+        from spikedrive.model import build_model
+        from spikedrive.neuron import LIFParams
+
+        model = build_model(ModelConfig(base_channels=8, num_classes=2, resolution=32,
+                                        depths=(1, 1, 1, 2, 1), heads=2, seed=3,
+                                        timesteps=1, lif=LIFParams(surrogate_window=1.0)))
+        data = train.make_blobs(32, resolution=32, classes=2, seed=0)
+        calls, convs = [], []
+        for name in ("toeplitz_conv", "depthwise_conv", "kn2row_conv", "im2col_conv"):
+            def tagged(*args, name=name, real=getattr(kernels, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(kernels, name, tagged)
+        core = kernels.conv2d_core
+
+        def record(x, weights, stride, padding, groups=1):
+            n = len(calls)
+            out = core(x, weights, stride, padding, groups)
+            convs.append((calls[n], x.shape[1], weights.shape, stride, groups))
+            return out
+
+        monkeypatch.setattr(ad, "conv2d_core", record)
+        tape = ad.Tape()
+        loss = train.loss(model.forward(data.images, tape=tape, training=True), data.labels,
+                          0.0, tape=tape)
+        forward = list(calls)
+        assert {n: forward.count(n) for n in set(forward)} == \
+            {"toeplitz_conv": 15, "kn2row_conv": 3, "im2col_conv": 44}
+        assert len(convs) == len(forward)
+        for ran, c_in, (c_out, _, k, _), stride, groups in convs:
+            if groups == c_in == c_out:
+                assert ran == "toeplitz_conv"
+            elif groups == 1 and stride == 1 and k > 1 and c_out < c_in:
+                assert ran == "kn2row_conv"
+            else:
+                assert ran == "im2col_conv"
+        ad.backward(tape, loss, params=model.parameters())
+        # each kn2row adjoint takes its input gradient from one im2col_conv
+        assert calls[len(forward):] == ["im2col_conv"] * 3
 
 
 class TestRowBandDepthwise:

@@ -167,6 +167,10 @@ class TestOptimizer:
             step(optim, [p])
             assert float(p.data) == pytest.approx(want, rel=1e-12)
 
+    def test_defaults_are_the_train_config_defaults(self):
+        assert OptimState() == OptimState.from_config(sd.TrainConfig())
+        assert OptimState(lr=0.1) == OptimState.from_config(sd.TrainConfig(lr=0.1))
+
     def test_decay_only_step_shrinks_norm(self):
         p = Var(np.array([3.0, -4.0]))
         p.grad = np.zeros(2)
