@@ -21,9 +21,7 @@ file are kept. ``--src`` imports ``spikedrive`` from another checkout's
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import sys
 import time
 from collections import defaultdict
@@ -126,8 +124,7 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(BLAS_THREADS)
     sys.path.insert(0, str(args.src.resolve()))
-    import numpy as np
-    from memory_profile import build_case  # imports numpy: after the BLAS variables
+    from memory_profile import build_case, store  # imports numpy: after the BLAS variables
     from spikedrive import autodiff, kernels, train
 
     timer = ConvTimer(kernels, autodiff)
@@ -150,20 +147,11 @@ def main(argv=None) -> int:
     toy_rows, toy_totals = summarize(*timer.passes("train_toy_step", toy_step, args.repeats))
     rows, totals = rows + toy_rows, totals + toy_totals
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    result = {"repeats": args.repeats, "blas_threads": BLAS_THREADS,
-              "blas": f"{blas.get('name')} {blas.get('version')}",
-              "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-              "python": platform.python_version(), "numpy": np.__version__,
-              "totals": totals, "convs": rows}
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = result
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-
     for r in totals:
         print(f"{r['run']:15s} {r['algorithm']:15s} {r['phase']:8s} {r['calls']:4d} calls "
               f"{1e3 * r['min_s']:9.2f} ms")
-    print(f"wrote {args.label} to {args.out}")
+    store(args.out, args.label, {"repeats": args.repeats, "blas_threads": BLAS_THREADS,
+                                 "totals": totals, "convs": rows})
     return 0
 
 

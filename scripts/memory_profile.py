@@ -21,12 +21,15 @@ Each case runs twice, each time in a fresh process with BLAS on one thread:
   only through record entries"). The parameters and the input batch are
   left out, since the caller holds them. It also reports the share of those
   bytes in float64 arrays whose entries are all 0 or 1 (spike maps), and
-  the record count.
+  the record count. Apart from the tape, it sums the arrays the model itself
+  still reaches ("held by layers"), less its parameters and buffers.
 
 The result is stored under ``--label`` in the JSON file ``--out`` (default
-``BENCH_memory.json`` beside this directory), and other labels already in
-that file are kept. ``--src`` imports ``spikedrive`` from another checkout's
-``src/``, so the same script can measure two versions of the library.
+``BENCH_memory.json`` beside this directory), with the machine it ran on, and
+other labels already in that file are kept (:func:`store`, which
+``conv_profile.py`` also writes with). ``--src`` imports ``spikedrive`` from
+another checkout's ``src/``, so the same script can measure two versions of
+the library.
 """
 
 from __future__ import annotations
@@ -159,6 +162,9 @@ def run_held(case) -> dict:
     by_vjps = {i: a for i, a in by_vjps.items() if i not in owned}
     only_entries = {i: a for i, a in by_entries.items() if i not in by_vjps and i not in owned}
     held = {**by_vjps, **only_entries}
+    # the model's own arrays apart from its parameters and running buffers
+    owned.update(reachable_arrays(b for _, b in model.named_buffers()))
+    by_layers = [a for i, a in reachable_arrays([model]).items() if i not in owned]
     total = sum(a.nbytes for a in held.values())
     binary = sum(a.nbytes for a in held.values() if _is_binary(a))
     return {"records": len(tape),
@@ -166,6 +172,7 @@ def run_held(case) -> dict:
             "held_by_vjps_mib": round(sum(a.nbytes for a in by_vjps.values()) / MIB, 1),
             "held_only_by_entries_mib": round(
                 sum(a.nbytes for a in only_entries.values()) / MIB, 1),
+            "held_by_layers_mib": round(sum(a.nbytes for a in by_layers) / MIB, 1),
             "binary_float64_share": round(binary / total, 3) if total else 0.0}
 
 
@@ -201,19 +208,22 @@ def main(argv=None) -> int:
               f"bwd {step['backward_s']:6.2f} s  held {held['held_mib']:7.1f} MiB "
               f"(vjps {held['held_by_vjps_mib']:.1f}, entries only "
               f"{held['held_only_by_entries_mib']:.1f}, 0/1 float64 "
-              f"{held['binary_float64_share']:.1%})")
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    result = {"blas_threads": BLAS_THREADS,
-              "blas": f"{blas.get('name')} {blas.get('version')}",
-              "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-              "python": platform.python_version(), "numpy": np.__version__,
-              "cases": cases}
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = result
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {args.label} to {args.out}")
+              f"{held['binary_float64_share']:.1%}; layers {held['held_by_layers_mib']:.1f})")
+    store(args.out, args.label, {"blas_threads": BLAS_THREADS, "cases": cases})
     return 0
+
+
+def store(out: Path, label, result):
+    """Put ``result``, with the BLAS, machine, Python and numpy it ran on, under
+    ``label`` in the JSON file ``out``, keeping the file's other labels."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    result = {"blas": f"{blas.get('name')} {blas.get('version')}",
+              "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+              "python": platform.python_version(), "numpy": np.__version__, **result}
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.setdefault("runs", {})[label] = result
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {label} to {out}")
 
 
 if __name__ == "__main__":

@@ -25,13 +25,15 @@ walking its public instance attributes in assignment order: a ``Var`` is a
 parameter (saved under its own ``.name``), a float array is a buffer named
 ``<layer name>.<attribute>``, and a ``Module`` -- or a flat list of them -- is
 a child walked in turn. Anything else, ``None`` and attributes whose name
-starts with an underscore (such as a neuron's carried membrane state) are
-skipped. Assignment order is therefore checkpoint order.
+starts with an underscore are skipped. Assignment order is therefore
+checkpoint order. A neuron's membrane is not a layer attribute: it lives in
+the pass's :class:`ForwardContext`, so each new context starts every neuron
+from reset, and the membranes are freed when the pass returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,12 +69,16 @@ BN_MOMENTUM = 0.1
 
 @dataclass
 class ForwardContext:
-    """Per-forward options threaded through the layer stack."""
+    """Per-forward options threaded through the layer stack, and the pass's
+    own state: ``state`` maps each :class:`SN` to its membrane after the last
+    timestep it ran. One context serves all T timesteps of a pass, and the
+    membranes are freed with it."""
 
     tape: object | None = None
     probe: object | None = None
     training: bool = False
     smooth: bool = False
+    state: dict[SN, Var] = field(default_factory=dict, init=False)
 
     def observe(self, layer: str, x: Var | np.ndarray, kind: str | None = None,
                 rate: float | None = None):
@@ -82,7 +88,7 @@ class ForwardContext:
 
 
 class Module:
-    """Base of every layer: parameters, buffers and carried state are found by
+    """Base of every layer: parameters, buffers and child layers are found by
     walking the public instance attributes (see the module docstring)."""
 
     def _members(self):
@@ -105,11 +111,6 @@ class Module:
             elif isinstance(m, Module):
                 yield from m.named_buffers()
 
-    def reset_state(self):
-        for _, m in self._members():
-            if isinstance(m, Module):
-                m.reset_state()
-
     def parameters(self) -> list[Var]:
         return [v for _, v in self.named_params()]
 
@@ -125,31 +126,28 @@ class Module:
             a = a[None]
         if a.ndim != 4:
             raise ShapeError(f"expected (C, H, W) or (B, C, H, W), got {u.shape}")
-        self.reset_state()
         out = self.forward(Var(a), ForwardContext()).data
-        self.reset_state()
         return DenseTensor(out[0] if squeeze else out)
 
 
 class SN(Module):
-    """Stateful spiking neuron layer over arbitrary feature shapes."""
+    """Spiking neuron layer over arbitrary feature shapes. Its membrane is
+    per-pass state: ``step`` reads it from ``ctx.state`` (the reset membrane
+    when the context has none yet) and writes the new one back."""
 
     def __init__(self, params: LIFParams, name: str = "sn", learnable: bool = False):
         self.params = params
         self.name = name
         self.threshold = Var(np.asarray(params.threshold), name=f"{name}.threshold") \
             if learnable else None
-        self._state: Var | None = None
-
-    def reset_state(self):
-        self._state = None
 
     def step(self, x: Var, ctx: ForwardContext) -> Var:
-        if self._state is None:  # the reset membrane, broadcast by lif
-            self._state = Var(self.params.v_reset)
-        elif self._state.shape != x.shape:
-            raise ShapeError(f"{self.name}: state {self._state.shape} vs input {x.shape}")
-        s, self._state = lif(ctx.tape, self._state, x, self.threshold, self.params, ctx.smooth)
+        h = ctx.state.get(self)
+        if h is None:  # the reset membrane, broadcast by lif
+            h = Var(self.params.v_reset)
+        elif h.shape != x.shape:
+            raise ShapeError(f"{self.name}: state {h.shape} vs input {x.shape}")
+        s, ctx.state[self] = lif(ctx.tape, h, x, self.threshold, self.params, ctx.smooth)
         return s
 
 

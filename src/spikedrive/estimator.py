@@ -7,6 +7,8 @@ model-selection utilities without importing scikit-learn here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, fields
+
 import numpy as np
 
 from .config import ModelConfig, TrainConfig
@@ -18,43 +20,38 @@ from .train import Dataset, check_images, check_labels, train_toy
 __all__ = ["SpikingClassifier", "check_images", "check_labels"]
 
 
+@dataclass(eq=False)
 class SpikingClassifier:
     """Image classifier with the estimator interface.
 
-    Parameters mirror the model and training configs; everything is plain
-    keyword state so ``get_params`` round-trips.
+    Parameters mirror the model and training configs. They are the init
+    fields, so ``get_params`` round-trips; the fitted attributes (ending in
+    ``_``) are set by ``fit`` and are not parameters.
     """
 
-    def __init__(self, base_channels=8, depths=(1, 1, 1, 2, 1), timesteps=1,
-                 sdsa_variant=3, heads=2, shortcut="MS", epochs=10,
-                 batch_size=32, lr=1e-2, label_smoothing=0.0, seed=0,
-                 surrogate_window=1.0):
-        self.base_channels = base_channels
-        self.depths = depths
-        self.timesteps = timesteps
-        self.sdsa_variant = sdsa_variant
-        self.heads = heads
-        self.shortcut = shortcut
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.label_smoothing = label_smoothing
-        self.seed = seed
-        self.surrogate_window = surrogate_window
-        self.model_: Model | None = None
-        self.classes_: np.ndarray | None = None
-        self.history_: list[dict] | None = None
-
-    _PARAM_NAMES = ("base_channels", "depths", "timesteps", "sdsa_variant", "heads",
-                    "shortcut", "epochs", "batch_size", "lr", "label_smoothing", "seed",
-                    "surrogate_window")
+    base_channels: int = 8
+    depths: tuple = (1, 1, 1, 2, 1)
+    timesteps: int = 1
+    sdsa_variant: int = 3
+    heads: int = 2
+    shortcut: str = "MS"
+    epochs: int = 10
+    batch_size: int = 32
+    lr: float = 1e-2
+    label_smoothing: float = 0.0
+    seed: int = 0
+    surrogate_window: float = 1.0
+    model_: Model | None = field(default=None, init=False)
+    classes_: np.ndarray | None = field(default=None, init=False)
+    history_: list[dict] | None = field(default=None, init=False)
 
     def get_params(self, deep=True):
-        return {k: getattr(self, k) for k in self._PARAM_NAMES}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def set_params(self, **params):
+        names = self.get_params()
         for k, v in params.items():
-            if k not in self._PARAM_NAMES:
+            if k not in names:
                 raise ValueError(f"invalid parameter {k!r} for SpikingClassifier")
             setattr(self, k, v)
         return self

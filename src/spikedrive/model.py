@@ -98,7 +98,6 @@ class Model(Module):
         if not np.isfinite(a).all():
             raise ArgError("input must be finite")
         ctx = ForwardContext(tape=tape, probe=probe, training=training, smooth=smooth)
-        self.reset_state()
         logits = None
         for t, frame in enumerate(seq):
             if probe is not None:

@@ -54,7 +54,6 @@ class TestSepConv:
         out = layer.apply(DenseTensor(x))
         assert np.all(np.isfinite(out.data))
         # the first neuron saturates to all-ones on such drive
-        layer.reset_state()
         from spikedrive.autodiff import Var
         from spikedrive.blocks import ForwardContext
         s = layer.sn1.step(Var(x[None]), ForwardContext())
@@ -185,7 +184,6 @@ class TestConvBlock:
         x = rng.normal(0, 2, (6, 7, 7))
         got = block.apply(DenseTensor(x)).data
         u1 = x + block.token.apply(DenseTensor(x)).data
-        block.channel.reset_state()
         want = u1 + block.channel.apply(DenseTensor(u1)).data
         assert np.abs(got - want).max() < 1e-9
 
@@ -481,7 +479,6 @@ class TestDepthwiseHasNoShift:
         x = rng.normal(0, 3, (3, 4, 6, 6))
 
         def run():
-            layer.reset_state()
             return layer.forward(Var(x), ForwardContext(tape=Tape(), training=True)).data
 
         want = run()

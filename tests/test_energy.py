@@ -126,7 +126,6 @@ class TestRecordRates:
         # recount one layer by hand: encoding output -> first neuron spikes
         from spikedrive.autodiff import Var
         from spikedrive.blocks import ForwardContext
-        model.reset_state()
         ctx = ForwardContext()
         z = model.ds1.forward(Var(x), ctx)
         s = model.stage1a[0].token.sn1.step(z, ctx)

@@ -28,6 +28,7 @@ def test_the_toy_case_stores_the_label_with_both_parts(tmp_path):
     assert held["records"] > 100 and held["held_by_vjps_mib"] > 0
     assert held["held_only_by_entries_mib"] == 0  # records hold nodes, not arrays
     assert held["held_mib"] == held["held_by_vjps_mib"]
+    assert held["held_by_layers_mib"] == 0  # membranes live in the pass's context
     assert 0 < held["binary_float64_share"] < 1
 
 

@@ -1,10 +1,13 @@
+import gc
 import struct
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 import spikedrive as sd
+from spikedrive import autodiff, blocks, train
 from spikedrive.blocks import fold_bn
 from spikedrive.errors import ArgError, CheckpointError, ConfigError, ShapeError
 from spikedrive.instrument import Probe
@@ -178,17 +181,56 @@ class TestFoldedInferenceOracle:
         from spikedrive.autodiff import Var
         from spikedrive.blocks import ForwardContext
         ctx = ForwardContext(probe=probe)
-        model.reset_state()
         z = model.ds1.forward(Var(x), ctx)
         got = model.stage1a[0].forward(z, ctx).data
 
         kern = model.ds1.conv.folded_kernel()
         u = conv2d_raw(x, kern.weights, kern.bias, kern.stride, kern.padding)
         blk = model.stage1a[0]
-        model.reset_state()
         u1 = u[0] + blk.token.apply(sd.DenseTensor(u[0])).data
         u2 = u1 + blk.channel.apply(sd.DenseTensor(u1)).data
         assert np.abs(got[0] - u2).max() < 1e-9
+
+
+class TestPassState:
+    """Each neuron's membrane lives in the pass's context, so once a forward
+    returns, no layer holds one: the tape keeps only what its vjps read."""
+
+    def test_membranes_are_freed_when_the_taped_forward_returns(self, monkeypatch):
+        # the bench toy net, at T=2 so that each membrane feeds a second step
+        cfg = sd.ModelConfig(base_channels=8, num_classes=2, resolution=32,
+                             depths=(1, 1, 1, 2, 1), heads=2, seed=3, timesteps=2,
+                             lif=LIFParams(surrogate_window=1.0))
+        data = train.make_blobs(4, resolution=32, classes=2, seed=0)
+
+        def grads():
+            model = sd.build_model(cfg)
+            tape = autodiff.Tape()
+            loss = train.loss(model.forward(data.images, tape=tape, training=True),
+                              data.labels, 0.0, tape=tape)
+            alive = [r for r in membranes if r() is not None]
+            assert len(tape) > 0
+            autodiff.backward(tape, loss, params=model.parameters())
+            return alive, [p.grad for p in model.parameters()]
+
+        membranes, lif = [], blocks.lif
+
+        def spy(*args, **kw):
+            s, h = lif(*args, **kw)
+            membranes.append(weakref.ref(h.data))
+            return s, h
+
+        want = grads()[1]
+        monkeypatch.setattr(blocks, "lif", spy)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            alive, got = grads()
+        finally:
+            if enabled:
+                gc.enable()
+        assert membranes and alive == []
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
 
 class TestCountParams:

@@ -161,11 +161,12 @@ class TestOneUpdate:
         xs = np.random.default_rng(6).normal(0.3, 1.0, (4, 2, 3, 5, 5))
         sn = SN(p, learnable=learnable)
         state = LIFState.initial(xs.shape[1:], p)
+        ctx = ForwardContext(tape=Tape())
         for x in xs:
-            s_tape = sn.step(Var(x), ForwardContext(tape=Tape()))
+            s_tape = sn.step(Var(x), ctx)
             s_np, state = lif_step(p, state, DenseTensor(x))
             assert s_tape.data.tobytes() == s_np.data.astype(np.float64).tobytes()
-            assert sn._state.data.tobytes() == state.h.data.tobytes()
+            assert ctx.state[sn].data.tobytes() == state.h.data.tobytes()
         assert 0 < s_np.data.mean() < 1
 
 
@@ -348,17 +349,35 @@ class TestResetMembrane:
     def test_first_step_starts_from_a_0d_reset_and_matches_a_full_one(self):
         p = LIFParams(v_reset=0.3)
         x = np.random.default_rng(43).normal(0.8, 1.0, (2, 3, 5, 5))
-        sn = SN(p)
-        s = sn.step(Var(x), ForwardContext())
+        sn, ctx = SN(p), ForwardContext()
+        s = sn.step(Var(x), ctx)
         s_ref, h_ref = lif(None, Var(np.full(x.shape, 0.3)), Var(x), None, p)
-        assert np.array_equal(s.data, s_ref.data) and np.array_equal(sn._state.data, h_ref.data)
-        assert sn._state.shape == x.shape
+        assert np.array_equal(s.data, s_ref.data) and np.array_equal(ctx.state[sn].data, h_ref.data)
+        assert ctx.state[sn].shape == x.shape
 
     def test_carried_state_of_another_shape_is_refused(self):
-        sn = SN(LIFParams(), name="sn7")
-        sn.step(Var(np.zeros((2, 3))), ForwardContext())
+        sn, ctx = SN(LIFParams(), name="sn7"), ForwardContext()
+        sn.step(Var(np.zeros((2, 3))), ctx)
         with pytest.raises(ShapeError, match="sn7"):
-            sn.step(Var(np.zeros((2, 4))), ForwardContext())
+            sn.step(Var(np.zeros((2, 4))), ctx)
+
+
+class TestPassState:
+    def test_interleaved_contexts_run_as_two_separate_passes(self):
+        p = LIFParams(u_th=0.7, beta=0.6, v_reset=0.2)
+        xs = np.random.default_rng(44).normal(0.5, 1.0, (3, 2, 3, 4))
+        sn, ctx1, ctx2 = SN(p), ForwardContext(), ForwardContext()
+        got = []
+        for x, ctx in zip(xs, (ctx1, ctx2, ctx1)):
+            got.append((sn.step(Var(x), ctx).data, ctx.state[sn].data))
+        want, states = [], {}
+        for x, pass_id in zip(xs, (1, 2, 1)):
+            state = states.get(pass_id, LIFState.initial(x.shape, p))
+            s, states[pass_id] = lif_step(p, state, DenseTensor(x))
+            want.append((s.data, states[pass_id].h.data))
+        for (s, h), (s_ref, h_ref) in zip(got, want):
+            assert s.tobytes() == s_ref.astype(np.float64).tobytes()
+            assert h.tobytes() == h_ref.tobytes()
 
 
 class TestNonFiniteSettings:
