@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, is_dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .kernels import conv_output_size
 from .neuron import LIFParams
 
@@ -34,6 +34,17 @@ PYRAMID = (
 )
 
 
+def _check_ints(cfg):
+    """Raise ``ConfigError``, naming the field, unless every value of each
+    field of ``cfg`` annotated int, int | None or tuple[int, ...] is an
+    integer by the rule of ``errors.check_int`` (:func:`errors.is_int`)."""
+    for name, t in get_type_hints(type(cfg)).items():
+        value = getattr(cfg, name)
+        for v in value if t == tuple[int, ...] else (value,) if t in (int, int | None) else ():
+            if v is not None and not is_int(v):
+                raise ConfigError(f"{name}: {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     base_channels: int = 32
@@ -51,6 +62,7 @@ class ModelConfig:
     lif: LIFParams = field(default_factory=LIFParams)
 
     def __post_init__(self):
+        _check_ints(self)
         if self.base_channels < 1 or self.num_classes < 1 or self.resolution < 16:
             raise ConfigError("base_channels/num_classes must be >= 1, resolution >= 16")
         if self.in_channels < 1:
@@ -134,6 +146,7 @@ class TrainConfig:
     schedule: str = "constant"
 
     def __post_init__(self):
+        _check_ints(self)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.seed < 0:

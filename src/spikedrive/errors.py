@@ -65,10 +65,15 @@ class OutputError(SpikeDriveError, OSError):
     """A run's outputs (report, metrics, checkpoint, array) cannot be written."""
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: numpy integers are, ``bool`` is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_int(name: str, value, low: int):
-    """Raise ``ArgError`` unless ``value`` is an integer >= ``low``. Numpy
-    integers pass; ``bool`` does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """Raise ``ArgError`` unless ``value`` is an integer (:func:`is_int`)
+    >= ``low``."""
+    if not is_int(value):
         raise ArgError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ArgError(f"{name} must be >= {low}, got {value}")

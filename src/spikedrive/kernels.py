@@ -17,10 +17,14 @@ floats (both routes accumulate in float64, in different orders).
 
 The dense convolution (:func:`conv2d_core`, behind ``conv2d_raw``,
 ``dense_conv2d`` and ``autodiff.conv2d``) has four algorithms, picked by the
-shapes of the weights and the input, each with its adjoint and none looping
-over groups. Each adjoint ``(g, need_x=True) -> (gx, gw)`` returns gx None,
-having skipped its work, when ``need_x`` is false. Two take the depthwise
-convs (``groups == C_in == C_out``):
+shapes of the weights and the input (:func:`_conv`), none looping over
+groups. Each returns its output and an adjoint ``(g, need_x=True) -> (gx,
+gw)`` with its own gw. Every gx is the same conv (:func:`_input_grad`): the
+stride-1 conv of g, spread onto the stride grid with zeros between, with
+the kernel flipped in space and each group's channels swapped, run through
+the same dispatch as the forward; it is None, and not computed, when
+``need_x`` is false. Two algorithms take the depthwise convs (``groups ==
+C_in == C_out``):
 
 * on a small map, H*W <= B*k*k, so that its operator has no more entries
   than the k*k taps do multiply-adds -- one matmul batched over channels
@@ -39,8 +43,6 @@ the rest:
 * ungrouped, stride 1, k > 1 and C_out < C_in -- one matmul of the k*k
   stacked taps against the padded input, then k*k shifted adds of its
   product, which is smaller than the patch tensor (:func:`kn2row_conv`);
-  its input gradient is :func:`im2col_conv` of g, the lowering the dispatch
-  picks for a conv with C_out > C_in;
 * every other conv -- the (B, C, k, k, Ho, Wo) patch tensor times the
   weights in one matmul batched over the group axis (:func:`im2col_conv`),
   the only algorithm that builds a patch tensor.
@@ -184,15 +186,6 @@ def _unpad2d(x: np.ndarray, p: int) -> np.ndarray:
     return x[..., p:x.shape[-2] - p, p:x.shape[-1] - p] if p else x
 
 
-def _taps(k: int, stride: int, ho: int, wo: int):
-    """The k*k taps (i, j) of a kernel, each with the window of the padded
-    input it reads: rows i, i + stride, ... (ho of them), likewise columns."""
-    for i in range(k):
-        for j in range(k):
-            yield i, j, (slice(None), slice(None), slice(i, i + stride * ho, stride),
-                         slice(j, j + stride * wo, stride))
-
-
 def _band_operators(weights: np.ndarray, stride: int, block: int) -> np.ndarray:
     """Each kernel row's banded operator per channel, (k, C, stride*(block-1)
     + k, block): band[i, c, stride*q + j, q] = weights[c, 0, i, j]. A block of
@@ -221,9 +214,9 @@ def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
     times row i's banded operator (:func:`_band_operators`). The k products
     are summed in a contiguous buffer, then copied into the block. Returns
     the output and its adjoint ``(g, need_x=True) -> (gx, gw)``, which pads
-    the input again rather than keeping the forward's padded copy: gx adds g
-    times each transposed band into the padded gradient, and gw sums the
-    band diagonals of each kernel row's x^T g, summed over the blocks."""
+    the input again rather than keeping the forward's padded copy: gw sums
+    the band diagonals of each kernel row's x^T g, summed over the blocks,
+    and gx is :func:`_input_grad`."""
     b, c, h, w = x.shape
     k = weights.shape[2]
     ho = conv_output_size(h, k, stride, padding)
@@ -249,21 +242,15 @@ def depthwise_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
         out[..., cols] = acc
 
     def adjoint(g, need_x=True):
+        gx = _input_grad(g, weights, stride, padding, c, (b, c, h, w), need_x)
         xp = _pad2d(x, padding)  # padded again, not held from the forward
-        bands = _band_operators(weights, stride, block)
-        xg = np.zeros(bands.shape)  # x^T g per kernel row, summed over the blocks
-        gxp = np.zeros(xp.shape) if need_x else None
+        xg = np.zeros((k, c, stride * (block - 1) + k, block))  # x^T g per kernel row
         for cols, span in blocks:
             gb = g[..., cols]
             n, m = cols.stop - cols.start, span.stop - span.start
-            gspan = np.zeros((b, c, xp.shape[2], m)) if need_x else None
             for i, r in enumerate(rows):
                 xg[i, :, :m, :n] += np.matmul(xp[:, :, r, span].swapaxes(-1, -2), gb).sum(axis=0)
-                if need_x:
-                    gspan[:, :, r] += np.matmul(gb, bands[i, :, :m, :n].swapaxes(-1, -2))
-            if need_x:
-                gxp[..., span] += gspan
-        return None if gxp is None else _unpad2d(gxp, padding), _band_weights(xg, stride)
+        return gx, _band_weights(xg, stride)
 
     return out, adjoint
 
@@ -274,11 +261,10 @@ def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int)
     of the row bands of :func:`_band_operators` cropped to the unpadded
     columns: kernel row i puts its band at (input row y, output row oy) for
     each y = oy*stride + i - padding inside the map. Channels go
-    ``OPERATOR_BLOCK`` operator entries at a time; the adjoint rebuilds each
-    block's operator instead of keeping it. Returns the output and its
-    adjoint ``(g, need_x=True) -> (gx, gw)``: gx = g A^T, and gw sums x^T g
-    over the same (y, oy) pairs into band layout and then each weight's band
-    diagonal (:func:`_band_weights`)."""
+    ``OPERATOR_BLOCK`` operator entries at a time. Returns the output and its
+    adjoint ``(g, need_x=True) -> (gx, gw)``: gw sums x^T g over the same
+    (y, oy) pairs into band layout and then each weight's band diagonal
+    (:func:`_band_weights`), and gx is :func:`_input_grad`."""
     b, c, h, w = x.shape
     k = weights.shape[2]
     ho = conv_output_size(h, k, stride, padding)
@@ -303,19 +289,16 @@ def toeplitz_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int)
         np.matmul(xc[blk], operator(blk), out=outc[blk])
 
     def adjoint(g, need_x=True):
+        gx = _input_grad(g, weights, stride, padding, c, (b, c, h, w), need_x)
         gc = g.reshape(b, c, ho * wo).transpose(1, 0, 2)
-        gx = np.empty((b, c, h * w)) if need_x else None
         gw = np.empty(weights.shape)
         for blk in blocks:
-            if need_x:
-                np.matmul(gc[blk], operator(blk).transpose(0, 2, 1),
-                          out=gx.transpose(1, 0, 2)[blk])
             xg = np.matmul(xc[blk].transpose(0, 2, 1), gc[blk]).reshape(-1, h, w, ho, wo)
             xgb = np.zeros((k, xg.shape[0], stride * (wo - 1) + k, wo))  # x^T g as bands
             for band, (y, oy) in zip(xgb[:, :, cols], pairs):
                 band += xg[:, y, :band.shape[1], oy].sum(axis=0)
             gw[blk] = _band_weights(xgb, stride)
-        return gx if gx is None else gx.reshape(b, c, h, w), gw
+        return gx, gw
 
     return out.reshape(b, c, ho, wo), adjoint
 
@@ -328,36 +311,28 @@ def im2col_conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     stride-1, unpadded conv uses ``x`` itself as the patch tensor. Returns
     the output and its adjoint ``(g, need_x=True) -> (gx, gw)``, which keeps
     the patch tensor and the shapes, not ``x`` (only a 1x1 conv's patch
-    tensor is ``x`` itself)."""
+    tensor is ``x`` itself): gw is g times the patch tensor, and gx is
+    :func:`_input_grad`."""
     b, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
-    pointwise = k == 1 and stride == 1 and padding == 0
-    if pointwise:
+    if k == 1 and stride == 1 and padding == 0:
         cols = x
     else:
         xp = _pad2d(x, padding)
         cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
-        for i, j, win in _taps(k, stride, ho, wo):
-            cols[:, :, i, j] = xp[win]
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
     cols = cols.reshape(b, groups, c_in_g * k * k, ho * wo)
-    wg = weights.reshape(groups, c_out // groups, c_in_g * k * k)
-    out = np.matmul(wg, cols).reshape(b, c_out, ho, wo)
+    out = np.matmul(weights.reshape(groups, c_out // groups, c_in_g * k * k),
+                    cols).reshape(b, c_out, ho, wo)
 
     def adjoint(g, need_x=True):
+        gx = _input_grad(g, weights, stride, padding, groups, (b, c, h, w), need_x)
         gg = g.reshape(b, groups, c_out // groups, ho * wo)
-        gw = np.matmul(gg, cols.swapaxes(-1, -2)).sum(axis=0).reshape(weights.shape)
-        if not need_x:
-            return None, gw
-        gcols = np.matmul(wg.swapaxes(-1, -2), gg)
-        if pointwise:
-            return gcols.reshape(b, c, h, w), gw
-        gcols = gcols.reshape(b, c, k, k, ho, wo)
-        gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-        for i, j, win in _taps(k, stride, ho, wo):
-            gxp[win] += gcols[:, :, i, j]
-        return _unpad2d(gxp, padding), gw
+        return gx, np.matmul(gg, cols.swapaxes(-1, -2)).sum(axis=0).reshape(weights.shape)
 
     return out, adjoint
 
@@ -372,10 +347,8 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
     moves C_out*k*k values per output pixel where :func:`im2col_conv` moves
     C_in*k*k. Returns the output and its adjoint ``(g, need_x=True) ->
     (gx, gw)``, which keeps only the padded input (not ``x``, when padding
-    made a copy): gx is :func:`im2col_conv` of g with the kernel flipped in
-    space and its channels swapped, at padding k - 1 - padding (g cropped
-    when that is negative), and gw is one matmul per tap on the flat slices
-    of the input."""
+    made a copy): gw is one matmul per tap on the flat slices of the input,
+    and gx is :func:`_input_grad`."""
     b, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     xp = _pad2d(x, padding)
@@ -393,20 +366,14 @@ def kn2row_conv(x: np.ndarray, weights: np.ndarray, padding: int):
     out = np.ascontiguousarray(buf.reshape(b, c_out, ho, wp)[..., :wo])
 
     def adjoint(g, need_x=True):
+        gx = _input_grad(g, weights, 1, padding, 1, (b, c, h, w), need_x)
         gbuf = np.zeros((b, c_out, ho, wp))  # g on the buffer's grid, 0 past Wo
         gbuf[..., :wo] = g
         gf = gbuf.reshape(b, c_out, ho * wp)[:, :, :n]
         gw = np.empty((k * k, c_out, c))
         for t, off in enumerate(offsets):
             gw[t] = np.matmul(gf, xf[:, :, off:off + n].swapaxes(1, 2)).sum(axis=0)
-        gw = gw.reshape(k, k, c_out, c).transpose(2, 3, 0, 1).copy()
-        if not need_x:
-            return None, gw
-        # gx[y, x] sums tap (i, j) against g[y + padding - i, x + padding - j]:
-        # the conv of g, padded by k - 1 - padding, with the kernel flipped
-        q = k - 1 - padding
-        flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return im2col_conv(_unpad2d(g, -q) if q < 0 else g, flipped, 1, max(q, 0))[0], gw
+        return gx, gw.reshape(k, k, c_out, c).transpose(2, 3, 0, 1).copy()
 
     return out, adjoint
 
@@ -418,7 +385,7 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     Returns the output and its adjoint ``(g, need_x=True) -> (gx, gw)``, gx
     None when ``need_x`` is false. Raises
     ``ShapeError`` when the channels or groups do not fit the weights or the
-    output would be empty. Four algorithms, picked by shape:
+    output would be empty. Four algorithms, picked by shape (:func:`_conv`):
 
     * a depthwise conv (``groups == C_in == C_out``) runs :func:`toeplitz_conv`
       when H*W <= B*k*k (its operator has no more entries than the k*k taps
@@ -426,11 +393,14 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
       otherwise; the operator is made of those row bands;
     * an ungrouped stride-1 conv with k > 1 runs :func:`kn2row_conv` when
       C_out < C_in (its tap product is smaller than the patch tensor) and
-      :func:`im2col_conv` otherwise; kn2row's input gradient is
-      :func:`im2col_conv` of g, a conv with the channel counts swapped;
+      :func:`im2col_conv` otherwise;
     * every other conv runs :func:`im2col_conv`.
+
+    Every gx is one more conv by the same rule (:func:`_input_grad`): from
+    C_out to C_in channels at stride 1, so a kn2row conv's gx runs
+    :func:`im2col_conv` and an expanding conv's gx may run kn2row.
     """
-    b, c, h, w = x.shape
+    _, c, h, w = x.shape
     c_out, c_in_g, k, _ = weights.shape
     _check_groups(c_out, groups)
     _check_geometry(stride, padding)
@@ -439,6 +409,14 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     if conv_output_size(h, k, stride, padding) <= 0 or \
             conv_output_size(w, k, stride, padding) <= 0:
         raise ShapeError(f"conv output would be empty for input {x.shape}")
+    return _conv(x, weights, stride, padding, groups)
+
+
+def _conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int, groups: int):
+    """The algorithm :func:`conv2d_core` picks for these shapes, run with no
+    argument checks; each input gradient runs through it too."""
+    b, c, h, w = x.shape
+    c_out, _, k, _ = weights.shape
     if groups == c == c_out:
         if h * w <= b * k * k:
             return toeplitz_conv(x, weights, stride, padding)
@@ -446,6 +424,28 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     if groups == 1 and stride == 1 and k > 1 and c_out < c:
         return kn2row_conv(x, weights, padding)
     return im2col_conv(x, weights, stride, padding, groups)
+
+
+def _input_grad(g: np.ndarray, weights: np.ndarray, stride: int, padding: int, groups: int,
+                shape: tuple, need_x: bool):
+    """The input gradient of a conv of a ``shape`` input, or None when
+    ``need_x`` is false: the transposed conv (Dumoulin & Visin, arXiv
+    1603.07285), run as the stride-1 conv (:func:`_conv`) of g spread onto
+    the stride grid, zeros between, with each group's kernel flipped in space
+    and its channels swapped, at padding k - 1 - padding (g cropped when that
+    is negative)."""
+    if not need_x:
+        return None
+    b, _, h, w = shape
+    c_out, c_in_g, k, _ = weights.shape
+    if stride > 1:
+        spread = np.zeros((b, c_out, h + 2 * padding - k + 1, w + 2 * padding - k + 1))
+        spread[..., ::stride, ::stride] = g
+        g = spread
+    q = k - 1 - padding
+    flipped = weights.reshape(groups, c_out // groups, c_in_g, k, k)[..., ::-1, ::-1]
+    flipped = flipped.swapaxes(1, 2).reshape(groups * c_in_g, c_out // groups, k, k)
+    return _conv(_unpad2d(g, max(-q, 0)), flipped, 1, max(q, 0), groups)[0]
 
 
 def conv2d_raw(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,

@@ -25,13 +25,13 @@ DIVERGENCE_FACTOR = 1e3
 
 
 def loss(logits, labels, smoothing: float = 0.0, tape: Tape | None = None) -> Var:
-    """Label-smoothed cross-entropy over a (B, classes) logit batch."""
+    """Label-smoothed cross-entropy over a (B, classes) logit batch. The
+    labels go through :func:`check_labels`, as a ``Dataset``'s do, and must
+    lie in [0, classes); any failure raises ``ArgError``."""
     logits = logits if isinstance(logits, Var) else Var(np.asarray(logits, dtype=np.float64))
-    labels = np.asarray(labels)
     if logits.data.ndim != 2:
         raise ArgError(f"logits must be (B, classes), got {logits.data.shape}")
-    if labels.shape != (logits.data.shape[0],):
-        raise ArgError("labels must be one integer per batch row")
+    labels = check_labels(labels, logits.data.shape[0])
     if labels.size and (labels.min() < 0 or labels.max() >= logits.data.shape[1]):
         raise ArgError("label out of range")
     return ad.cross_entropy(tape, logits, labels, smoothing)
@@ -97,12 +97,14 @@ def check_images(x) -> np.ndarray:
 
 
 def check_labels(y, n: int) -> np.ndarray:
+    """``y`` as n int64 labels; whole-number floats pass. Raises ``ArgError``
+    (a ``ValueError``) for any other shape or value."""
     labels = np.asarray(y)
     if labels.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+        raise ArgError(f"expected {n} labels, got shape {labels.shape}")
     if not (np.issubdtype(labels.dtype, np.integer)
             or np.array_equal(labels, labels.astype(np.int64))):
-        raise ValueError("labels must be integers")
+        raise ArgError("labels must be integers")
     return labels.astype(np.int64)
 
 

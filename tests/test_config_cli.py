@@ -103,6 +103,26 @@ class TestConfigParsing:
         assert main(["train", "--config", str(p), "--epochs", "0",
                      "--out-dir", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("name,value", [("timesteps", 1.5), ("seed", True),
+                                            ("stage4_dim", 40.0), ("heads", "2")])
+    def test_model_integer_fields_refuse_other_values(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name}: {value!r} is not an integer"):
+            ModelConfig(**{name: value})
+
+    def test_depths_refuse_a_float(self):
+        with pytest.raises(ConfigError, match="depths: 2.0 is not an integer"):
+            ModelConfig(depths=(1, 1, 2.0, 6, 2))
+        cfg = ModelConfig(depths=tuple(np.arange(1, 6)), timesteps=np.int64(2),
+                          stage4_dim=np.int32(320))
+        assert cfg.depths == (1, 2, 3, 4, 5) and cfg.timesteps == 2
+
+    @pytest.mark.parametrize("name,value", [("batch_size", 2.5), ("epochs", True),
+                                            ("seed", 0.0)])
+    def test_train_integer_fields_refuse_other_values(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name}: {value!r} is not an integer"):
+            TrainConfig(**{name: value})
+        assert TrainConfig(**{name: np.int64(1)}) == TrainConfig(**{name: 1})
+
     def test_numpy_floats_are_written_as_numbers(self):
         tc = TrainConfig(lr=np.float64(0.01))
         text = config_to_text(ModelConfig(), tc)

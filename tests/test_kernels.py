@@ -677,18 +677,20 @@ class TestKn2row:
         with monkeypatch.context() as m:
             self._refusing(m, skipped)
             y, vjp = kernels.conv2d_core(x, weights, stride, k // 2, groups)
-        # a kn2row adjoint takes its input gradient from one im2col_conv of g
+        # an adjoint asked for gx makes one dispatched stride-1 conv from C_out
+        # to C_in channels, on g or on its zero-spread map (here both 9x9);
+        # one that is not makes none
         calls = []
-        real = kernels.im2col_conv
-
-        def spy(*args):
-            calls.append(args[0].shape)
-            return real(*args)
-
         with monkeypatch.context() as m:
-            m.setattr(kernels, "im2col_conv", spy)
+            for name in TestToyStepTraffic.ALGORITHMS:
+                def spy(*args, name=name, real=getattr(kernels, name)):
+                    calls.append((name, args[0].shape))
+                    return real(*args)
+                m.setattr(kernels, name, spy)
+            assert vjp(np.ones_like(y), need_x=False)[0] is None and calls == []
             vjp(np.ones_like(y))
-        assert calls == [y.shape] * (runs == "kn2row_conv")
+        grad = "kn2row_conv" if groups == 1 and k > 1 and c_in < c_out else "im2col_conv"
+        assert calls == [(grad, (2, c_out, 9, 9))]
         with monkeypatch.context() as m:
             self._refusing(m, runs)
             with pytest.raises(AssertionError, match=runs):
@@ -754,21 +756,26 @@ def naive_conv_grads(x, weights, g, stride, padding, groups):
 
 class TestGradientOracle:
     """gx and gw of all four conv algorithms, entry by entry, against the
-    direct loop of :func:`naive_conv_grads`, within 1e-12 relative error: the
-    depthwise weights on ``toeplitz_conv``, ``depthwise_conv`` and
-    ``im2col_conv``, and ungrouped weights with C_out < C_in on
-    ``im2col_conv`` and, at stride 1, ``kn2row_conv``."""
+    direct loop of :func:`naive_conv_grads`, within 1e-12 relative error, at
+    strides 1-3: depthwise weights on ``toeplitz_conv``, ``depthwise_conv``
+    and ``im2col_conv``; grouped, depthwise-multiplier and ungrouped weights
+    (C_out below and above C_in) on ``im2col_conv`` and, ungrouped at stride
+    1, ``kn2row_conv``. Every gx is a conv from C_out to C_in channels, so
+    each mix also runs another algorithm's forward on g or its spread map."""
+
+    # (C_in, C_out, groups)
+    CHANNELS = ((2, 2, 2), (3, 2, 1), (4, 6, 2), (2, 4, 2), (2, 3, 1))
 
     @staticmethod
-    def _algorithms(stride, padding, groups):
+    def _algorithms(stride, padding, c_in, c_out, groups):
         yield "im2col_conv", lambda x, w: kernels.im2col_conv(x, w, stride, padding, groups)
-        if groups > 1:
+        if groups == c_in == c_out:
             for name in ("toeplitz_conv", "depthwise_conv"):
                 yield name, lambda x, w, f=getattr(kernels, name): f(x, w, stride, padding)
-        elif stride == 1:
+        elif groups == 1 and stride == 1:
             yield "kn2row_conv", lambda x, w: kernels.kn2row_conv(x, w, padding)
 
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_gradients_match_the_direct_loop(self, k, stride):
         rng = np.random.default_rng(1700 + 10 * k + stride)
@@ -777,14 +784,14 @@ class TestGradientOracle:
             for padding in sorted({0, k // 2, k}):
                 if min(h, w) + 2 * padding < k:
                     continue
-                for c_in, c_out, groups in ((2, 2, 2), (3, 2, 1)):
+                for c_in, c_out, groups in self.CHANNELS:
                     x = rng.normal(0, 1, (2, c_in, h, w))
                     weights = rng.normal(0, 1, (c_out, c_in // groups, k, k))
                     ho = kernels.conv_output_size(h, k, stride, padding)
                     wo = kernels.conv_output_size(w, k, stride, padding)
                     g = rng.normal(0, 1, (2, c_out, ho, wo))
                     want = naive_conv_grads(x, weights, g, stride, padding, groups)
-                    for name, conv in self._algorithms(stride, padding, groups):
+                    for name, conv in self._algorithms(stride, padding, c_in, c_out, groups):
                         got = conv(x, weights)[1](g)
                         for a, b in zip(got, want):
                             assert a.shape == b.shape
@@ -798,8 +805,10 @@ class TestGradientOracle:
 class TestToyStepTraffic:
     """The convs of one bench ``train_toy`` step (C=8, 32x32, B=32): every
     depthwise conv takes the Toeplitz operator and every ungrouped stride-1
-    conv with k > 1 and C_out < C_in takes kn2row, so the step's backward
-    runs both rewritten adjoints."""
+    conv with k > 1 and C_out < C_in takes kn2row. In the backward, every
+    conv but the frozen encoding conv makes one dispatched conv for its gx."""
+
+    ALGORITHMS = ("toeplitz_conv", "depthwise_conv", "kn2row_conv", "im2col_conv")
 
     def test_dispatch_and_adjoints_of_one_step(self, monkeypatch):
         from spikedrive import train
@@ -812,9 +821,9 @@ class TestToyStepTraffic:
                                         timesteps=1, lif=LIFParams(surrogate_window=1.0)))
         data = train.make_blobs(32, resolution=32, classes=2, seed=0)
         calls, convs = [], []
-        for name in ("toeplitz_conv", "depthwise_conv", "kn2row_conv", "im2col_conv"):
+        for name in self.ALGORITHMS:
             def tagged(*args, name=name, real=getattr(kernels, name)):
-                calls.append(name)
+                calls.append((name, args[1].shape[0]))
                 return real(*args)
             monkeypatch.setattr(kernels, name, tagged)
         core = kernels.conv2d_core
@@ -822,14 +831,14 @@ class TestToyStepTraffic:
         def record(x, weights, stride, padding, groups=1):
             n = len(calls)
             out = core(x, weights, stride, padding, groups)
-            convs.append((calls[n], x.shape[1], weights.shape, stride, groups))
+            convs.append((calls[n][0], x.shape[1], weights.shape, stride, groups))
             return out
 
         monkeypatch.setattr(ad, "conv2d_core", record)
         tape = ad.Tape()
         loss = train.loss(model.forward(data.images, tape=tape, training=True), data.labels,
                           0.0, tape=tape)
-        forward = list(calls)
+        forward = [name for name, _ in calls]
         assert {n: forward.count(n) for n in set(forward)} == \
             {"toeplitz_conv": 15, "kn2row_conv": 3, "im2col_conv": 44}
         assert len(convs) == len(forward)
@@ -841,8 +850,13 @@ class TestToyStepTraffic:
             else:
                 assert ran == "im2col_conv"
         ad.backward(tape, loss, params=model.parameters())
-        # each kn2row adjoint takes its input gradient from one im2col_conv
-        assert calls[len(forward):] == ["im2col_conv"] * 3
+        # a gx conv is stride 1 and swaps the channel counts, so the gx of
+        # each expanding 3x3 conv and stride-2 downsample takes kn2row
+        backward = [name for name, _ in calls[len(forward):]]
+        assert {n: backward.count(n) for n in set(backward)} == \
+            {"toeplitz_conv": 15, "kn2row_conv": 7, "im2col_conv": 39}
+        # no gx conv makes the encoding conv's 3 input channels
+        assert all(c_out != 3 for _, c_out in calls[len(forward):])
 
 
 class TestRowBandDepthwise:
@@ -885,17 +899,19 @@ class TestRowBandDepthwise:
         real = np.matmul
 
         def spy(a, b, **kw):
-            if "out" in kw:  # the forward's products
-                widths.append(b.shape[-1])
+            widths.append(b.shape[-1])
             return real(a, b, **kw)
 
-        monkeypatch.setattr(kernels.np, "matmul", spy)
         for block in (3, 5):
             monkeypatch.setattr(kernels, "ROW_BLOCK", block)
             for stride in (1, 2, 3):
                 for k in (3, 7):
+                    x = rng.normal(0, 1, (2, self.C, 11, 13))
+                    self._check(rng, x, k, stride)
                     widths.clear()
-                    self._check(rng, rng.normal(0, 1, (2, self.C, 11, 13)), k, stride)
+                    with monkeypatch.context() as m:  # the forward's products only
+                        m.setattr(kernels.np, "matmul", spy)
+                        kernels.depthwise_conv(x, np.ones((self.C, 1, k, k)), stride, k // 2)
                     wo = kernels.conv_output_size(13, k, stride, k // 2)
                     blocks = [block] * (wo // block) + [wo % block] * (wo % block > 0)
                     assert widths == [n for n in blocks for _ in range(k)]

@@ -44,6 +44,15 @@ class TestLoss:
         with pytest.raises(ArgError):
             loss(np.zeros((2, 3)), np.array([-1, 0]))
 
+    def test_labels_are_checked_as_a_datasets_are(self):
+        logits = np.array([[0.5, -1.0], [2.0, 0.25]])
+        want = loss(logits, np.array([1, 0])).data
+        assert loss(logits, [1.0, 0.0]).data == want
+        for labels, message in (([0.5, 1.0], "labels must be integers"),
+                                ([1, 0, 1], "expected 2 labels")):
+            with pytest.raises(ArgError, match=message):
+                loss(logits, labels)
+
     def test_gradient_matches_softmax_minus_target(self):
         rng = np.random.default_rng(0)
         z = rng.normal(0, 1, (4, 5))
