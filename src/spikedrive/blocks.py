@@ -11,14 +11,22 @@ model treat the pair at that granularity. Because the pointwise conv's batch
 norm directly follows, every depthwise conv (in ``SepConv`` and in
 ``RepConv``) normalizes with a scale and no shift (see :class:`ConvBN`).
 
-The three spiking mixers (:class:`SepConv`, :class:`ChannelConv` and
-:class:`ChannelMLP`) share one forward, :meth:`Mixer.forward`, over the
-stages each lists in ``_stages``. ``TransformerBlock`` runs its attention
-through :func:`attention.attend`, the one definition of the SDSA variants,
-on the (B, D, H, W) Q/K/V spike maps its neurons fire; the output map feeds
-``rep4`` as it is. One attention neuron, ``sn_attn``, fires every variant:
-at the LIF threshold for SDSA-1/2, at the scaled threshold for SDSA-3/4,
-and with that threshold trainable for SDSA-4.
+Each of the three spiking mixers (:class:`SepConv`, :class:`ChannelConv`
+and :class:`ChannelMLP`) is described once, by its ``NAME`` and its
+``STAGES`` table: per stage, the key its input spikes are recorded under and
+the convs that follow, each with its kernel size and its widths in units of
+the block's dim. :class:`Mixer` builds the layers from that table and runs
+them in one forward, and ``energy.charged_ops`` charges one op per stage
+from the same table. The stage-building order (``sn1``, the first stage's
+convs, ``sn2``, the second's) is the order of the random draws and of the
+checkpoint.
+
+``TransformerBlock`` runs its attention through :func:`attention.attend`,
+the one definition of the SDSA variants, on the (B, D, H, W) Q/K/V spike
+maps its neurons fire; the output map feeds ``rep4`` as it is. One attention
+neuron, ``sn_attn``, fires every variant: at the LIF threshold for SDSA-1/2,
+at the scaled threshold for SDSA-3/4, and with that threshold trainable for
+SDSA-4.
 
 Every layer derives from :class:`Module`, which finds what a layer holds by
 walking its public instance attributes in assignment order: a ``Var`` is a
@@ -70,21 +78,23 @@ BN_MOMENTUM = 0.1
 @dataclass
 class ForwardContext:
     """Per-forward options threaded through the layer stack, and the pass's
-    own state: ``state`` maps each :class:`SN` to its membrane after the last
-    timestep it ran. One context serves all T timesteps of a pass, and the
-    membranes are freed with it."""
+    own state: ``t`` is the timestep running (from 1; ``observe`` records
+    under it), and ``state`` maps each :class:`SN` to its membrane after the
+    last timestep it ran. One context serves all T timesteps of a pass, and
+    the membranes are freed with it."""
 
     tape: object | None = None
     probe: object | None = None
     training: bool = False
     smooth: bool = False
+    t: int = field(default=0, init=False)
     state: dict[SN, Var] = field(default_factory=dict, init=False)
 
     def observe(self, layer: str, x: Var | np.ndarray, kind: str | None = None,
                 rate: float | None = None):
         if self.probe is not None:
             a = x.data if isinstance(x, Var) else np.asarray(x)
-            self.probe.observe(layer, a, kind=kind, rate=rate)
+            self.probe.observe(layer, self.t, a, kind=kind, rate=rate)
 
 
 class Module:
@@ -244,64 +254,55 @@ class RepConv(Module):
 
 
 class Mixer(Module):
-    """Base of the spiking mixers. Each stage in ``_stages`` is
-    ``(neuron, key, convs)``: fire the input, record the spikes under
-    ``<name>.<key>``, then run the convs in turn."""
+    """Base of the spiking mixers, built and run from the class's ``STAGES``.
+
+    Each stage is ``(key, convs)``: neuron ``sn<i>`` fires the input, the
+    spikes are recorded under ``<name>.<key>``, then the convs run in turn.
+    Each conv is ``(attribute, k, c_in, c_out, depthwise)``, its widths in
+    units of the block's dim; a depthwise one has one channel per group.
+    ``NAME`` is the mixer's default name, and the one its block gives it.
+    """
+
+    def __init__(self, rng, dim, lif: LIFParams, name=None):
+        self.name = name = name or self.NAME
+        for i, (_, convs) in enumerate(self.STAGES, 1):
+            setattr(self, f"sn{i}", SN(lif, name=f"{name}.sn{i}"))
+            for attr, k, c_in, c_out, depthwise in convs:
+                setattr(self, attr, ConvBN(rng, c_in * dim, c_out * dim, k,
+                                           groups=c_in * dim if depthwise else 1,
+                                           name=f"{name}.{attr}"))
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
-        for sn, key, convs in self._stages:
-            x = sn.step(x, ctx)
+        for i, (key, convs) in enumerate(self.STAGES, 1):
+            x = getattr(self, f"sn{i}").step(x, ctx)
             ctx.observe(f"{self.name}.{key}", x)
-            for conv in convs:
-                x = conv.forward(x, ctx)
+            for attr, *_ in convs:
+                x = getattr(self, attr).forward(x, ctx)
         return x
 
 
 class SepConv(Mixer):
     """Inverted separable token mixer: expand 1x1, depthwise 7x7, project 1x1."""
 
-    RATIO = 2
-
-    def __init__(self, rng, dim, lif: LIFParams, name="sepconv"):
-        mid = self.RATIO * dim
-        self.sn1 = SN(lif, name=f"{name}.sn1")
-        self.pw1 = ConvBN(rng, dim, mid, 1, name=f"{name}.pw1")
-        self.sn2 = SN(lif, name=f"{name}.sn2")
-        self.dw = ConvBN(rng, mid, mid, 7, groups=mid, name=f"{name}.dw")
-        self.pw2 = ConvBN(rng, mid, dim, 1, name=f"{name}.pw2")
-        self.name = name
-        self._stages = ((self.sn1, "pw1", (self.pw1,)),
-                        (self.sn2, "dwpw2", (self.dw, self.pw2)))
+    NAME = "sepconv"
+    STAGES = (("pw1", (("pw1", 1, 1, 2, False),)),
+              ("dwpw2", (("dw", 7, 2, 2, True), ("pw2", 1, 2, 1, False))))
 
 
 class ChannelConv(Mixer):
     """Channel mixer for conv stages: two 3x3 convs around an expansion."""
 
-    RATIO = 4
-
-    def __init__(self, rng, dim, lif: LIFParams, name="chconv"):
-        mid = self.RATIO * dim
-        self.sn1 = SN(lif, name=f"{name}.sn1")
-        self.conv1 = ConvBN(rng, dim, mid, 3, name=f"{name}.conv1")
-        self.sn2 = SN(lif, name=f"{name}.sn2")
-        self.conv2 = ConvBN(rng, mid, dim, 3, name=f"{name}.conv2")
-        self.name = name
-        self._stages = ((self.sn1, "conv1", (self.conv1,)), (self.sn2, "conv2", (self.conv2,)))
+    NAME = "chconv"
+    STAGES = (("conv1", (("conv1", 3, 1, 4, False),)),
+              ("conv2", (("conv2", 3, 4, 1, False),)))
 
 
 class ChannelMLP(Mixer):
     """Token-wise two-layer MLP, realized as 1x1 convs on the spatial layout."""
 
-    RATIO = 4
-
-    def __init__(self, rng, dim, lif: LIFParams, name="mlp"):
-        mid = self.RATIO * dim
-        self.sn1 = SN(lif, name=f"{name}.sn1")
-        self.fc1 = ConvBN(rng, dim, mid, 1, name=f"{name}.fc1")
-        self.sn2 = SN(lif, name=f"{name}.sn2")
-        self.fc2 = ConvBN(rng, mid, dim, 1, name=f"{name}.fc2")
-        self.name = name
-        self._stages = ((self.sn1, "fc1", (self.fc1,)), (self.sn2, "fc2", (self.fc2,)))
+    NAME = "mlp"
+    STAGES = (("fc1", (("fc1", 1, 1, 4, False),)),
+              ("fc2", (("fc2", 1, 4, 1, False),)))
 
     def apply(self, u: DenseTensor) -> DenseTensor:
         """Token-layout (N, D) convenience entry."""
@@ -347,8 +348,8 @@ class ConvBlock(Module):
     configured residual style."""
 
     def __init__(self, rng, dim, lif: LIFParams, shortcut="MS", name="convblock"):
-        self.token = SepConv(rng, dim, lif, name=f"{name}.sepconv")
-        self.channel = ChannelConv(rng, dim, lif, name=f"{name}.chconv")
+        self.token = SepConv(rng, dim, lif, name=f"{name}.{SepConv.NAME}")
+        self.channel = ChannelConv(rng, dim, lif, name=f"{name}.{ChannelConv.NAME}")
         self.shortcut = shortcut
         self.name = name
         self.out_sn1, self.out_sn2 = _out_neurons(lif, shortcut, name)
@@ -374,7 +375,7 @@ class TransformerBlock(Module):
         self.sn_attn = SN(lif if sdsa.variant < 3 else lif.scaled(sdsa.threshold_scale),
                           name=f"{name}.sn_attn", learnable=sdsa.variant == 4)
         self.rep4 = RepConv(rng, dim, name=f"{name}.rep4")
-        self.mlp = ChannelMLP(rng, dim, lif, name=f"{name}.mlp")
+        self.mlp = ChannelMLP(rng, dim, lif, name=f"{name}.{ChannelMLP.NAME}")
         self.shortcut = shortcut
         self.out_sn1, self.out_sn2 = _out_neurons(lif, shortcut, name)
         self.name = name

@@ -10,8 +10,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field, is_dataclass
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError, is_int
 from .kernels import conv_output_size
@@ -34,15 +37,33 @@ PYRAMID = (
 )
 
 
-def _check_ints(cfg):
-    """Raise ``ConfigError``, naming the field, unless every value of each
-    field of ``cfg`` annotated int, int | None or tuple[int, ...] is an
-    integer by the rule of ``errors.check_int`` (:func:`errors.is_int`)."""
+# the rule a value of an int or a float field must pass, and its name; a value
+# of any other annotated class must be an instance of it
+_RULES = {int: (is_int, "an integer"),
+          float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                  "a real number")}
+
+
+def _check_types(cfg):
+    """Raise ``ConfigError``, naming the field, unless each field of ``cfg``
+    holds its annotated type: an int by the rule of ``errors.check_int``
+    (:func:`errors.is_int`), a float any real number but a ``bool``, a
+    ``tuple[int, ...]`` a sequence of such ints, and any other field (str,
+    bool, a dataclass) an instance of its class. None passes only where the
+    annotation allows it."""
     for name, t in get_type_hints(type(cfg)).items():
-        value = getattr(cfg, name)
-        for v in value if t == tuple[int, ...] else (value,) if t in (int, int | None) else ():
-            if v is not None and not is_int(v):
-                raise ConfigError(f"{name}: {v!r} is not an integer")
+        value, allowed = getattr(cfg, name), get_args(t) if isinstance(t, UnionType) else (t,)
+        if value is None and type(None) in allowed:
+            continue
+        t, values = allowed[0], (value,)
+        if t == tuple[int, ...]:
+            if not isinstance(value, Sequence):
+                raise ConfigError(f"{name}: {value!r} is not a sequence of integers")
+            t, values = int, value
+        fits, what = _RULES.get(t) or (lambda v: isinstance(v, t), f"a {t.__name__}")
+        for v in values:
+            if not fits(v):
+                raise ConfigError(f"{name}: {v!r} is not {what}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +83,7 @@ class ModelConfig:
     lif: LIFParams = field(default_factory=LIFParams)
 
     def __post_init__(self):
-        _check_ints(self)
+        _check_types(self)
         if self.base_channels < 1 or self.num_classes < 1 or self.resolution < 16:
             raise ConfigError("base_channels/num_classes must be >= 1, resolution >= 16")
         if self.in_channels < 1:
@@ -146,7 +167,7 @@ class TrainConfig:
     schedule: str = "constant"
 
     def __post_init__(self):
-        _check_ints(self)
+        _check_types(self)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.seed < 0:

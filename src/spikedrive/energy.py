@@ -10,6 +10,10 @@ Costing rules:
 * spike-driven conv / linear layers cost E_AC * (sum of per-timestep input
   firing rates) * FLOPs, with FLOPs computed at the layer's deployed form
   (re-parameterized convs count as their folded dense 3x3);
+* each spiking mixer is charged one op per stage of its ``STAGES`` table
+  (see ``blocks.Mixer``), with the FLOPs of all the stage's convs (a
+  depthwise conv counts one input channel per output): the table that
+  builds the layers also lists what they cost;
 * the stage-1 encoding conv reads raw pixels, so it is charged per timestep
   at E_MAC with rate 1;
 * the attention operator costs E_AC * T * R_hat * N * D (mask variants) or
@@ -154,24 +158,20 @@ class ChargedOp:
     variant: int = 0
 
 
-def _conv_block_ops(name: str, h: int, dim: int):
-    mid, wide = SepConv.RATIO * dim, ChannelConv.RATIO * dim
-    yield ChargedOp(f"{name}.sepconv.pw1", "conv",
-                    flops_conv(1, h, h, dim, mid), (f"{name}.sepconv.pw1",))
-    yield ChargedOp(f"{name}.sepconv.dwpw2", "conv",
-                    flops_conv_dw(7, h, h, mid) + flops_conv(1, h, h, mid, dim),
-                    (f"{name}.sepconv.dwpw2",))
-    yield ChargedOp(f"{name}.chconv.conv1", "conv",
-                    flops_conv(3, h, h, dim, wide), (f"{name}.chconv.conv1",))
-    yield ChargedOp(f"{name}.chconv.conv2", "conv",
-                    flops_conv(3, h, h, wide, dim), (f"{name}.chconv.conv2",))
+def _mixer_ops(mixer, block: str, h: int, dim: int, kind: str):
+    """One op per stage of a mixer class's ``STAGES`` table, charged the
+    FLOPs of the stage's convs on the block's h x h map."""
+    for key, convs in mixer.STAGES:
+        layer = f"{block}.{mixer.NAME}.{key}"
+        flops = sum(flops_conv(k, h, h, 1 if depthwise else c_in * dim, c_out * dim)
+                    for _, k, c_in, c_out, depthwise in convs)
+        yield ChargedOp(layer, kind, flops, (layer,))
 
 
 def _transformer_ops(name: str, h: int, dim: int, variant: int):
     n = h * h
     rep = flops_conv(3, h, h, dim, dim)  # folded deployed form
     n_qkv = 2 if variant == 2 else 3
-    hidden = ChannelMLP.RATIO * dim
     yield ChargedOp(f"{name}.qkv", "conv", n_qkv * rep, (f"{name}.qkv",))
     if variant == 1:
         keys = (f"{name}.k", f"{name}.v")
@@ -181,10 +181,7 @@ def _transformer_ops(name: str, h: int, dim: int, variant: int):
         keys = tuple(f"{name}.{m}" for m in ("q", "k", "v", "ktv", "qktv"))
     yield ChargedOp(f"{name}.sdsa", "sdsa", 0, keys, n=n, d=dim, variant=variant)
     yield ChargedOp(f"{name}.repconv4", "conv", rep, (f"{name}.repconv4",))
-    yield ChargedOp(f"{name}.mlp.fc1", "mlp", n * flops_mlp(dim, hidden),
-                    (f"{name}.mlp.fc1",))
-    yield ChargedOp(f"{name}.mlp.fc2", "mlp", n * flops_mlp(hidden, dim),
-                    (f"{name}.mlp.fc2",))
+    yield from _mixer_ops(ChannelMLP, name, h, dim, "mlp")
 
 
 def charged_ops(cfg: ModelConfig) -> list[ChargedOp]:
@@ -199,8 +196,11 @@ def charged_ops(cfg: ModelConfig) -> list[ChargedOp]:
         ops.append(ChargedOp(st.ds, "conv" if i else "encoding",
                              flops_conv(st.k, h, h, st.c_in, st.dim), (st.ds,)))
         for name in st.blocks:
-            ops.extend(_conv_block_ops(name, h, st.dim) if st.kind == "conv" else
-                       _transformer_ops(name, h, st.dim, cfg.sdsa_variant))
+            if st.kind == "conv":
+                for mixer in (SepConv, ChannelConv):
+                    ops.extend(_mixer_ops(mixer, name, h, st.dim, "conv"))
+            else:
+                ops.extend(_transformer_ops(name, h, st.dim, cfg.sdsa_variant))
     ops.append(ChargedOp("head.fc", "mlp", flops_mlp(cfg.dims[4], cfg.num_classes),
                          ("head.fc",)))
     return ops

@@ -34,15 +34,14 @@ class Probe:
 
     def __init__(self):
         self._rows: dict[tuple[str, int], Observation] = {}
-        self.t = 0  # the timestep that ``observe`` records under
 
     @property
     def entries(self) -> list[Observation]:
         return list(self._rows.values())
 
-    def observe(self, layer: str, a: np.ndarray, kind: str | None = None,
+    def observe(self, layer: str, t: int, a: np.ndarray, kind: str | None = None,
                 rate: float | None = None):
-        self.add(layer, self.t, firing_rate(a) if rate is None else rate, kind or kind_of(a))
+        self.add(layer, t, firing_rate(a) if rate is None else rate, kind or kind_of(a))
 
     def add(self, layer: str, t: int, rate: float, kind: str | None = None):
         if not 0.0 <= rate <= 1.0:

@@ -400,16 +400,23 @@ def conv2d_core(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
     C_out to C_in channels at stride 1, so a kn2row conv's gx runs
     :func:`im2col_conv` and an expanding conv's gx may run kn2row.
     """
-    _, c, h, w = x.shape
-    c_out, c_in_g, k, _ = weights.shape
+    _check_conv(x.shape, weights.shape, stride, padding, groups)
+    return _conv(x, weights, stride, padding, groups)
+
+
+def _check_conv(shape, weights_shape, stride: int, padding: int, groups: int):
+    """Raise ``ShapeError`` unless weights of ``weights_shape`` can convolve an
+    input of ``shape`` (..., C, H, W): the groups divide C_out, the geometry
+    is computable, the channels fit the weights and the output is not empty.
+    Both the dense and the event route check through here."""
+    c, h, w = shape[-3:]
+    c_out, c_in_g, k, _ = weights_shape
     _check_groups(c_out, groups)
     _check_geometry(stride, padding)
     if c != c_in_g * groups:
         raise ShapeError(f"input has {c} channels, kernel expects {c_in_g * groups}")
-    if conv_output_size(h, k, stride, padding) <= 0 or \
-            conv_output_size(w, k, stride, padding) <= 0:
-        raise ShapeError(f"conv output would be empty for input {x.shape}")
-    return _conv(x, weights, stride, padding, groups)
+    if min(conv_output_size(n, k, stride, padding) for n in (h, w)) <= 0:
+        raise ShapeError(f"conv output would be empty for input {shape}")
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, stride: int, padding: int, groups: int):
@@ -509,11 +516,7 @@ def event_conv2d(s: SpikeTensor, kern: ConvKernel, counter: OpCounter | None = N
     kernel taps it touches into the output map. float64 accumulation."""
     if s.data.ndim != 3:
         raise ShapeError(f"event_conv2d expects (C, H, W), got {s.shape}")
-    if s.shape[0] != kern.c_in:
-        raise ShapeError(f"input has {s.shape[0]} channels, kernel expects {kern.c_in}")
-    _check_geometry(kern.stride, kern.padding)
-    if min(conv_output_size(n, kern.k, kern.stride, kern.padding) for n in s.shape[1:]) <= 0:
-        raise ShapeError(f"conv output would be empty for input {s.shape}")
+    _check_conv(s.shape, kern.weights.shape, kern.stride, kern.padding, kern.groups)
     return DenseTensor(_scatter(s.data, kern, counter))
 
 

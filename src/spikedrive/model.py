@@ -99,9 +99,8 @@ class Model(Module):
             raise ArgError("input must be finite")
         ctx = ForwardContext(tape=tape, probe=probe, training=training, smooth=smooth)
         logits = None
-        for t, frame in enumerate(seq):
-            if probe is not None:
-                probe.t = t + 1
+        for t, frame in enumerate(seq, 1):
+            ctx.t = t
             z = Var(np.asarray(frame, dtype=np.float64))
             for i, attr in enumerate(BLOCK_LISTS, 1):
                 z = getattr(self, f"ds{i}").forward(z, ctx)

@@ -218,8 +218,11 @@ def train_toy(model: Model, data: Dataset, epochs: int, tc: TrainConfig | None =
 
 
 def _lr_at(tc: TrainConfig, base: float, epoch: int, epochs: int) -> float:
-    if tc.schedule == "cosine" and epochs > 1:
-        return base * 0.5 * (1 + np.cos(np.pi * (epoch - 1) / (epochs - 1)))
+    """The lr of epoch ``epoch`` of ``epochs``: the base throughout, or under
+    ``cosine`` the base at epoch 1 falling along a half cosine that would
+    reach 0 one epoch after the last, so every epoch moves the weights."""
+    if tc.schedule == "cosine":
+        return base * 0.5 * (1 + np.cos(np.pi * (epoch - 1) / epochs))
     return base
 
 

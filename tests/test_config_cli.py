@@ -1,6 +1,7 @@
 import configparser
 import functools
 import io
+import re
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -122,6 +123,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{name}: {value!r} is not an integer"):
             TrainConfig(**{name: value})
         assert TrainConfig(**{name: np.int64(1)}) == TrainConfig(**{name: 1})
+
+    @pytest.mark.parametrize("name,value,what", [
+        ("depths", 5, "a sequence of integers"), ("threshold_scale", "x", "a real number"),
+        ("threshold_scale", True, "a real number"), ("shortcut", 3, "a str"),
+        ("lif", "x", "a LIFParams"), ("lif", None, "a LIFParams"),
+        ("timesteps", None, "an integer")])
+    def test_model_fields_refuse_values_of_another_type(self, name, value, what):
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: {value!r} is not {what}")):
+            ModelConfig(**{name: value})
+        cfg = ModelConfig(depths=[1, 1, 2, 6, 2], threshold_scale=np.float32(0.25),
+                          stage4_dim=None)
+        assert list(cfg.depths) == [1, 1, 2, 6, 2] and cfg.threshold_scale == 0.25
+
+    @pytest.mark.parametrize("name,value,what", [
+        ("lr", "0.1", "a real number"), ("eps", True, "a real number"),
+        ("weight_decay", None, "a real number"), ("augment_flip", "yes", "a bool"),
+        ("augment_flip", 1, "a bool"), ("schedule", None, "a str")])
+    def test_train_fields_refuse_values_of_another_type(self, name, value, what):
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: {value!r} is not {what}")):
+            TrainConfig(**{name: value})
+        assert TrainConfig(lr=1, eps=np.float64(1e-8)) == TrainConfig(lr=1.0, eps=1e-8)
 
     def test_numpy_floats_are_written_as_numbers(self):
         tc = TrainConfig(lr=np.float64(0.01))

@@ -319,10 +319,9 @@ class TestOneRateTable:
     def test_observe_measures_with_the_tensor_helpers(self):
         from spikedrive.tensors import firing_rate, kind_of
         probe = Probe()
-        probe.t = 3
         for layer, a in (("s", np.array([[0.0, 1.0], [1.0, 1.0]])), ("i", np.array([0, 2, 0])),
                          ("d", np.array([0.5, 0.0]))):
-            probe.observe(layer, a)
+            probe.observe(layer, 3, a)
             e = probe.entries[-1]
             assert (e.layer, e.t, e.rate, e.kind) == (layer, 3, firing_rate(a), kind_of(a))
         assert [e.kind for e in probe.entries] == ["binary", "integer", "dense"]
@@ -419,3 +418,26 @@ class TestChargedFlopsMatchTheBuiltModel:
                 want = conv_bn(op.layer)
             assert op.flops == want, op.layer
         assert charged == set(maps)  # no conv of the forward goes uncharged
+
+
+class TestChargedOpKinds:
+    """``ChargedOp.kind`` decides how an op is charged and, in the benchmark's
+    event plan, which event kernel runs it: the raw-pixel conv is the
+    encoding, attention its operator, the MLP and the head matmuls, and
+    every other op a spike-driven conv."""
+
+    @pytest.mark.parametrize("base_channels", [32, 48], ids=["15M", "31M"])
+    def test_each_op_has_the_kind_of_its_layer(self, base_channels):
+        ops = charged_ops(sd.ModelConfig(base_channels=base_channels))
+        for op in ops:
+            if op.layer == "stage1.ds1":
+                want = "encoding"
+            elif op.layer.endswith(".sdsa"):
+                want = "sdsa"
+            elif op.layer == "head.fc" or op.layer.endswith((".mlp.fc1", ".mlp.fc2")):
+                want = "mlp"
+            else:
+                want = "conv"
+            assert op.kind == want, op.layer
+        kinds = [op.kind for op in ops]
+        assert kinds.count("encoding") == 1 and kinds.count("mlp") == 2 * kinds.count("sdsa") + 1

@@ -959,14 +959,21 @@ class TestConvGeometry:
             with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
                 call()
 
-    @pytest.mark.parametrize("stride,padding", BAD)
-    def test_both_routes_refuse_a_kernel_changed_after_construction(self, stride, padding):
+    # the last case's 3 groups do not divide the 2 output channels; the input
+    # has the 6 channels the kernel then expects
+    @pytest.mark.parametrize(
+        "stride,padding,groups,match",
+        [(s, p, 1, "stride >= 1 and padding >= 0") for s, p in BAD]
+        + [(1, 1, 3, "groups must be a positive divisor of the 2 output channels")],
+        ids=[f"{s}-{p}" for s, p in BAD] + ["groups"])
+    def test_both_routes_refuse_a_kernel_changed_after_construction(self, stride, padding,
+                                                                     groups, match):
         kern = ConvKernel(weights=np.ones((2, 2, 3, 3)))
-        kern.stride, kern.padding = stride, padding
-        s = np.ones((2, 6, 6), dtype=np.uint8)
+        kern.stride, kern.padding, kern.groups = stride, padding, groups
+        s = np.ones((kern.c_in, 6, 6), dtype=np.uint8)
         for call in (lambda: dense_conv2d(DenseTensor(s.astype(np.float64)), kern),
                      lambda: event_conv2d(SpikeTensor(s), kern)):
-            with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+            with pytest.raises(ShapeError, match=match):
                 call()
 
     def test_zero_padding_and_large_stride_still_run(self):

@@ -8,7 +8,7 @@ from spikedrive import autodiff as ad
 from spikedrive.autodiff import Tape, Var, backward
 from spikedrive.errors import ArgError, DivergenceError, TapeError
 from spikedrive.neuron import LIFParams
-from spikedrive.train import (Dataset, OptimState, evaluate, finetune_timesteps,
+from spikedrive.train import (Dataset, OptimState, _lr_at, evaluate, finetune_timesteps,
                               loss, make_blobs, step, train_toy)
 
 
@@ -187,6 +187,23 @@ class TestOptimizer:
         before = np.linalg.norm(p.data)
         step(optim, [p])
         assert np.linalg.norm(p.data) < before
+
+
+class TestLrSchedule:
+    """Under ``cosine`` every epoch trains: the lr starts at the base and
+    falls strictly, but never to 0."""
+
+    @pytest.mark.parametrize("epochs", [2, 3, 10])
+    def test_cosine_falls_from_the_base_and_stays_above_zero(self, epochs):
+        tc = sd.TrainConfig(schedule="cosine")
+        lrs = [_lr_at(tc, 0.1, e, epochs) for e in range(1, epochs + 1)]
+        assert lrs[0] == 0.1
+        assert all(a > b for a, b in zip(lrs, lrs[1:]))
+        assert lrs[-1] > 0
+
+    def test_one_epoch_and_constant_give_the_base(self):
+        assert _lr_at(sd.TrainConfig(schedule="cosine"), 0.1, 1, 1) == 0.1
+        assert [_lr_at(sd.TrainConfig(), 0.1, e, 5) for e in range(1, 6)] == [0.1] * 5
 
 
 class TestToyTraining:
