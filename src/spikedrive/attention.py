@@ -9,6 +9,17 @@ no softmax and no scale multiplication:
   with K^T V computed first it stays linear in the token count N = H*W
 * variant 4 is variant 3 with the threshold as a trainable scalar
 
+What each variant is made of is stated here once. ``VARIANTS`` lists, per
+variant, the Q/K/V maps it reads (variant 2 has no K) and the maps whose
+firing rates sum to its R_hat in the energy model: K and V for variant 1, Q
+for variant 2, and Q, K, V, K^T V and Q K^T V for variants 3 and 4.
+``blocks.TransformerBlock`` builds a K stream only where it is read, and
+``energy.charged_ops`` charges the Q/K/V convs and R_hat from the same
+table. The rules on the SDSA settings (the variant, the heads, the threshold
+scale and a width the matmul variants can split into heads) are
+``SDSAConfig``'s, and ``config.ModelConfig`` checks its SDSA settings by
+building one.
+
 Each variant is written once, in :func:`attend`, from the autodiff ops on
 the (B, D, H, W) spike maps of the conv layout; the caller supplies ``fire``,
 which turns the integer sums into spikes. ``blocks.TransformerBlock`` passes
@@ -28,12 +39,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ArgError, ShapeError
+from .errors import ArgError, ConfigError, ShapeError, check_fields
 from .kernels import conv2d_raw
 from .neuron import LIFParams, heaviside, sn_forward
 from .tensors import DenseTensor, SpikeTensor, check_same_shape
 
 __all__ = [
+    "VARIANTS",
     "SDSAConfig",
     "attend",
     "gen_qkv",
@@ -48,24 +60,34 @@ __all__ = [
 
 DEFAULT_THRESHOLD_SCALE = 0.125
 
+# per variant: the Q/K/V maps it reads, and the maps whose firing rates sum
+# to its R_hat (``energy.sdsa_flops``)
+_MATMUL = ("qkv", ("q", "k", "v", "ktv", "qktv"))
+VARIANTS = {1: ("qkv", ("k", "v")), 2: ("qv", ("q",)), 3: _MATMUL, 4: _MATMUL}
+
 
 @dataclass(frozen=True)
 class SDSAConfig:
+    """One transformer stage's attention settings, and the one statement of
+    their rules; a value out of range is named by its ``[model]`` config key
+    (``sdsa_variant`` for ``variant``). ``dim`` is the stage width, or 0 for
+    none to check."""
+
     variant: int = 3
     heads: int = 8
     dim: int = 0
     threshold_scale: float = DEFAULT_THRESHOLD_SCALE
 
     def __post_init__(self):
-        if self.variant not in (1, 2, 3, 4):
-            raise ValueError(f"unknown SDSA variant {self.variant}")
+        check_fields(self)
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"sdsa_variant must be 1..4, got {self.variant}")
         if self.heads < 1:
-            raise ValueError("head count must be >= 1")
-        if not (np.isfinite(self.threshold_scale) and self.threshold_scale > 0):
-            raise ValueError(f"threshold_scale must be finite and > 0, "
-                             f"got {self.threshold_scale}")
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        if not self.threshold_scale > 0:
+            raise ConfigError(f"threshold_scale must be > 0, got {self.threshold_scale}")
         if self.dim and self.variant in (3, 4) and self.dim % self.heads:
-            raise ValueError(f"dim {self.dim} not divisible by {self.heads} heads")
+            raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
 
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:

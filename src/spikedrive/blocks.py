@@ -23,10 +23,11 @@ checkpoint.
 
 ``TransformerBlock`` runs its attention through :func:`attention.attend`,
 the one definition of the SDSA variants, on the (B, D, H, W) Q/K/V spike
-maps its neurons fire; the output map feeds ``rep4`` as it is. One attention
-neuron, ``sn_attn``, fires every variant: at the LIF threshold for SDSA-1/2,
-at the scaled threshold for SDSA-3/4, and with that threshold trainable for
-SDSA-4.
+maps its neurons fire, with a K stream only where ``attention.VARIANTS``
+lists K among the maps the variant reads; the output map feeds ``rep4`` as
+it is. One attention neuron, ``sn_attn``, fires every variant: at the LIF
+threshold for SDSA-1/2, at the scaled threshold for SDSA-3/4, and with that
+threshold trainable for SDSA-4.
 
 Every layer derives from :class:`Module`, which finds what a layer holds by
 walking its public instance attributes in assignment order: a ``Var`` is a
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .attention import SDSAConfig, attend
+from .attention import VARIANTS, SDSAConfig, attend
 from .autodiff import BN_EPS, Var
 from .errors import FoldError, KindError, ShapeError
 from .kernels import ConvKernel
@@ -365,12 +366,13 @@ class TransformerBlock(Module):
     def __init__(self, rng, dim, lif: LIFParams, sdsa: SDSAConfig, shortcut="MS",
                  name="block"):
         self.sdsa = replace(sdsa, dim=dim)
+        has_k = "k" in VARIANTS[sdsa.variant][0]
         self.sn_in = SN(lif, name=f"{name}.sn_in")
         self.rep_q = RepConv(rng, dim, name=f"{name}.rep_q")
-        self.rep_k = RepConv(rng, dim, name=f"{name}.rep_k") if sdsa.variant != 2 else None
+        self.rep_k = RepConv(rng, dim, name=f"{name}.rep_k") if has_k else None
         self.rep_v = RepConv(rng, dim, name=f"{name}.rep_v")
         self.sn_q = SN(lif, name=f"{name}.sn_q")
-        self.sn_k = SN(lif, name=f"{name}.sn_k") if sdsa.variant != 2 else None
+        self.sn_k = SN(lif, name=f"{name}.sn_k") if has_k else None
         self.sn_v = SN(lif, name=f"{name}.sn_v")
         self.sn_attn = SN(lif if sdsa.variant < 3 else lif.scaled(sdsa.threshold_scale),
                           name=f"{name}.sn_attn", learnable=sdsa.variant == 4)

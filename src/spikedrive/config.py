@@ -3,20 +3,24 @@
 The dataclasses are the schema: the text holds one key per field, in field
 order, parsed and written by the ``_CODECS`` entry of the field's annotated
 type.
+
+Each rule on a setting is written once. Whether a field holds its annotated
+type (and a float field a finite value) is :func:`errors.check_fields`,
+which every settings record calls first. The SDSA settings' rules are
+``attention.SDSAConfig``'s: ``ModelConfig`` builds one per transformer stage
+instead of restating them, and checks its shortcut against
+``blocks.SHORTCUTS``. The neuron settings are ``neuron.LIFParams``'s.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-import math
-import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, field, is_dataclass
-from types import UnionType
-from typing import get_args, get_type_hints
 
-from .errors import ConfigError, is_int
+from .attention import SDSAConfig
+from .blocks import SHORTCUTS
+from .errors import ConfigError, check_fields, field_types
 from .kernels import conv_output_size
 from .neuron import LIFParams
 
@@ -37,35 +41,6 @@ PYRAMID = (
 )
 
 
-# the rule a value of an int or a float field must pass, and its name; a value
-# of any other annotated class must be an instance of it
-_RULES = {int: (is_int, "an integer"),
-          float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-                  "a real number")}
-
-
-def _check_types(cfg):
-    """Raise ``ConfigError``, naming the field, unless each field of ``cfg``
-    holds its annotated type: an int by the rule of ``errors.check_int``
-    (:func:`errors.is_int`), a float any real number but a ``bool``, a
-    ``tuple[int, ...]`` a sequence of such ints, and any other field (str,
-    bool, a dataclass) an instance of its class. None passes only where the
-    annotation allows it."""
-    for name, t in get_type_hints(type(cfg)).items():
-        value, allowed = getattr(cfg, name), get_args(t) if isinstance(t, UnionType) else (t,)
-        if value is None and type(None) in allowed:
-            continue
-        t, values = allowed[0], (value,)
-        if t == tuple[int, ...]:
-            if not isinstance(value, Sequence):
-                raise ConfigError(f"{name}: {value!r} is not a sequence of integers")
-            t, values = int, value
-        fits, what = _RULES.get(t) or (lambda v: isinstance(v, t), f"a {t.__name__}")
-        for v in values:
-            if not fits(v):
-                raise ConfigError(f"{name}: {v!r} is not {what}")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     base_channels: int = 32
@@ -83,7 +58,8 @@ class ModelConfig:
     lif: LIFParams = field(default_factory=LIFParams)
 
     def __post_init__(self):
-        _check_types(self)
+        check_fields(self)
+        object.__setattr__(self, "depths", tuple(self.depths))
         if self.base_channels < 1 or self.num_classes < 1 or self.resolution < 16:
             raise ConfigError("base_channels/num_classes must be >= 1, resolution >= 16")
         if self.in_channels < 1:
@@ -92,23 +68,14 @@ class ModelConfig:
             raise ConfigError("timesteps must be >= 1")
         if len(self.depths) != 5 or any(d < 0 for d in self.depths):
             raise ConfigError("depths must be five non-negative block counts")
-        if self.sdsa_variant not in (1, 2, 3, 4):
-            raise ConfigError(f"sdsa_variant must be 1..4, got {self.sdsa_variant}")
-        if self.shortcut not in ("MS", "SEW", "VS"):
+        if self.shortcut not in SHORTCUTS:
             raise ConfigError(f"shortcut must be MS, SEW or VS, got {self.shortcut!r}")
-        if not (math.isfinite(self.threshold_scale) and self.threshold_scale > 0):
-            raise ConfigError(f"threshold_scale must be finite and > 0, "
-                              f"got {self.threshold_scale}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.stage4_dim is not None and self.stage4_dim < 1:
             raise ConfigError(f"stage4_dim must be >= 1, got {self.stage4_dim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.sdsa_variant in (3, 4):
-            for d in self.dims[3:]:
-                if d % self.heads:
-                    raise ConfigError(f"stage dim {d} not divisible by {self.heads} heads")
+        for d in self.dims[3:]:  # the SDSA rules, checked on each transformer stage
+            SDSAConfig(self.sdsa_variant, self.heads, d, self.threshold_scale)
 
     @property
     def dims(self) -> tuple[int, int, int, int, int]:
@@ -167,7 +134,7 @@ class TrainConfig:
     schedule: str = "constant"
 
     def __post_init__(self):
-        _check_types(self)
+        check_fields(self)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.seed < 0:
@@ -175,10 +142,10 @@ class TrainConfig:
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError("label_smoothing must be in [0, 1)")
         for name, value in (("lr", self.lr), ("eps", self.eps)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 <= value < 1:
                 raise ConfigError(f"{name} must be in [0, 1), got {value}")
@@ -206,7 +173,7 @@ def _build(cp, section: str, cls, seen: set):
     """``cls`` from the keys of ``section``; a dataclass field is built from
     the section named after it. Adds each section read to ``seen``."""
     seen.add(section)
-    types = get_type_hints(cls)
+    types = field_types(cls)
     kw = {name: _build(cp, name, t, seen) for name, t in types.items() if is_dataclass(t)}
     for key, raw in cp[section].items() if cp.has_section(section) else ():
         if types.get(key) not in _CODECS:
@@ -245,7 +212,7 @@ def parse_config(path) -> tuple[ModelConfig, TrainConfig]:
 
 def _write(cp, section: str, obj):
     cp[section] = {}
-    for name, t in get_type_hints(type(obj)).items():
+    for name, t in field_types(type(obj)).items():
         value = getattr(obj, name)
         if is_dataclass(t):
             _write(cp, name, value)

@@ -18,7 +18,8 @@ Costing rules:
   at E_MAC with rate 1;
 * the attention operator costs E_AC * T * R_hat * N * D (mask variants) or
   * N * D^2 (matmul variants), where R_hat sums the measured firing rates of
-  every matrix participating in the operator;
+  the maps ``attention.VARIANTS`` lists for the variant, and its Q/K/V
+  convs are charged for the maps the variant reads;
 * Hadamard masks and the neuron updates themselves are charged nothing.
 
 Energies are the standard 45nm per-op figures: 0.9 pJ per accumulate and
@@ -32,6 +33,7 @@ import io
 from dataclasses import dataclass
 from importlib import resources
 
+from .attention import VARIANTS
 from .blocks import ChannelConv, ChannelMLP, SepConv
 from .config import ModelConfig, stages
 from .errors import ArgError, ParseError, ReportError, check_int
@@ -84,7 +86,7 @@ def sdsa_flops(variant: int, n: int, d: int, timesteps: int, rates) -> int:
     """Operator cost per Table-of-operators row: T * R_hat * N * D for the
     mask variants, T * R_hat * N * D^2 for the matmul variants. ``rates`` is
     the measured firing rate(s) whose sum forms R_hat."""
-    if variant not in (1, 2, 3, 4):
+    if variant not in VARIANTS:
         raise ArgError(f"unknown SDSA variant {variant}")
     if n < 0 or d < 0 or timesteps < 1:
         raise ArgError("bad dimensions")
@@ -171,14 +173,9 @@ def _mixer_ops(mixer, block: str, h: int, dim: int, kind: str):
 def _transformer_ops(name: str, h: int, dim: int, variant: int):
     n = h * h
     rep = flops_conv(3, h, h, dim, dim)  # folded deployed form
-    n_qkv = 2 if variant == 2 else 3
-    yield ChargedOp(f"{name}.qkv", "conv", n_qkv * rep, (f"{name}.qkv",))
-    if variant == 1:
-        keys = (f"{name}.k", f"{name}.v")
-    elif variant == 2:
-        keys = (f"{name}.q",)
-    else:
-        keys = tuple(f"{name}.{m}" for m in ("q", "k", "v", "ktv", "qktv"))
+    reads, rates = VARIANTS[variant]
+    yield ChargedOp(f"{name}.qkv", "conv", len(reads) * rep, (f"{name}.qkv",))
+    keys = tuple(f"{name}.{m}" for m in rates)
     yield ChargedOp(f"{name}.sdsa", "sdsa", 0, keys, n=n, d=dim, variant=variant)
     yield ChargedOp(f"{name}.repconv4", "conv", rep, (f"{name}.repconv4",))
     yield from _mixer_ops(ChannelMLP, name, h, dim, "mlp")

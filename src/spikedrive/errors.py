@@ -1,6 +1,13 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the checks that raise
+them from more than one module: :func:`check_int` for an argument and
+:func:`check_fields` for a settings record."""
 
+import functools
+import math
 import numbers
+from collections.abc import Sequence
+from types import UnionType
+from typing import get_args, get_type_hints
 
 
 class SpikeDriveError(Exception):
@@ -77,3 +84,37 @@ def check_int(name: str, value, low: int):
         raise ArgError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ArgError(f"{name} must be >= {low}, got {value}")
+
+
+# each class's resolved field annotations, in field order; read, never mutate
+field_types = functools.cache(get_type_hints)
+
+# the rule a value of an int or a float field must pass, and its name; a value
+# of any other annotated class must be an instance of it
+_RULES = {int: (is_int, "an integer"),
+          float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                  "a real number")}
+
+
+def check_fields(record):
+    """Raise ``ConfigError``, naming the field, unless each field of the
+    dataclass ``record`` holds its annotated type: an int by :func:`is_int`,
+    a float any finite real number but a ``bool``, a ``tuple[int, ...]`` a
+    sequence of such ints, and any other field (str, bool, a dataclass) an
+    instance of its class. None passes only where the annotation allows it.
+    Every settings record calls this first in its ``__post_init__``."""
+    for name, t in field_types(type(record)).items():
+        value, allowed = getattr(record, name), get_args(t) if isinstance(t, UnionType) else (t,)
+        if value is None and type(None) in allowed:
+            continue
+        t, values = allowed[0], (value,)
+        if t == tuple[int, ...]:
+            if not isinstance(value, Sequence):
+                raise ConfigError(f"{name}: {value!r} is not a sequence of integers")
+            t, values = int, value
+        fits, what = _RULES.get(t) or (lambda v: isinstance(v, t), f"a {t.__name__}")
+        for v in values:
+            if not fits(v):
+                raise ConfigError(f"{name}: {v!r} is not {what}")
+        if t is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")

@@ -27,14 +27,13 @@ for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError, check_fields
 from .tensors import DenseTensor, SpikeTensor
 
 __all__ = ["LIFParams", "LIFState", "lif", "lif_step", "sn_forward", "surrogate_grad",
@@ -43,6 +42,8 @@ __all__ = ["LIFParams", "LIFState", "lif", "lif_step", "sn_forward", "surrogate_
 
 @dataclass(frozen=True)
 class LIFParams:
+    """The neuron settings, the ``[lif]`` section of a model config."""
+
     u_th: float = 1.0
     beta: float = 0.5
     v_reset: float = 0.0
@@ -50,18 +51,15 @@ class LIFParams:
     surrogate_window: float | None = None  # defaults to 0.5 * u_th
 
     def __post_init__(self):
-        for name in ("u_th", "beta", "v_reset", "threshold_scale", "surrogate_window"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_fields(self)
         if not self.u_th > 0:
-            raise ValueError(f"u_th must be > 0, got {self.u_th}")
+            raise ConfigError(f"u_th must be > 0, got {self.u_th}")
         if not 0 < self.beta < 1:
-            raise ValueError(f"decay factor beta must be in (0, 1), got {self.beta}")
+            raise ConfigError(f"decay factor beta must be in (0, 1), got {self.beta}")
         if self.threshold_scale <= 0:
-            raise ValueError(f"threshold_scale must be > 0, got {self.threshold_scale}")
+            raise ConfigError(f"threshold_scale must be > 0, got {self.threshold_scale}")
         if self.surrogate_window is not None and self.surrogate_window <= 0:
-            raise ValueError("surrogate_window must be > 0")
+            raise ConfigError("surrogate_window must be > 0")
 
     @property
     def window(self) -> float:

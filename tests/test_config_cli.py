@@ -151,6 +151,41 @@ class TestConfigParsing:
         assert "lr = 0.01\n" in text
         assert parse_config_text(text)[1] == tc
 
+    @pytest.mark.parametrize("cls,name,value,what", [
+        (LIFParams, "u_th", True, "a real number"), (LIFParams, "beta", "0.5", "a real number"),
+        (LIFParams, "surrogate_window", "x", "a real number"),
+        (SDSAConfig, "variant", 2.0, "an integer"), (SDSAConfig, "heads", "2", "an integer"),
+        (SDSAConfig, "threshold_scale", True, "a real number")])
+    def test_neuron_and_attention_fields_refuse_values_of_another_type(self, cls, name, value,
+                                                                       what):
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: {value!r} is not {what}")):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [("u_th", 0.0), ("beta", 1.0),
+                                            ("threshold_scale", -1.0),
+                                            ("surrogate_window", 0.0)])
+    def test_neuron_ranges_are_config_errors(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            LIFParams(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("sdsa_variant", 0), ("sdsa_variant", 5), ("heads", 0), ("heads", -2), ("heads", 3),
+        ("threshold_scale", 0.0), ("threshold_scale", -1.0), ("threshold_scale", np.nan),
+        ("threshold_scale", np.inf)])
+    def test_model_and_attention_give_one_message_per_sdsa_setting(self, name, value):
+        # heads 3 does not divide the default stage-3 width, 256
+        with pytest.raises(ConfigError) as model_error:
+            ModelConfig(**{name: value})
+        key = "variant" if name == "sdsa_variant" else name
+        with pytest.raises(ConfigError) as sdsa_error:
+            SDSAConfig(**{key: value}, dim=ModelConfig().dims[3])
+        assert str(model_error.value) == str(sdsa_error.value)
+
+    def test_list_depths_build_the_same_config(self):
+        cfg = ModelConfig(depths=[1, 1, 2, 6, 2])
+        assert cfg == ModelConfig() and hash(cfg) == hash(ModelConfig())
+        assert config_to_text(cfg) == config_to_text(ModelConfig())
+
 
 @pytest.fixture
 def toy_config_file(tmp_path):
@@ -689,7 +724,8 @@ class TestOptimizerSettings:
              ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-0.0001"),
              ("beta1", "1.5"), ("beta1", "1.0"), ("beta1", "-0.1"), ("beta1", "nan"),
              ("beta2", "1.0"), ("beta2", "nan"), ("beta2", "-1.0"),
-             ("eps", "0.0"), ("eps", "-1e-08"), ("eps", "nan"), ("eps", "inf")]
+             ("eps", "0.0"), ("eps", "-1e-08"), ("eps", "nan"), ("eps", "inf"),
+             ("label_smoothing", "nan")]
 
     @staticmethod
     def _text(key, value):

@@ -106,13 +106,18 @@ class TestRecordRates:
         report = record_rates(model, np.full((1, 3, 32, 32), 100.0))
         assert report.get("stage1.block1.sepconv.pw1", 1) == 1.0
 
-    def test_all_rates_in_range_and_cover_charged_ops(self):
-        model = sd.build_model(toy_cfg())
+    # every SDSA variant under every shortcut: a rate key that the variant's
+    # forward never observes (K under SDSA-2, K^T V under SDSA-1) must fail
+    @pytest.mark.parametrize("variant,shortcut",
+                             [(v, sc) for v in (1, 2, 3, 4) for sc in ("MS", "SEW", "VS")])
+    def test_all_rates_in_range_and_cover_charged_ops(self, variant, shortcut):
+        cfg = toy_cfg(sdsa_variant=variant, shortcut=shortcut)
+        model = sd.build_model(cfg)
         x = np.random.default_rng(0).normal(0, 3, (1, 3, 32, 32))
         report = record_rates(model, x, timesteps=2)
         assert all(0.0 <= e.rate <= 1.0 for e in report.entries)
         recorded = set(report.layers())
-        for op in charged_ops(toy_cfg()):
+        for op in charged_ops(cfg):
             for key in op.rate_keys:
                 assert key in recorded, f"missing measurement for {key}"
         # per (layer, t) exactly once
