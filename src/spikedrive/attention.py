@@ -17,8 +17,8 @@ for variant 2, and Q, K, V, K^T V and Q K^T V for variants 3 and 4.
 ``energy.charged_ops`` charges the Q/K/V convs and R_hat from the same
 table. The rules on the SDSA settings (the variant, the heads, the threshold
 scale and a width the matmul variants can split into heads) are
-``SDSAConfig``'s, and ``config.ModelConfig`` checks its SDSA settings by
-building one.
+``SDSAConfig``'s, the ranges declared on its fields, and
+``config.ModelConfig`` checks its SDSA settings by building one.
 
 Each variant is written once, in :func:`attend`, from the autodiff ops on
 the (B, D, H, W) spike maps of the conv layout; the caller supplies ``fire``,
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ArgError, ConfigError, ShapeError, check_fields
+from .errors import ArgError, ConfigError, ShapeError, check_fields, setting
 from .kernels import conv2d_raw
 from .neuron import LIFParams, heaviside, sn_forward
 from .tensors import DenseTensor, SpikeTensor, check_same_shape
@@ -70,22 +70,22 @@ VARIANTS = {1: ("qkv", ("k", "v")), 2: ("qv", ("q",)), 3: _MATMUL, 4: _MATMUL}
 class SDSAConfig:
     """One transformer stage's attention settings, and the one statement of
     their rules; a value out of range is named by its ``[model]`` config key
-    (``sdsa_variant`` for ``variant``). ``dim`` is the stage width, or 0 for
-    none to check."""
+    (``sdsa_variant`` for ``variant``). The ranges of ``heads`` and
+    ``threshold_scale`` are declared beside them and enforced by
+    ``errors.check_fields`` (type, finiteness, then range); ``__post_init__``
+    adds that the variant is a key of ``VARIANTS`` and that a matmul
+    variant's width splits into its heads. ``dim`` is the stage width, or 0
+    for none to check."""
 
     variant: int = 3
-    heads: int = 8
+    heads: int = setting(8, "[1, inf)")
     dim: int = 0
-    threshold_scale: float = DEFAULT_THRESHOLD_SCALE
+    threshold_scale: float = setting(DEFAULT_THRESHOLD_SCALE, "(0, inf)")
 
     def __post_init__(self):
         check_fields(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"sdsa_variant must be 1..4, got {self.variant}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
-        if not self.threshold_scale > 0:
-            raise ConfigError(f"threshold_scale must be > 0, got {self.threshold_scale}")
         if self.dim and self.variant in (3, 4) and self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
 

@@ -49,7 +49,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import VARIANTS, SDSAConfig, attend
 from .autodiff import BN_EPS, Var
-from .errors import FoldError, KindError, ShapeError
+from .errors import ArgError, FoldError, KindError, ShapeError
 from .kernels import ConvKernel
 from .neuron import LIFParams, lif
 from .tensors import DenseTensor, IntTensor, SpikeTensor
@@ -336,9 +336,9 @@ def _residual(block, x: Var, ctx: ForwardContext, mixer, channel) -> Var:
 
 def _out_neurons(lif: LIFParams, shortcut: str, name: str):
     """The two block-boundary neurons a shortcut fires through: none under MS.
-    An unknown shortcut is a ``ValueError``."""
+    An unknown shortcut is an ``ArgError``."""
     if shortcut not in SHORTCUTS:
-        raise ValueError(f"shortcut must be one of {SHORTCUTS}, got {shortcut!r}")
+        raise ArgError(f"shortcut must be one of {SHORTCUTS}, got {shortcut!r}")
     if shortcut == "MS":
         return None, None
     return SN(lif, name=f"{name}.out_sn1"), SN(lif, name=f"{name}.out_sn2")

@@ -4,12 +4,14 @@ The dataclasses are the schema: the text holds one key per field, in field
 order, parsed and written by the ``_CODECS`` entry of the field's annotated
 type.
 
-Each rule on a setting is written once. Whether a field holds its annotated
-type (and a float field a finite value) is :func:`errors.check_fields`,
-which every settings record calls first. The SDSA settings' rules are
-``attention.SDSAConfig``'s: ``ModelConfig`` builds one per transformer stage
-instead of restating them, and checks its shortcut against
-``blocks.SHORTCUTS``. The neuron settings are ``neuron.LIFParams``'s.
+Each rule on a setting is written once. A field's range, or a str field's
+choices (the shortcut's are ``blocks.SHORTCUTS``), is declared beside it
+with :func:`errors.setting`, and :func:`errors.check_fields`, which every
+settings record calls first, enforces it after the field's type and
+finiteness. ``ModelConfig.__post_init__`` adds only that ``depths`` has
+five entries. The SDSA settings' rules are ``attention.SDSAConfig``'s:
+``ModelConfig`` builds one per transformer stage instead of restating them.
+The neuron settings' are ``neuron.LIFParams``'s.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, is_dataclass
 
 from .attention import SDSAConfig
 from .blocks import SHORTCUTS
-from .errors import ConfigError, check_fields, field_types
+from .errors import ConfigError, check_fields, field_types, setting
 from .kernels import conv_output_size
 from .neuron import LIFParams
 
@@ -43,37 +45,25 @@ PYRAMID = (
 
 @dataclass(frozen=True)
 class ModelConfig:
-    base_channels: int = 32
-    num_classes: int = 1000
-    in_channels: int = 3
-    resolution: int = 224
-    timesteps: int = 1
-    depths: tuple[int, ...] = (1, 1, 2, 6, 2)
+    base_channels: int = setting(32, "[1, inf)")
+    num_classes: int = setting(1000, "[1, inf)")
+    in_channels: int = setting(3, "[1, inf)")
+    resolution: int = setting(224, "[16, inf)")
+    timesteps: int = setting(1, "[1, inf)")
+    depths: tuple[int, ...] = setting((1, 1, 2, 6, 2), "[0, inf)")
     sdsa_variant: int = 3
     heads: int = 8
     threshold_scale: float = 0.125
-    shortcut: str = "MS"
-    seed: int = 0
-    stage4_dim: int | None = None
+    shortcut: str = setting("MS", SHORTCUTS)
+    seed: int = setting(0, "[0, inf)")
+    stage4_dim: int | None = setting(None, "[1, inf)")
     lif: LIFParams = field(default_factory=LIFParams)
 
     def __post_init__(self):
         check_fields(self)
         object.__setattr__(self, "depths", tuple(self.depths))
-        if self.base_channels < 1 or self.num_classes < 1 or self.resolution < 16:
-            raise ConfigError("base_channels/num_classes must be >= 1, resolution >= 16")
-        if self.in_channels < 1:
-            raise ConfigError("in_channels must be >= 1")
-        if self.timesteps < 1:
-            raise ConfigError("timesteps must be >= 1")
-        if len(self.depths) != 5 or any(d < 0 for d in self.depths):
+        if len(self.depths) != 5:
             raise ConfigError("depths must be five non-negative block counts")
-        if self.shortcut not in SHORTCUTS:
-            raise ConfigError(f"shortcut must be MS, SEW or VS, got {self.shortcut!r}")
-        if self.stage4_dim is not None and self.stage4_dim < 1:
-            raise ConfigError(f"stage4_dim must be >= 1, got {self.stage4_dim}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for d in self.dims[3:]:  # the SDSA rules, checked on each transformer stage
             SDSAConfig(self.sdsa_variant, self.heads, d, self.threshold_scale)
 
@@ -121,36 +111,20 @@ def stages(cfg: ModelConfig) -> tuple[Stage, ...]:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 32
-    lr: float = 5e-3
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    label_smoothing: float = 0.1
-    seed: int = 0
+    epochs: int = setting(10, "[0, inf)")
+    batch_size: int = setting(32, "[1, inf)")
+    lr: float = setting(5e-3, "(0, inf)")
+    weight_decay: float = setting(0.0, "[0, inf)")
+    beta1: float = setting(0.9, "[0, 1)")
+    beta2: float = setting(0.999, "[0, 1)")
+    eps: float = setting(1e-8, "(0, inf)")
+    label_smoothing: float = setting(0.1, "[0, 1)")
+    seed: int = setting(0, "[0, inf)")
     augment_flip: bool = False
-    schedule: str = "constant"
+    schedule: str = setting("constant", ("constant", "cosine"))
 
     def __post_init__(self):
         check_fields(self)
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.label_smoothing < 1:
-            raise ConfigError("label_smoothing must be in [0, 1)")
-        for name, value in (("lr", self.lr), ("eps", self.eps)):
-            if not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 <= value < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"schedule must be constant or cosine, got {self.schedule!r}")
 
 
 # parse and format for each annotated field type; an ``X | None`` field uses

@@ -1,11 +1,22 @@
 """Exception types shared across the library, and the checks that raise
 them from more than one module: :func:`check_int` for an argument and
-:func:`check_fields` for a settings record."""
+:func:`check_fields` for a settings record.
+
+What a setting may hold is declared once, beside its field: its annotated
+type, and, for a field built by :func:`setting`, an interval or the choices
+of a str field. :func:`check_fields` enforces both for every settings record
+(``config.ModelConfig`` and ``TrainConfig``, ``neuron.LIFParams``,
+``attention.SDSAConfig``), field by field in declaration order: type, then
+finiteness for a float, then the declared values, each refusal a
+``ConfigError`` naming the field. A record's ``__post_init__`` keeps only
+the rules that join fields or are not a per-field range."""
 
 import functools
 import math
 import numbers
+import operator
 from collections.abc import Sequence
+from dataclasses import field, fields
 from types import UnionType
 from typing import get_args, get_type_hints
 
@@ -94,27 +105,74 @@ field_types = functools.cache(get_type_hints)
 _RULES = {int: (is_int, "an integer"),
           float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
                   "a real number")}
+# the comparison that keeps a value inside each interval end, lower end first
+_INSIDE = {"(": operator.lt, "[": operator.le, ")": operator.lt, "]": operator.le}
+
+
+def setting(default, allowed):
+    """A settings-record field holding ``default`` whose values lie in
+    ``allowed``: an interval such as ``"[1, inf)"`` or ``"(0, 1)"``, or a
+    tuple of a str field's choices. Each element of a ``tuple[int, ...]``
+    field must lie in it, and None, where the field may hold it, skips it.
+    The class attribute stays ``default``; :func:`check_fields` enforces
+    ``allowed``."""
+    if isinstance(allowed, tuple):
+        inside, what = allowed.__contains__, f"one of {allowed}"
+    else:  # a malformed interval fails here, as its class is defined
+        lo, hi = allowed[1:-1].split(", ")
+        above, below, low, high = _INSIDE[allowed[0]], _INSIDE[allowed[-1]], float(lo), float(hi)
+        inside = lambda v: above(low, v) and below(v, high)
+        what = f"{'>' if allowed[0] == '(' else '>='} {lo}" if hi == "inf" else f"in {allowed}"
+    return field(default=default, metadata={"allowed": (inside, what)})
+
+
+def _is_finite(value) -> bool:
+    """``math.isfinite``, with an int too large to convert to a float not
+    finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+@functools.cache
+def _checks(cls) -> tuple:
+    """Per field of the dataclass ``cls``: its name, whether None passes,
+    whether it holds a sequence, the rule each value must pass and its name,
+    whether a value must be finite, and the values :func:`setting` allows
+    (a test and its wording) or None."""
+    checks = []
+    for f in fields(cls):
+        t = field_types(cls)[f.name]
+        allowed = get_args(t) if isinstance(t, UnionType) else (t,)
+        many = allowed[0] == tuple[int, ...]
+        t = int if many else allowed[0]
+        fits, what = _RULES.get(t) or ((lambda v, t=t: isinstance(v, t)), f"a {t.__name__}")
+        checks.append((f.name, type(None) in allowed, many, fits, what, t is float,
+                       f.metadata.get("allowed")))
+    return tuple(checks)
 
 
 def check_fields(record):
     """Raise ``ConfigError``, naming the field, unless each field of the
-    dataclass ``record`` holds its annotated type: an int by :func:`is_int`,
-    a float any finite real number but a ``bool``, a ``tuple[int, ...]`` a
-    sequence of such ints, and any other field (str, bool, a dataclass) an
-    instance of its class. None passes only where the annotation allows it.
-    Every settings record calls this first in its ``__post_init__``."""
-    for name, t in field_types(type(record)).items():
-        value, allowed = getattr(record, name), get_args(t) if isinstance(t, UnionType) else (t,)
-        if value is None and type(None) in allowed:
+    dataclass ``record`` holds a value its annotation and its :func:`setting`
+    allow. Field by field, in declaration order, each value must first be of
+    its type: an int by :func:`is_int`, a float any real number but a
+    ``bool``, a ``tuple[int, ...]`` a sequence of such ints, and any other
+    field (str, bool, a dataclass) an instance of its class. A float must
+    then be finite, and last, lie in the field's declared interval or
+    choices. None passes where the annotation allows it. Every settings
+    record calls this first in its ``__post_init__``."""
+    for name, none_ok, many, fits, what, finite, allowed in _checks(type(record)):
+        value = getattr(record, name)
+        if value is None and none_ok:
             continue
-        t, values = allowed[0], (value,)
-        if t == tuple[int, ...]:
-            if not isinstance(value, Sequence):
-                raise ConfigError(f"{name}: {value!r} is not a sequence of integers")
-            t, values = int, value
-        fits, what = _RULES.get(t) or (lambda v: isinstance(v, t), f"a {t.__name__}")
-        for v in values:
+        if many and not isinstance(value, Sequence):
+            raise ConfigError(f"{name}: {value!r} is not a sequence of integers")
+        for v in value if many else (value,):
             if not fits(v):
                 raise ConfigError(f"{name}: {v!r} is not {what}")
-        if t is float and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+            if finite and not _is_finite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
+            if allowed and not allowed[0](v):
+                raise ConfigError(f"{name} must be {allowed[1]}, got {v!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .config import ModelConfig, TrainConfig
-from .errors import ConfigError
+from .errors import ArgError, ConfigError
 from .model import Model, build_model
 from .neuron import LIFParams
 from .train import Dataset, check_images, check_labels, train_toy
@@ -52,7 +52,7 @@ class SpikingClassifier:
         names = self.get_params()
         for k, v in params.items():
             if k not in names:
-                raise ValueError(f"invalid parameter {k!r} for SpikingClassifier")
+                raise ArgError(f"invalid parameter {k!r} for SpikingClassifier")
             setattr(self, k, v)
         return self
 

@@ -11,6 +11,9 @@ fired positions and decays the rest:
 The Heaviside is non-differentiable; training uses a rectangular surrogate
 window of half-width ``w`` around the threshold.
 
+The settings are :class:`LIFParams`, whose fields declare their ranges with
+``errors.setting``; ``errors.check_fields`` enforces them.
+
 :func:`lif` is the one implementation of this update, with or without a
 tape, in spike and in smooth mode. Its forward is plain numpy: U = h + x and
 U - theta are new arrays, and the spikes are made in place in the second.
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ShapeError, check_fields, setting
 from .tensors import DenseTensor, SpikeTensor
 
 __all__ = ["LIFParams", "LIFState", "lif", "lif_step", "sn_forward", "surrogate_grad",
@@ -42,24 +45,19 @@ __all__ = ["LIFParams", "LIFState", "lif", "lif_step", "sn_forward", "surrogate_
 
 @dataclass(frozen=True)
 class LIFParams:
-    """The neuron settings, the ``[lif]`` section of a model config."""
+    """The neuron settings, the ``[lif]`` section of a model config. Each
+    field's range is declared beside it and enforced by
+    ``errors.check_fields`` (type, finiteness, then range); no rule joins
+    two fields."""
 
-    u_th: float = 1.0
-    beta: float = 0.5
+    u_th: float = setting(1.0, "(0, inf)")
+    beta: float = setting(0.5, "(0, 1)")
     v_reset: float = 0.0
-    threshold_scale: float = 1.0
-    surrogate_window: float | None = None  # defaults to 0.5 * u_th
+    threshold_scale: float = setting(1.0, "(0, inf)")
+    surrogate_window: float | None = setting(None, "(0, inf)")  # defaults to 0.5 * u_th
 
     def __post_init__(self):
         check_fields(self)
-        if not self.u_th > 0:
-            raise ConfigError(f"u_th must be > 0, got {self.u_th}")
-        if not 0 < self.beta < 1:
-            raise ConfigError(f"decay factor beta must be in (0, 1), got {self.beta}")
-        if self.threshold_scale <= 0:
-            raise ConfigError(f"threshold_scale must be > 0, got {self.threshold_scale}")
-        if self.surrogate_window is not None and self.surrogate_window <= 0:
-            raise ConfigError("surrogate_window must be > 0")
 
     @property
     def window(self) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgError, EmptyTensorError, InvalidEventError, ParseError, ShapeError
+from .errors import ArgError, EmptyTensorError, InvalidEventError, ParseError, ShapeError, check_int
 
 __all__ = [
     "DenseTensor",
@@ -77,7 +77,7 @@ class DenseTensor(_Carrier):
     def __init__(self, data):
         a = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(a)):
-            raise ValueError("DenseTensor values must be finite")
+            raise ArgError("DenseTensor values must be finite")
         super().__init__(a.copy() if a.base is not None or a.flags.writeable else a)
 
 
@@ -89,7 +89,7 @@ class SpikeTensor(_Carrier):
     def __init__(self, data):
         a = np.asarray(data)
         if kind_of(a) != "binary":
-            raise ValueError("SpikeTensor values must be exactly 0 or 1")
+            raise ArgError("SpikeTensor values must be exactly 0 or 1")
         super().__init__(a.astype(np.uint8))
 
 
@@ -102,7 +102,7 @@ class IntTensor(_Carrier):
         a = np.asarray(data)
         if kind_of(a) == "dense":
             whole = np.array_equal(a, np.round(a))
-            raise ValueError(f"IntTensor values must be {'non-negative' if whole else 'integers'}")
+            raise ArgError(f"IntTensor values must be {'non-negative' if whole else 'integers'}")
         super().__init__(a.astype(np.int64))
 
 
@@ -175,10 +175,9 @@ def load_event_file(path, bins: int, resolution: tuple[int, int],
     Returns a ``(T, 1, C, H, W)`` spike tensor. An empty file yields the
     all-zero tensor.
     """
-    if bins < 1:
-        raise ArgError(f"bins must be >= 1, got {bins}")
+    check_int("bins", bins, 1)
     if channels not in (1, 2):
-        raise ValueError("channels must be 1 or 2")
+        raise ArgError("channels must be 1 or 2")
     h, w = resolution
     events = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -85,14 +85,15 @@ def step(optim: OptimState, params: list[Var], lr: float | None = None):
 
 
 def check_images(x) -> np.ndarray:
-    """Validate and coerce input to a float64 (N, C, H, W) image batch."""
+    """Validate and coerce input to a float64 (N, C, H, W) image batch; any
+    failure raises ``ArgError``."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 4:
-        raise ValueError(f"expected (N, C, H, W) images, got shape {a.shape}")
+        raise ArgError(f"expected (N, C, H, W) images, got shape {a.shape}")
     if a.shape[2] != a.shape[3]:
-        raise ValueError("images must be square")
+        raise ArgError("images must be square")
     if not np.all(np.isfinite(a)):
-        raise ValueError("images must be finite")
+        raise ArgError("images must be finite")
     return a
 
 
@@ -112,7 +113,7 @@ def check_labels(y, n: int) -> np.ndarray:
 class Dataset:
     """A training set: finite float64 (N, C, H, W) square images and N
     integer labels, N >= 1 (``check_images`` and ``check_labels`` coerce and
-    check them; any failure is a ``ValueError``)."""
+    check them; any failure is an ``ArgError``)."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -121,7 +122,7 @@ class Dataset:
         self.images = check_images(self.images)
         self.labels = check_labels(self.labels, len(self.images))
         if not len(self.images):
-            raise ValueError("a dataset needs at least one sample, got 0")
+            raise ArgError("a dataset needs at least one sample, got 0")
 
     def __len__(self):
         return self.images.shape[0]
@@ -131,8 +132,9 @@ def make_blobs(n: int, resolution: int = 32, classes: int = 2, seed: int = 0,
                channels: int = 3) -> Dataset:
     """Image blobs: class y lights up spatial quadrant y mod 4 on top of pixel
     noise of standard deviation 0.25. Up to four classes are linearly
-    separable by quadrant; beyond four, classes share quadrants. ``classes``
-    below 1 raises ``ArgError``."""
+    separable by quadrant; beyond four, classes share quadrants. ``n`` or
+    ``classes`` below 1, or not an integer, raises ``ArgError``."""
+    check_int("n", n, 1)
     check_int("classes", classes, 1)
     rng = np.random.default_rng(seed)
     images = rng.normal(0.0, 0.25, (n, channels, resolution, resolution))

@@ -266,6 +266,14 @@ class TestCliTrain:
         model = sd.build_model(cfg)
         sd.load_checkpoint(model, outdir / "model.ckpt")  # reloads cleanly
 
+    def test_finetune_timesteps_after_training(self, toy_config_file, tmp_path):
+        outdir = tmp_path / "run"
+        assert main(["train", "--config", str(toy_config_file), "--epochs", "2",
+                     "--finetune-timesteps", "2", "--out-dir", str(outdir)]) == 0
+        assert "finetuning 1 -> 2 timesteps" in (outdir / "metrics.txt").read_text()
+        cfg, _ = parse_config(toy_config_file)
+        sd.load_checkpoint(sd.build_model(cfg), outdir / "model.ckpt")
+
     def test_bad_data_path_exits_3(self, toy_config_file, tmp_path):
         rc = main(["train", "--config", str(toy_config_file),
                    "--data", str(tmp_path / "none.npz"), "--epochs", "1",
@@ -400,6 +408,25 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert "[kernels] FAIL" in out
+
+
+    def test_sdsa_suite_runs_its_oracles(self, monkeypatch, capsys):
+        assert main(["verify", "--suite", "sdsa"]) == 0
+        out = capsys.readouterr().out
+        assert "sdsa3 associativity + formula oracle: 500 cases exact" in out
+        assert "sdsa1/sdsa2 formula oracles: 200 cases exact" in out
+        import spikedrive.attention as attention_mod
+
+        real = attention_mod.sdsa3
+
+        def one_flipped(*args, **kwargs):
+            data = real(*args, **kwargs).data.copy()
+            data[0, 0] ^= 1
+            return sd.SpikeTensor(data)
+
+        monkeypatch.setattr(attention_mod, "sdsa3", one_flipped)
+        assert main(["verify", "--suite", "sdsa"]) == 1
+        assert "sdsa3 diverged" in capsys.readouterr().out
 
 
 class TestCliConvert:

@@ -397,3 +397,23 @@ class TestDatasetChecks:
             Dataset(images=np.zeros((2, 3, 16, 16)), labels=np.zeros(3, dtype=np.int64))
         data = Dataset(images=np.zeros((2, 3, 16, 16), dtype=np.float32), labels=[1.0, 0.0])
         assert data.images.dtype == np.float64 and data.labels.dtype == np.int64
+
+
+class TestFlipAugment:
+    def test_each_batch_mirrors_exactly_the_drawn_images(self):
+        from spikedrive.train import _iter_batches
+
+        data = make_blobs(20, resolution=8, classes=2, seed=3)
+        source = data.images.copy()
+        batches = list(_iter_batches(data, 8, np.random.default_rng(5), flip=True))
+        twin = np.random.default_rng(5)  # replays the draws: the order, then each batch's flips
+        order, mirrored = twin.permutation(20), 0
+        for start, (x, y) in zip(range(0, 20, 8), batches):
+            idx = order[start:start + 8]
+            flips = twin.random(len(idx)) < 0.5
+            want = source[idx]
+            want[flips] = want[flips, :, :, ::-1]
+            assert np.array_equal(x, want) and np.array_equal(y, data.labels[idx])
+            mirrored += int(flips.sum())
+        assert 0 < mirrored < 20
+        assert np.array_equal(data.images, source)
