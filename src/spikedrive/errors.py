@@ -15,6 +15,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import field, fields
 from types import UnionType
@@ -88,13 +89,28 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or, for an int too long for Python to print (more
+    digits than ``sys.get_int_max_str_digits()``), its sign and digit count,
+    so a message about any value can be built."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(value)
+        d = int(n.bit_length() * math.log10(2))  # the digit count, or one less
+        return f"{'a negative' if value < 0 else 'an'} integer of {d + (n >= 10 ** d)} digits"
+
+
 def check_int(name: str, value, low: int):
     """Raise ``ArgError`` unless ``value`` is an integer (:func:`is_int`)
-    >= ``low``."""
+    from ``low`` to ``sys.maxsize``, the largest that numpy and the standard
+    library take as a size or an index."""
     if not is_int(value):
-        raise ArgError(f"{name} must be an integer, got {value!r}")
+        raise ArgError(f"{name} must be an integer, got {_shown(value)}")
     if value < low:
-        raise ArgError(f"{name} must be >= {low}, got {value}")
+        raise ArgError(f"{name} must be >= {low}, got {_shown(value)}")
+    if value > sys.maxsize:
+        raise ArgError(f"{name} must be <= {sys.maxsize}, got {_shown(value)}")
 
 
 # each class's resolved field annotations, in field order; read, never mutate
@@ -168,11 +184,11 @@ def check_fields(record):
         if value is None and none_ok:
             continue
         if many and not isinstance(value, Sequence):
-            raise ConfigError(f"{name}: {value!r} is not a sequence of integers")
+            raise ConfigError(f"{name}: {_shown(value)} is not a sequence of integers")
         for v in value if many else (value,):
             if not fits(v):
-                raise ConfigError(f"{name}: {v!r} is not {what}")
+                raise ConfigError(f"{name}: {_shown(v)} is not {what}")
             if finite and not _is_finite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
+                raise ConfigError(f"{name} must be finite, got {_shown(v)}")
             if allowed and not allowed[0](v):
-                raise ConfigError(f"{name} must be {allowed[1]}, got {v!r}")
+                raise ConfigError(f"{name} must be {allowed[1]}, got {_shown(v)}")

@@ -4,10 +4,12 @@ Two execution routes exist for every linear op on spikes:
 
 * event route -- scatter the weights each spike touches into the output.
   Only additions are performed per event, mirroring addressable
-  accumulation on neuromorphic hardware. It runs one kernel tap at a time:
-  for each tap it locates every event's output position and adds the
-  gathered weights into a float64 map, ``SCATTER_BLOCK`` (event, output)
-  pairs at a time (:func:`_scatter`).
+  accumulation on neuromorphic hardware. It runs one kernel tap at a time
+  on the events taken position-major, so each tap's output rows come in
+  non-decreasing order: it gathers each event's C_out/G weights as one
+  contiguous row, ``SCATTER_BLOCK`` weight entries at a time, sums each run
+  of rows bound for one output with ``np.add.reduceat`` (:func:`_add_runs`)
+  and adds the sums into a channel-last float64 map (:func:`_scatter`).
   :func:`event_matmul` is its 1x1 case, on the transposed (D, N, 1) map.
 * dense route -- textbook float matmul/convolution, used as the reference
   oracle and as the training substrate.
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ArgError, ShapeError
 from .tensors import DenseTensor, IntTensor, SpikeTensor, check_same_shape
 
 __all__ = [
@@ -72,10 +74,13 @@ __all__ = [
 ]
 
 ARTIFACT_KERNEL_SIZES = (1, 3, 7)
-# most (event, output) pairs one np.bincount call of the event route takes
-# (more only when a single event feeds more outputs than this), so its index
-# and weight arrays stay at 8 MB each however wide the fan-out
-SCATTER_BLOCK = 1 << 20
+# most weight entries one gathered block of the event route holds (more only
+# when a single event feeds more outputs than this), so its gather buffer
+# stays at 512 KB however wide the fan-out; smaller blocks make more numpy
+# calls per tap. On scripts/event_profile.py's summed pass (2-CPU Xeon, 1 BLAS
+# thread, medians of five interleaved runs), 2^14 to 2^17 read alike, 362-371
+# ms, and 2^18 read 405 ms; 2^16 is the middle of that flat range
+SCATTER_BLOCK = 1 << 16
 # most operator entries one channel block of toeplitz_conv builds (more only
 # when a single channel's operator is larger), so its operator and its x^T g
 # product stay at 8 MB each however many channels there are
@@ -160,8 +165,10 @@ def event_matmul(s: SpikeTensor, w: DenseTensor, counter: OpCounter | None = Non
     """Matmul driven by the spike events of ``s``.
 
     For each event (n, d) the weight row w[d, :] is accumulated into
-    out[n, :]; total additions are (number of events) * M.
+    out[n, :]; total additions are (number of events) * M. Raises
+    ``ArgError`` unless ``s`` is a ``SpikeTensor``.
     """
+    _check_spikes(s)
     if s.data.ndim != 2 or w.data.ndim != 2 or s.shape[1] != w.shape[0]:
         raise ShapeError(f"cannot matmul {s.shape} x {w.shape}")
     out = _scatter(s.data.T[:, :, None], ConvKernel(weights=w.data.T[:, :, None, None]), counter)
@@ -473,47 +480,91 @@ def dense_conv2d(x: DenseTensor, kern: ConvKernel) -> DenseTensor:
     return DenseTensor(out[0])
 
 
+def _copy_tap(hits: int, c_in: int) -> bool:
+    """Whether a kernel tap that gathers ``hits`` weight rows first copies its
+    (C_in, C_out/G) weights contiguous: only when it gathers more rows than
+    the copy has. Otherwise it gathers from the stored layout, each row a
+    strided read. Both gather the same values."""
+    return hits > c_in
+
+
+def _add_runs(out: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+    """Add each row of ``vals`` into ``out`` at the row ``rows`` names, for a
+    non-empty, non-decreasing ``rows``: each run of equal rows is summed first
+    (``np.add.reduceat``), so every output row is written once. Where every
+    row is distinct, the block is added directly."""
+    new = np.empty(rows.size, dtype=bool)
+    new[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    if starts.size == rows.size:
+        out[rows] += vals
+    else:
+        out[rows[starts]] += np.add.reduceat(vals, starts, axis=0)
+
+
 def _scatter(s: np.ndarray, kern: ConvKernel, counter: OpCounter | None) -> np.ndarray:
     """Event-driven convolution of a binary (C, H, W) map, one kernel tap at a
     time. Event (c, y, x) feeds output (oy, ox) at tap (ky, kx) when
     y + padding - ky == oy * stride, likewise x; every valid (event, tap)
-    pair adds the C_out/G weights of its group, summed in float64, at most
-    ``SCATTER_BLOCK`` (event, output) pairs per ``np.bincount`` call. An
-    output with no entries (no rows, columns or channels) is returned as
-    zeros with no adds counted."""
+    pair adds the C_out/G weights of its group, summed in float64.
+
+    The events are taken position-major, (y, x, c), and the output is held
+    channel-last as (Ho*Wo*G, C_out/G), so that each tap's output rows
+    (oy*Wo + ox)*G + group come non-decreasing. Each tap gathers its hit
+    events' weight rows, at most ``SCATTER_BLOCK`` weight entries per block
+    (from a contiguous copy of the tap when :func:`_copy_tap` says so), and
+    :func:`_add_runs` adds them in. The map is returned as a (C_out, Ho, Wo)
+    view of the channel-last array. An output with no entries (no rows,
+    columns or channels) is returned as zeros with no adds counted."""
     c_out, cig, k, _ = kern.weights.shape
-    p, st = kern.padding, kern.stride
+    groups, p, st = kern.groups, kern.padding, kern.stride
     ho = conv_output_size(s.shape[1], k, st, p)
     wo = conv_output_size(s.shape[2], k, st, p)
     if min(c_out, ho, wo) == 0:
         return np.zeros((c_out, ho, wo))
-    og = c_out // kern.groups
-    cs, ys, xs = np.nonzero(s)
+    og = c_out // groups
+    ys, xs, cs = np.nonzero(s.transpose(1, 2, 0))
     group, c_local = np.divmod(cs, cig)
-    rows = group * og * ho * wo  # flat index of out[first channel of the group, 0, 0]
-    fanout = np.arange(og) * ho * wo  # offsets of the group's C_out/G output channels
-    wg = kern.weights.reshape(kern.groups, og, cig, k, k)
-    block = max(1, SCATTER_BLOCK // og)  # events per bincount call
-    out = np.zeros(c_out * ho * wo)
+    wg = kern.weights.reshape(groups, og, cig, k, k)
+    block = max(1, SCATTER_BLOCK // og)  # events per gathered block
+    buf = np.empty(min(block, cs.size) * og)  # the copied gathers' rows, reused
+    out = np.zeros((ho * wo * groups, og))
     for ky in range(k):
         oy, ry = np.divmod(ys + p - ky, st)
         row_ok = (ry == 0) & (oy >= 0) & (oy < ho)
         for kx in range(k):
             ox, rx = np.divmod(xs + p - kx, st)
             hit = np.flatnonzero(row_ok & (rx == 0) & (ox >= 0) & (ox < wo))
-            for e in np.split(hit, range(block, hit.size, block)):
-                idx = rows[e] + oy[e] * wo + ox[e]
-                vals = wg[group[e], :, c_local[e], ky, kx]  # (events, og)
-                out += np.bincount((idx[:, None] + fanout).ravel(), weights=vals.ravel(),
-                                   minlength=out.size)
+            rows = (oy[hit] * wo + ox[hit]) * groups + group[hit]
+            w = wg[..., ky, kx]  # (G, C_out/G, C_in/G), strided
+            tap = np.ascontiguousarray(w.transpose(0, 2, 1)).reshape(-1, og) \
+                if _copy_tap(hit.size, cig * groups) else None
+            for b0 in range(0, hit.size, block):
+                e = hit[b0:b0 + block]
+                if tap is None:
+                    vals = w[group[e], :, c_local[e]]
+                else:  # "clip": the default "raise" buffers ``out``, at about 3x the time
+                    vals = np.take(tap, cs[e], axis=0, mode="clip",
+                                   out=buf[:e.size * og].reshape(e.size, og))
+                _add_runs(out, rows[b0:b0 + block], vals)
             if counter is not None:
                 counter.adds += int(hit.size) * og
-    return out.reshape(c_out, ho, wo) + kern.bias[:, None, None]
+    out = out.reshape(ho, wo, c_out)
+    out += kern.bias
+    return out.transpose(2, 0, 1)
+
+
+def _check_spikes(s):
+    if not isinstance(s, SpikeTensor):
+        raise ArgError(f"s must be a SpikeTensor, got {type(s).__name__}")
 
 
 def event_conv2d(s: SpikeTensor, kern: ConvKernel, counter: OpCounter | None = None) -> DenseTensor:
     """Convolution driven by input events: each spike scatter-accumulates the
-    kernel taps it touches into the output map. float64 accumulation."""
+    kernel taps it touches into the output map. float64 accumulation.
+    Raises ``ArgError`` unless ``s`` is a ``SpikeTensor``."""
+    _check_spikes(s)
     if s.data.ndim != 3:
         raise ShapeError(f"event_conv2d expects (C, H, W), got {s.shape}")
     _check_conv(s.shape, kern.weights.shape, kern.stride, kern.padding, kern.groups)

@@ -2,6 +2,7 @@
 declared range with a ``ConfigError`` naming the field, and bad arguments to
 the library's own checks raise a library error."""
 
+import sys
 from typing import get_type_hints
 
 import numpy as np
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 from spikedrive.attention import SDSAConfig
 from spikedrive.blocks import _out_neurons
 from spikedrive.config import ModelConfig, TrainConfig
-from spikedrive.errors import ArgError, ConfigError, SpikeDriveError
+from spikedrive.energy import estimate_energy, load_rate_fixture
+from spikedrive.errors import ArgError, ConfigError, SpikeDriveError, check_int
 from spikedrive.estimator import SpikingClassifier
+from spikedrive.model import build_model
 from spikedrive.neuron import LIFParams
 from spikedrive.tensors import DenseTensor, IntTensor, SpikeTensor, load_event_file
-from spikedrive.train import Dataset, OptimState, check_images, make_blobs
+from spikedrive.train import (Dataset, OptimState, check_images, finetune_timesteps,
+                              make_blobs)
 
 TINY = np.nextafter(0.0, np.inf)
 BELOW_0 = np.nextafter(0.0, -np.inf)
@@ -97,6 +101,40 @@ class TestHugeNumbers:
     def test_an_int_beyond_float_range_is_not_finite(self, cls, name):
         with pytest.raises(ConfigError, match=f"{name} must be finite, got 1000"):
             cls(**{name: 10**400})
+
+
+    @pytest.mark.parametrize("cls,name,value,message", [
+        (TrainConfig, "lr", 10**5000, "lr must be finite, got an integer of 5001 digits"),
+        (TrainConfig, "seed", -10**5000,
+         "seed must be >= 0, got a negative integer of 5001 digits"),
+        (TrainConfig, "schedule", 10**5000 - 1,
+         "schedule: an integer of 5000 digits is not a str")], ids=["lr", "seed", "schedule"])
+    def test_an_int_too_long_to_print_is_refused_by_its_digit_count(self, cls, name, value,
+                                                                   message):
+        # Python refuses to print an int of more than 4300 digits
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("value,shown", [(sys.maxsize + 1, str(sys.maxsize + 1)),
+                                             (2**70, str(2**70)),
+                                             (10**5000, "an integer of 5001 digits")],
+                             ids=["maxsize+1", "2**70", "10**5000"])
+    def test_check_int_refuses_an_int_past_maxsize(self, value, shown):
+        check_int("n", sys.maxsize, 1)
+        with pytest.raises(ArgError, match=f"^n must be <= {sys.maxsize}, got {shown}$"):
+            check_int("n", value, 1)
+
+    def test_check_int_names_a_huge_negative_int_by_its_digit_count(self):
+        with pytest.raises(ArgError, match="^n must be >= 1, got a negative integer of 5001"):
+            check_int("n", -10**5000, 1)
+
+    def test_library_calls_refuse_an_int_past_maxsize(self):
+        with pytest.raises(ArgError, match="timesteps must be <="):
+            estimate_energy(ModelConfig(base_channels=48), load_rate_fixture(), 10**400)
+        model = build_model(ModelConfig(base_channels=4, resolution=32, num_classes=2))
+        data = make_blobs(4, resolution=32, classes=2, seed=0)
+        with pytest.raises(ArgError, match="target timestep count must be <="):
+            finetune_timesteps(model, 1, 2**70, 1, data)
 
 
 def _numeric_fields():

@@ -3,7 +3,7 @@ import pytest
 
 from spikedrive import autodiff as ad
 from spikedrive import kernels
-from spikedrive.errors import ShapeError
+from spikedrive.errors import ArgError, ShapeError
 from spikedrive.kernels import (ConvKernel, OpCounter, binary_matmul, dense_conv2d,
                                 dense_matmul, event_conv2d, event_matmul,
                                 hadamard_mask, sum_columns)
@@ -130,6 +130,12 @@ class TestEventMatmul:
         scale = np.maximum(np.abs(dense.data), 1.0)
         assert (err / scale).max() < 1e-6
 
+    def test_only_spikes_are_taken(self):
+        w = DenseTensor(np.ones((4, 3)))
+        for s in (np.eye(4), DenseTensor(np.eye(4)), IntTensor(np.eye(4))):
+            with pytest.raises(ArgError, match="^s must be a SpikeTensor"):
+                event_matmul(s, w)
+
     def test_counter_reports_events_times_fanout(self):
         rng = np.random.default_rng(8)
         s = random_spikes(rng, (6, 9))
@@ -211,6 +217,14 @@ class TestEventConv:
                     if 0 <= oy < h and 0 <= ox < w:
                         expected += 3
         assert counter.adds == expected
+
+    def test_only_spikes_are_taken(self):
+        x = np.zeros((1, 4, 4))
+        x[0, 1, 2] = 2.0  # the dense conv reads a 2 here; a spike cannot be one
+        kern = ConvKernel(weights=np.ones((1, 1, 3, 3)))
+        for s in (x, DenseTensor(x), IntTensor(x)):
+            with pytest.raises(ArgError, match="^s must be a SpikeTensor"):
+                event_conv2d(s, kern)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -447,9 +461,11 @@ class TestEventRouteGroupedStrided:
 
 
 class TestScatterBlocks:
-    """The event route feeds np.bincount at most SCATTER_BLOCK (event,
-    output) pairs at a time: tiny blocks give the same values and counts,
-    and a wide fan-out stays small in memory."""
+    """The event route gathers at most SCATTER_BLOCK weight entries per
+    block: tiny blocks give the same values and counts, and a wide fan-out
+    stays small in memory. A tap gathers its rows from a contiguous copy or
+    from the stored layout, with bit-identical outputs, and integer weights
+    match the dense route exactly on small and large maps."""
 
     C = 4
     GROUPINGS = [(1, 6), (2, 4), (C, C), (C, 2 * C)]
@@ -472,22 +488,58 @@ class TestScatterBlocks:
         assert np.abs(out.data - dense.data).max() < 1e-12
         assert blocked.adds == whole.adds > 0
 
-    def test_tiny_blocks_split_the_bincount_calls(self, monkeypatch):
-        calls = []
-        real = np.bincount
+    def test_tiny_blocks_split_the_gathered_rows(self, monkeypatch):
+        sizes = []
+        real = kernels._add_runs
 
-        def spy(idx, *args, **kw):
-            calls.append(idx.size)
-            return real(idx, *args, **kw)
+        def spy(out, rows, vals):
+            sizes.append(vals.size)
+            return real(out, rows, vals)
 
-        monkeypatch.setattr(kernels, "SCATTER_BLOCK", 5)
-        monkeypatch.setattr(kernels.np, "bincount", spy)
         rng = np.random.default_rng(710)
         s = random_spikes(rng, (6, 5), density=0.5)
         w = DenseTensor(rng.normal(0, 1, (5, 2)))
-        out = event_matmul(s, w)
-        assert max(calls) <= 4 and sum(calls) == int(s.data.sum()) * 2
+        whole = OpCounter()
+        want = event_matmul(s, w, whole).data
+        monkeypatch.setattr(kernels, "SCATTER_BLOCK", 5)
+        monkeypatch.setattr(kernels, "_add_runs", spy)
+        blocked = OpCounter()
+        out = event_matmul(s, w, blocked)
+        assert max(sizes) <= 5 and sum(sizes) == int(s.data.sum()) * 2
+        assert blocked.adds == whole.adds == int(s.data.sum()) * 2
+        assert np.abs(out.data - want).max() < 1e-12
         assert np.abs(out.data - s.data @ w.data).max() < 1e-12
+
+    # (input shape, c_out, k, stride, groups): wide 2x2 maps, a 16x16 map,
+    # grouped, depthwise and stride 2
+    MAPS = [((24, 2, 2), 24, 3, 1, 1), ((16, 2, 2), 32, 1, 1, 1), ((12, 2, 2), 12, 3, 2, 3),
+            ((8, 16, 16), 12, 3, 1, 1), ((8, 16, 16), 8, 7, 1, 8), ((8, 16, 16), 16, 3, 2, 2),
+            ((8, 16, 16), 6, 1, 2, 1)]
+
+    @pytest.mark.parametrize("shape,c_out,k,stride,groups", MAPS)
+    def test_copied_and_stored_gathers_are_bit_identical(self, monkeypatch, shape, c_out, k,
+                                                         stride, groups):
+        rng = np.random.default_rng(730 + k + stride + groups)
+        s = random_spikes(rng, shape, density=0.4)
+        kern = ConvKernel(weights=rng.normal(0, 1, (c_out, shape[0] // groups, k, k)),
+                          bias=rng.normal(0, 1, c_out), stride=stride, groups=groups)
+        outs, counts = [], []
+        for copy in (True, False):
+            monkeypatch.setattr(kernels, "_copy_tap", lambda hits, c_in, copy=copy: copy)
+            counter = OpCounter()
+            outs.append(event_conv2d(s, kern, counter).data)
+            counts.append(counter.adds)
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("shape,c_out,k,stride,groups", MAPS)
+    def test_integer_weights_match_dense_exactly(self, shape, c_out, k, stride, groups):
+        rng = np.random.default_rng(740 + k + stride + groups)
+        s = random_spikes(rng, shape, density=0.4)
+        kern = ConvKernel(weights=rng.integers(-7, 8, (c_out, shape[0] // groups, k, k)),
+                          bias=rng.integers(-3, 4, c_out), stride=stride, groups=groups)
+        dense = dense_conv2d(DenseTensor(s.data.astype(np.float64)), kern)
+        assert np.array_equal(event_conv2d(s, kern).data, dense.data)
 
     def test_wide_matmul_peak_memory(self):
         import tracemalloc
