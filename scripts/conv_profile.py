@@ -5,53 +5,37 @@
 The two runs are one T=1 forward of the 15M net (224x224, B=1) and one
 training step of the toy net (C=8, 32x32, B=32, the shapes of the
 benchmark's ``train_toy``), built as the ``15m_224_t1`` and ``toy`` cases of
-``memory_profile.build_case``. Each runs once to warm up and then
+``profiling.build_case``. Each runs in its own fresh process
+(``profiling.run``, BLAS on one thread), once to warm up and then
 ``--repeats`` times. Every ``kernels.conv2d_core`` call is timed, forward
 and adjoint apart, and keyed by run, the algorithm that ran, phase and
 shape. A key reports its calls per pass and the minimum over the passes of
-their summed time; so does each (run, algorithm, phase) total. BLAS runs on
-one thread.
+their summed time; so does each (run, algorithm, phase) total.
 
-The result is stored under ``--label`` in the JSON file ``--out`` (default
-``BENCH_conv.json`` beside this directory), and other labels already in that
-file are kept. ``--src`` imports ``spikedrive`` from another checkout's
-``src/``, so the same script can time two versions of the library.
+The options, the runner and ``profiling.store`` are described in
+``profiling.py``: the result is stored under ``--label`` in the JSON file
+``--out`` (default ``BENCH_conv.json`` beside this directory).
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 import time
 from collections import defaultdict
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_THREADS = 1
+import profiling
+
 ALGORITHMS = ("toeplitz_conv", "depthwise_conv", "kn2row_conv", "im2col_conv")
-
-
-def parse_args(argv):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--label", required=True, help="name of this result in the output file")
-    p.add_argument("--src", type=Path, default=ROOT / "src",
-                   help="directory holding the spikedrive package (default: this checkout's)")
-    p.add_argument("--repeats", type=int, default=5, help="timed passes per run (default 5)")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_conv.json")
-    args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be >= 1")
-    return args
+# run -> the profiling case it times
+RUNS = {"infer_15m_t1": "15m_224_t1", "train_toy_step": "toy"}
 
 
 class ConvTimer:
     """Wraps ``conv2d_core`` and the algorithms it dispatches to. Each call's
     wall time (and its adjoint's) is added to ``totals[key]`` of the current
-    pass, keyed by the run, the algorithm, the phase and the shape."""
+    pass, keyed by the algorithm, the shape and the phase."""
 
     def __init__(self, kernels, autodiff):
-        self.run = None
         self.totals = defaultdict(float)
         self.calls = defaultdict(int)
         self._ran = None
@@ -60,7 +44,7 @@ class ConvTimer:
         def timed_core(x, weights, stride, padding, groups=1):
             t0 = time.perf_counter()
             out, adjoint = core(x, weights, stride, padding, groups)
-            key = (self.run, self._ran, x.shape, weights.shape, stride, padding, groups)
+            key = (self._ran, x.shape, weights.shape, stride, padding, groups)
             self._add(key + ("forward",), time.perf_counter() - t0)
 
             def timed_adjoint(g, *need):
@@ -86,10 +70,9 @@ class ConvTimer:
         self.totals[key] += seconds
         self.calls[key] += 1
 
-    def passes(self, run, fn, repeats):
+    def passes(self, fn, repeats):
         """Run ``fn`` once untimed, then ``repeats`` times; returns the totals
         of each timed pass and the calls of the last one."""
-        self.run = run
         fn()
         results = []
         for _ in range(repeats):
@@ -100,58 +83,56 @@ class ConvTimer:
         return results, dict(self.calls)
 
 
-def summarize(passes, calls):
+def summarize(run, passes, calls):
     """Rows per key and per (run, algorithm, phase), each with its calls per
     pass and the least summed time over the passes, slowest first."""
     rows, groups = [], defaultdict(list)
     for key in calls:
-        run, algorithm, x, w, stride, padding, groups_, phase = key
-        best = min(p[key] for p in passes)
+        algorithm, x, w, stride, padding, groups_, phase = key
         rows.append({"run": run, "algorithm": algorithm, "phase": phase, "x": list(x),
                      "w": list(w), "stride": stride, "padding": padding, "groups": groups_,
-                     "calls": calls[key], "min_s": best})
-        groups[(run, algorithm, phase)].append(key)
+                     "calls": calls[key], "min_s": min(p[key] for p in passes)})
+        groups[(algorithm, phase)].append(key)
     totals = [{"run": run, "algorithm": algorithm, "phase": phase,
                "calls": sum(calls[k] for k in keys),
                "min_s": min(sum(p[k] for k in keys) for p in passes)}
-              for (run, algorithm, phase), keys in groups.items()]
+              for (algorithm, phase), keys in groups.items()]
     slowest = lambda r: -r["min_s"]  # noqa: E731
     return sorted(rows, key=slowest), sorted(totals, key=slowest)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(BLAS_THREADS)
-    sys.path.insert(0, str(args.src.resolve()))
-    from memory_profile import build_case, store  # imports numpy: after the BLAS variables
+def profile(run, repeats):
+    """One process's measurement: the rows and totals of ``run``."""
     from spikedrive import autodiff, kernels, train
 
     timer = ConvTimer(kernels, autodiff)
-
-    big, _, image, _, timesteps = build_case("15m_224_t1")
-    rows, totals = summarize(*timer.passes(
-        "infer_15m_t1", lambda: big.forward(image, timesteps=timesteps), args.repeats))
-
-    toy, params, images, labels, _ = build_case("toy")
+    model, params, x, y, timesteps = profiling.build_case(RUNS[run])
+    if run == "infer_15m_t1":
+        return summarize(run, *timer.passes(lambda: model.forward(x, timesteps=timesteps),
+                                            repeats))
     optim = train.OptimState(lr=1e-2)
 
     def toy_step():
         tape = autodiff.Tape()
-        toy.zero_grad()
-        loss = train.loss(toy.forward(images, tape=tape, training=True), labels, 0.0,
-                          tape=tape)
+        model.zero_grad()
+        loss = train.loss(model.forward(x, tape=tape, training=True), y, 0.0, tape=tape)
         autodiff.backward(tape, loss, params=params)
         train.step(optim, params)
 
-    toy_rows, toy_totals = summarize(*timer.passes("train_toy_step", toy_step, args.repeats))
-    rows, totals = rows + toy_rows, totals + toy_totals
+    return summarize(run, *timer.passes(toy_step, repeats))
 
+
+def main(argv=None) -> int:
+    args = profiling.parse_args(profiling.options(__doc__, "BENCH_conv.json", repeats=5), argv)
+    rows, totals = [], []
+    for run in RUNS:
+        run_rows, run_totals = profiling.run(args, run, profile, run, args.repeats)
+        rows, totals = rows + run_rows, totals + run_totals
     for r in totals:
         print(f"{r['run']:15s} {r['algorithm']:15s} {r['phase']:8s} {r['calls']:4d} calls "
               f"{1e3 * r['min_s']:9.2f} ms")
-    store(args.out, args.label, {"repeats": args.repeats, "blas_threads": BLAS_THREADS,
-                                 "totals": totals, "convs": rows})
+    profiling.store(args.out, args.label, {"repeats": args.repeats, "totals": totals,
+                                           "convs": rows})
     return 0
 
 

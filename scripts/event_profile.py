@@ -14,40 +14,24 @@ mean of their fixture rates (``energy.load_rate_fixture``, t = 1..4), and
 it reports the ops per pass, the counted adds and the largest difference
 from the dense route of one call, and the least time of one call over
 ``--repeats`` calls after one untimed call. ``pass_s`` is that time times
-the ops, and the sums add it up per function and in all. BLAS runs on one
-thread, and each run is its own process.
+the ops, and the sums add it up per function and in all. The whole pass
+runs in one fresh process (``profiling.run``, BLAS on one thread).
 
-The result is stored under ``--label`` in the JSON file ``--out`` (default
-``BENCH_event.json`` beside this directory), and other labels already in
-that file are kept. ``--src`` imports ``spikedrive`` from another
-checkout's ``src/``, so the same script can time two versions of the
-library.
+The options, the runner and ``profiling.store`` are described in
+``profiling.py``: the result is stored under ``--label`` in the JSON file
+``--out`` (default ``BENCH_event.json`` beside this directory).
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_THREADS = 1
+import numpy as np
+
+import profiling
+
 SEED = 27
-
-
-def parse_args(argv):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--label", required=True, help="name of this result in the output file")
-    p.add_argument("--src", type=Path, default=ROOT / "src",
-                   help="directory holding the spikedrive package (default: this checkout's)")
-    p.add_argument("--repeats", type=int, default=7, help="timed calls per shape (default 7)")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_event.json")
-    args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be >= 1")
-    return args
 
 
 def event_shapes(cfg):
@@ -85,8 +69,6 @@ def event_shapes(cfg):
 def time_shape(sd, shape, rate, seed, repeats):
     """One row: the counted adds and the largest difference from the dense
     route of one call, and its least time over ``repeats`` calls."""
-    import numpy as np
-
     kernels = sd.kernels
     rng = np.random.default_rng([SEED, seed])
     if shape[0] == "event_conv2d":
@@ -112,34 +94,36 @@ def time_shape(sd, shape, rate, seed, repeats):
     return {"adds": counter.adds, "maxdiff": maxdiff, "min_s": best}
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(BLAS_THREADS)
-    sys.path.insert(0, str(args.src.resolve()))
-    from memory_profile import store  # imports numpy: after the BLAS variables
-
+def profile(repeats):
+    """One process's measurement: the rows of every shape, in forward order,
+    and the sums of their ``pass_s``."""
     import spikedrive as sd
     from spikedrive import energy
 
     cfg = sd.ModelConfig(base_channels=48, resolution=32, sdsa_variant=3)
     fixture = energy.load_rate_fixture()
     rows, sums = [], {"event_conv2d": 0.0, "event_matmul": 0.0}
-    shapes = event_shapes(cfg)
-    for i, (shape, layers) in enumerate(shapes.items()):
+    for i, (shape, layers) in enumerate(event_shapes(cfg).items()):
         rates = [r for layer in layers for r in fixture.series(layer, 4)]
         rate = sum(rates) / len(rates)
         row = {"function": shape[0], "shape": list(shape[1:]), "ops": len(layers),
-               "rate": rate, **time_shape(sd, shape, rate, i, args.repeats)}
+               "rate": rate, **time_shape(sd, shape, rate, i, repeats)}
         row["pass_s"] = row["ops"] * row["min_s"]
         sums[shape[0]] += row["pass_s"]
         rows.append(row)
-        print(f"{shape[0]:13s} {str(shape[1:]):28s} {row['ops']:3d} ops rate {rate:.3f} "
-              f"{1e3 * row['min_s']:8.2f} ms")
     sums["total"] = sums["event_conv2d"] + sums["event_matmul"]
+    return rows, sums
+
+
+def main(argv=None) -> int:
+    args = profiling.parse_args(profiling.options(__doc__, "BENCH_event.json", repeats=7), argv)
+    rows, sums = profiling.run(args, "event_pass", profile, args.repeats)
+    for row in rows:
+        print(f"{row['function']:13s} {str(tuple(row['shape'])):28s} {row['ops']:3d} ops "
+              f"rate {row['rate']:.3f} {1e3 * row['min_s']:8.2f} ms")
     print(" ".join(f"{k} {1e3 * v:.1f} ms" for k, v in sums.items()))
-    store(args.out, args.label, {"repeats": args.repeats, "blas_threads": BLAS_THREADS,
-                                 "sums_pass_s": sums, "shapes": rows})
+    profiling.store(args.out, args.label, {"repeats": args.repeats, "sums_pass_s": sums,
+                                           "shapes": rows})
     return 0
 
 

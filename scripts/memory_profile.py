@@ -2,14 +2,16 @@
 
     python scripts/memory_profile.py --label NAME [--src DIR] [--out FILE] [--runs CASE ...]
 
-Four cases, each a training step with no gradient accumulation:
+Four cases, each a training step with no gradient accumulation, built by
+``profiling.build_case``:
 
 * ``toy`` -- the toy net (C=8, 32x32, B=32, T=1, the shapes of the
   benchmark's ``train_toy``);
 * ``15m_224_t1``, ``15m_112_t4``, ``15m_224_t4`` -- the 15M net at B=1, at
   224x224 or 112x112 and T=1 or T=4.
 
-Each case runs twice, each time in a fresh process with BLAS on one thread:
+Each case runs twice, each time in a fresh process (``profiling.run``, BLAS
+on one thread):
 
 * ``step`` -- one taped forward, backward and optimizer step, the tape held
   through the optimizer step as ``train_toy`` holds it. It reports the
@@ -24,74 +26,24 @@ Each case runs twice, each time in a fresh process with BLAS on one thread:
   the record count. Apart from the tape, it sums the arrays the model itself
   still reaches ("held by layers"), less its parameters and buffers.
 
-The result is stored under ``--label`` in the JSON file ``--out`` (default
-``BENCH_memory.json`` beside this directory), with the machine it ran on, and
-other labels already in that file are kept (:func:`store`, which
-``conv_profile.py`` also writes with). ``--src`` imports ``spikedrive`` from
-another checkout's ``src/``, so the same script can measure two versions of
-the library.
+The options, the runner and ``profiling.store`` are described in
+``profiling.py``: the result is stored under ``--label`` in the JSON file
+``--out`` (default ``BENCH_memory.json`` beside this directory).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import os
-import platform
 import resource
-import subprocess
 import sys
 import time
 import types
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_THREADS = 1
+import profiling
+
 MIB = 1 << 20
-# case -> (resolution, timesteps); the toy case is the benchmark's toy net
-CASES = {"toy": (32, 1), "15m_224_t1": (224, 1), "15m_112_t4": (112, 4),
-         "15m_224_t4": (224, 4)}
-PARTS = ("step", "held")
-
-
-def parse_args(argv):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--label", help="name of this result in the output file")
-    p.add_argument("--src", type=Path, default=ROOT / "src",
-                   help="directory holding the spikedrive package (default: this checkout's)")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_memory.json")
-    p.add_argument("--runs", nargs="+", choices=list(CASES), default=list(CASES),
-                   help="cases to run (default: all)")
-    p.add_argument("--child", nargs=2, metavar=("CASE", "PART"), help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child is None and args.label is None:
-        p.error("--label is required")
-    return args
-
-
-def build_case(case):
-    """The model, its parameters, the batch and T of one case."""
-    from spikedrive import train
-    from spikedrive.config import ModelConfig
-    from spikedrive.model import build_model
-    from spikedrive.neuron import LIFParams
-
-    resolution, timesteps = CASES[case]
-    if case == "toy":
-        model = build_model(ModelConfig(base_channels=8, num_classes=2, resolution=32,
-                                        depths=(1, 1, 1, 2, 1), heads=2, seed=3, timesteps=1,
-                                        lif=LIFParams(surrogate_window=1.0)))
-        data = train.make_blobs(32, resolution=32, classes=2, seed=0)
-        x, y = data.images, data.labels
-    else:
-        model = build_model(ModelConfig(base_channels=32, resolution=resolution,
-                                        num_classes=1000, seed=0))
-        x = np.random.default_rng(0).random((1, 3, resolution, resolution))
-        y = np.array([7])
-    return model, model.parameters(), x, y, timesteps
 
 
 def peak_rss_mb() -> float:
@@ -102,7 +54,7 @@ def peak_rss_mb() -> float:
 def run_step(case) -> dict:
     from spikedrive import autodiff, train
 
-    model, params, x, y, timesteps = build_case(case)
+    model, params, x, y, timesteps = profiling.build_case(case)
     optim = train.OptimState(lr=1e-2)
     before = peak_rss_mb()
     t0 = time.perf_counter()
@@ -151,7 +103,7 @@ def _is_binary(a) -> bool:
 def run_held(case) -> dict:
     from spikedrive import autodiff, train
 
-    model, params, x, y, timesteps = build_case(case)
+    model, params, x, y, timesteps = profiling.build_case(case)
     tape = autodiff.Tape()
     train.loss(model.forward(x, timesteps=timesteps, tape=tape, training=True), y, 0.0,
                tape=tape)
@@ -176,54 +128,23 @@ def run_held(case) -> dict:
             "binary_float64_share": round(binary / total, 3) if total else 0.0}
 
 
-def child(args) -> int:
-    sys.path.insert(0, str(args.src.resolve()))
-    case, part = args.child
-    result = (run_step if part == "step" else run_held)(case)
-    print(json.dumps(result))
-    return 0
-
-
-def measure(args, case, part) -> dict:
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(BLAS_THREADS)
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--src",
-                           str(args.src), "--child", case, part],
-                          capture_output=True, text=True, env=env)
-    if done.returncode:
-        sys.exit(f"the {part} run of case {case} failed:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    if args.child is not None:
-        return child(args)
+    p = profiling.options(__doc__, "BENCH_memory.json")
+    p.add_argument("--runs", nargs="+", choices=list(profiling.CASES),
+                   default=list(profiling.CASES), help="cases to run (default: all)")
+    args = profiling.parse_args(p, argv)
     cases = {}
     for case in args.runs:
-        cases[case] = {part: measure(args, case, part) for part in PARTS}
-        step, held = cases[case]["step"], cases[case]["held"]
+        step = profiling.run(args, f"{case} step", run_step, case)
+        held = profiling.run(args, f"{case} held", run_held, case)
+        cases[case] = {"step": step, "held": held}
         print(f"{case:11s} peak {step['peak_rss_mb']:8.1f} MB  fwd {step['forward_s']:6.2f} s  "
               f"bwd {step['backward_s']:6.2f} s  held {held['held_mib']:7.1f} MiB "
               f"(vjps {held['held_by_vjps_mib']:.1f}, entries only "
               f"{held['held_only_by_entries_mib']:.1f}, 0/1 float64 "
               f"{held['binary_float64_share']:.1%}; layers {held['held_by_layers_mib']:.1f})")
-    store(args.out, args.label, {"blas_threads": BLAS_THREADS, "cases": cases})
+    profiling.store(args.out, args.label, {"cases": cases})
     return 0
-
-
-def store(out: Path, label, result):
-    """Put ``result``, with the BLAS, machine, Python and numpy it ran on, under
-    ``label`` in the JSON file ``out``, keeping the file's other labels."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    result = {"blas": f"{blas.get('name')} {blas.get('version')}",
-              "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-              "python": platform.python_version(), "numpy": np.__version__, **result}
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("runs", {})[label] = result
-    out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {label} to {out}")
 
 
 if __name__ == "__main__":

@@ -419,9 +419,13 @@ class Downsample(Module):
 
     def forward(self, x: Var, ctx: ForwardContext) -> Var:
         if self.sn is None:
-            # raw-pixel encoding: charged as dense MAC at rate 1
+            # raw-pixel encoding: charged as dense MAC at rate 1. The only layer
+            # that reads raw values, so the one place a finite input can overflow
             ctx.observe(self.name, x, kind="dense", rate=1.0)
-            return self.conv.forward(x, ctx)
+            y = self.conv.forward(x, ctx)
+            if not np.isfinite(y.data).all():
+                raise ArgError(f"x is too large: {self.conv.name}'s output is not finite")
+            return y
         s = self.sn.step(x, ctx)
         ctx.observe(self.name, s)
         return self.conv.forward(s, ctx)

@@ -93,17 +93,23 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(path, cfg: ModelConfig, seed: int) -> Dataset:
+def _load_dataset(path, cfg: ModelConfig, tc: TrainConfig) -> Dataset:
     """``make_blobs`` for "blobs", else the images and labels of an ``.npz``;
     raises ``ConfigError`` for blobs of more than four classes, which share
-    quadrants and cannot be told apart, and ``ParseError`` for any file that
-    cannot give a training set that fits ``cfg``."""
+    quadrants and cannot be told apart, or of more than two with
+    ``augment_flip``, whose mirror moves class 0 onto class 2's quadrant and
+    class 1 onto class 3's, and ``ParseError`` for any file that cannot give
+    a training set that fits ``cfg``."""
     if path == "blobs":
         if cfg.num_classes > 4:
             raise ConfigError(f"--data blobs separates at most 4 classes, the config has "
                               f"num_classes = {cfg.num_classes}")
+        if tc.augment_flip and cfg.num_classes > 2:
+            raise ConfigError(f"--data blobs with augment_flip = true needs at most 2 "
+                              f"classes, the config has num_classes = {cfg.num_classes}: "
+                              f"a mirrored blob lies in another class's quadrant")
         return make_blobs(256, resolution=cfg.resolution, classes=cfg.num_classes,
-                          seed=seed, channels=cfg.in_channels)
+                          seed=tc.seed, channels=cfg.in_channels)
     try:
         npz = np.load(path)
         if not isinstance(npz, np.lib.npyio.NpzFile):
@@ -125,7 +131,7 @@ def _load_dataset(path, cfg: ModelConfig, seed: int) -> Dataset:
 
 def cmd_train(args) -> int:
     cfg, tc, timesteps = _load_configs(args)
-    data = _load_dataset(args.data, cfg, tc.seed)
+    data = _load_dataset(args.data, cfg, tc)
     if cfg.shortcut == "VS":
         print("warning: the VS shortcut cannot realize identity mappings and is "
               "expected to train poorly", file=sys.stderr)

@@ -18,7 +18,7 @@ from .blocks import SN, ConvBlock, Downsample, ForwardContext, Module, Transform
 from .config import ModelConfig, TrainConfig, config_to_text, parse_config_text, stages
 from .errors import ArgError, CheckpointError, ConfigError, ShapeError, check_int
 from .instrument import Probe
-from .tensors import DenseTensor
+from .tensors import DenseTensor, real_array
 
 __all__ = ["Model", "build_model", "count_params", "forward",
            "save_checkpoint", "load_checkpoint"]
@@ -76,9 +76,11 @@ class Model(Module):
         those of the config; other shapes raise ``ShapeError``. A static batch
         runs ``timesteps`` steps (``cfg.timesteps`` when None); an event tensor
         runs its T, and a ``timesteps`` other than that T raises ``ArgError``,
-        as do a ``timesteps`` that is not an integer >= 1 and non-finite values.
+        as do a ``timesteps`` that is not an integer >= 1, values that are not
+        real numbers (``tensors.real_array``) or not finite, and values so large
+        that the encoding conv's output is not finite (``Downsample.forward``).
         """
-        a = x.data if isinstance(x, (DenseTensor, Var)) else np.asarray(x, dtype=np.float64)
+        a = x.data if isinstance(x, (DenseTensor, Var)) else real_array("x", x)
         if timesteps is not None:
             check_int("timesteps", timesteps, 1)
         if a.ndim == 4:

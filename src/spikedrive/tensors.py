@@ -1,6 +1,11 @@
 """Core tensor carriers: dense floats, binary spikes, integer counts, and the
 address-event representation used for sparse interchange.
 
+The entry points that take an array of values from a caller --
+``DenseTensor``, ``train.check_images`` and ``Model.forward`` -- convert it
+with :func:`real_array`, which refuses ragged, complex and non-numeric input
+with ``ArgError`` before numpy would raise or warn.
+
 Two facts about a tensor are decided here and nowhere else:
 :func:`kind_of` says whether it holds binary spikes, non-negative integers
 (SEW sums) or dense values, and :func:`firing_rate` gives its fraction of
@@ -26,6 +31,7 @@ __all__ = [
     "EventList",
     "kind_of",
     "firing_rate",
+    "real_array",
     "to_events",
     "from_events",
     "load_event_file",
@@ -46,6 +52,20 @@ def kind_of(a) -> str:
     if mn >= 0 and mx < np.inf and (whole or np.array_equal(a, np.round(a))):
         return "integer"
     return "dense"
+
+
+def real_array(name: str, data) -> np.ndarray:
+    """``data`` as a float64 array. Raises ``ArgError`` naming ``name`` for a
+    ragged sequence and for anything but booleans, integers and real floats
+    (text, complex numbers, objects), where numpy would raise its own error
+    or drop an imaginary part."""
+    try:
+        a = np.asarray(data)
+    except ValueError as exc:  # a ragged nesting of sequences
+        raise ArgError(f"{name} must be a rectangular array ({exc})") from None
+    if a.dtype.kind not in "biuf":
+        raise ArgError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
 class _Carrier:
@@ -75,7 +95,7 @@ class DenseTensor(_Carrier):
     __slots__ = ()
 
     def __init__(self, data):
-        a = np.asarray(data, dtype=np.float64)
+        a = real_array("DenseTensor values", data)
         if not np.all(np.isfinite(a)):
             raise ArgError("DenseTensor values must be finite")
         super().__init__(a.copy() if a.base is not None or a.flags.writeable else a)

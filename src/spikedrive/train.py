@@ -13,6 +13,7 @@ from .autodiff import Tape, Var, backward
 from .config import TrainConfig
 from .errors import ArgError, DivergenceError, check_int
 from .model import Model
+from .tensors import real_array
 
 __all__ = ["loss", "OptimState", "step", "train_toy", "finetune_timesteps",
            "evaluate", "Dataset", "check_images", "check_labels", "make_blobs",
@@ -85,9 +86,9 @@ def step(optim: OptimState, params: list[Var], lr: float | None = None):
 
 
 def check_images(x) -> np.ndarray:
-    """Validate and coerce input to a float64 (N, C, H, W) image batch; any
-    failure raises ``ArgError``."""
-    a = np.asarray(x, dtype=np.float64)
+    """Validate and coerce input to a float64 (N, C, H, W) image batch
+    (``tensors.real_array``); any failure raises ``ArgError``."""
+    a = real_array("images", x)
     if a.ndim != 4:
         raise ArgError(f"expected (N, C, H, W) images, got shape {a.shape}")
     if a.shape[2] != a.shape[3]:

@@ -825,3 +825,26 @@ class TestModelSettings:
         assert ModelConfig(stage4_dim=1, sdsa_variant=1).dims[4] == 1
         assert ModelConfig(seed=0).seed == 0 and TrainConfig(seed=0).seed == 0
         assert ModelConfig(base_channels=4, heads=2, stage4_dim=None).dims[4] == 40
+
+
+class TestBlobsFlip:
+    """A horizontal flip moves blobs class 0 onto class 2's quadrant and class
+    1 onto class 3's, so ``--data blobs`` refuses it for more than 2 classes."""
+
+    def test_flip_with_three_classes_exits_2_and_writes_no_checkpoint(self, tmp_path, capsys):
+        p = tmp_path / "flip3.ini"
+        p.write_text(TOY_CONFIG.replace("num_classes = 2", "num_classes = 3")
+                     + "augment_flip = true\n")
+        rc = main(["train", "--config", str(p), "--data", "blobs", "--epochs", "1",
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "augment_flip = true needs at most 2 classes" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_flip_with_two_classes_trains(self, tmp_path):
+        p = tmp_path / "flip2.ini"
+        p.write_text(TOY_CONFIG + "augment_flip = true\n")
+        rc = main(["train", "--config", str(p), "--data", "blobs", "--epochs", "1",
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 0
+        assert (tmp_path / "run" / "model.ckpt").exists()

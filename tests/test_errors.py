@@ -3,6 +3,7 @@ declared range with a ``ConfigError`` naming the field, and bad arguments to
 the library's own checks raise a library error."""
 
 import sys
+import warnings
 from typing import get_type_hints
 
 import numpy as np
@@ -203,3 +204,46 @@ class TestLibraryErrors:
             call(events)
         assert isinstance(caught.value, SpikeDriveError)
         assert isinstance(caught.value, ValueError)
+
+
+# the toy net of ROADMAP item 12's probes: C=4, 16x16, depths (1, 1, 1, 2, 1)
+_PROBE_NET = dict(base_channels=4, num_classes=2, resolution=16, depths=(1, 1, 1, 2, 1),
+                  heads=2, seed=0, timesteps=1)
+
+
+class TestOutsideArrays:
+    """An array from outside the library is refused with ``ArgError`` naming
+    its argument unless it is a rectangular array of real numbers, at each of
+    the entry points that convert one (``tensors.real_array``), before numpy
+    can raise its own error or warn."""
+
+    @pytest.fixture
+    def model(self):
+        return build_model(ModelConfig(**_PROBE_NET))
+
+    @pytest.mark.parametrize("bad,match", [
+        ("abc", "must hold real numbers, got dtype <U3"),
+        ([[1.0, 2.0], [3.0]], "must be a rectangular array"),
+        (np.full((1, 3, 16, 16), 1 + 1j), "must hold real numbers, got dtype complex128"),
+    ], ids=["text", "ragged", "complex"])
+    @pytest.mark.parametrize("entry,name", [
+        ("dense", "DenseTensor values"), ("images", "images"), ("forward", "x")])
+    def test_refused_with_the_argument_named_and_no_warning(self, model, entry, name, bad,
+                                                            match):
+        call = {"dense": DenseTensor, "images": check_images, "forward": model.forward}[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning would fail the test
+            with pytest.raises(ArgError, match=f"^{name} {match}"):
+                call(bad)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_an_input_that_overflows_the_encoding_conv_is_refused(self, model, training):
+        # finite, but the encoding conv's sums overflow to +-inf
+        x = np.full((1, 3, 16, 16), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArgError, match=r"^x is too large: stage1\.ds1\.conv's output"):
+                model.forward(x, training=training)
+
+    def test_a_finite_encoding_passes_the_check(self, model):
+        x = np.random.default_rng(0).random((2, 3, 16, 16))
+        assert np.isfinite(model.forward(x).data).all()
