@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ArgError, ConfigError, ShapeError, check_fields, setting
+from .errors import ArgError, ConfigError, ShapeError, check_fields, check_int, setting
 from .kernels import conv2d_raw
 from .neuron import LIFParams, heaviside, sn_forward
 from .tensors import DenseTensor, SpikeTensor, check_same_shape
@@ -90,11 +90,20 @@ class SDSAConfig:
             raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
 
 
-def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(N, D) -> (heads, N, D/heads)."""
-    n, d = x.shape
+def _check_heads(d: int, heads):
+    """Raise ``ArgError`` unless ``heads`` is an integer >= 1
+    (``errors.check_int``), and ``ShapeError`` unless it divides the width
+    ``d``."""
+    check_int("heads", heads, 1)
     if d % heads:
         raise ShapeError(f"dim {d} not divisible by {heads} heads")
+
+
+def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(N, D) -> (heads, N, D/heads), for ``heads`` that :func:`_check_heads`
+    passes."""
+    n, d = x.shape
+    _check_heads(d, heads)
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
@@ -148,14 +157,13 @@ def attend(tape, variant: int, q: Var, k: Var | None, v: Var, heads: int, fire):
 def _functional(variant, q, k, v, threshold, heads=1) -> SpikeTensor:
     """:func:`attend` on (N, D) spike tensors from the reset state: (1, D, N, 1)
     maps, no tape, and firing wherever a sum reaches ``threshold``, which
-    must be finite."""
+    must be finite, with ``heads`` checked by :func:`_check_heads`."""
     for z in (k, v):
         if z is not None:
             check_same_shape(q, z)
     if q.data.ndim != 2:
         raise ShapeError(f"SDSA expects (N, D) operands, got {q.shape}")
-    if q.shape[1] % heads:
-        raise ShapeError(f"dim {q.shape[1]} not divisible by {heads} heads")
+    _check_heads(q.shape[1], heads)
     if not np.isfinite(threshold):
         raise ArgError(f"SDSA threshold must be finite, got {threshold}")
     maps = [None if z is None else Var(z.data.T[None, :, :, None]) for z in (q, k, v)]

@@ -192,15 +192,22 @@ class ConvBN(Module):
         self.stride, self.groups, self.name = stride, groups, name
         self.padding = k // 2
 
-    def forward(self, x: Var, ctx: ForwardContext) -> Var:
+    def forward(self, x: Var, ctx: ForwardContext, finite: bool = False) -> Var:
+        """With ``finite``, an output, or in training a batch statistic, that
+        is not finite raises ``ArgError`` before the running statistics move."""
         y = ad.conv2d(ctx.tape, x, self.w, None, self.stride, self.padding, self.groups)
         if ctx.training:
-            out, mu, var = ad.batch_norm(ctx.tape, y, self.gamma, self.beta)
+            out, *stats = ad.batch_norm(ctx.tape, y, self.gamma, self.beta)
+        else:
+            out, stats = ad.normalize_affine(ctx.tape, y, self.gamma, self.beta,
+                                             self.run_mean, self.run_var), ()
+        if finite and not all(np.isfinite(a).all() for a in (out.data, *stats)):
+            raise ArgError(f"x is too large: {self.name}'s output is not finite")
+        if stats:
+            mu, var = stats
             self.run_mean[...] = (1 - BN_MOMENTUM) * self.run_mean + BN_MOMENTUM * mu
             self.run_var[...] = (1 - BN_MOMENTUM) * self.run_var + BN_MOMENTUM * var
-            return out
-        return ad.normalize_affine(ctx.tape, y, self.gamma, self.beta,
-                                   self.run_mean, self.run_var)
+        return out
 
     def folded_kernel(self) -> ConvKernel:
         """Inference kernel with the normalization folded into weights."""
@@ -422,10 +429,7 @@ class Downsample(Module):
             # raw-pixel encoding: charged as dense MAC at rate 1. The only layer
             # that reads raw values, so the one place a finite input can overflow
             ctx.observe(self.name, x, kind="dense", rate=1.0)
-            y = self.conv.forward(x, ctx)
-            if not np.isfinite(y.data).all():
-                raise ArgError(f"x is too large: {self.conv.name}'s output is not finite")
-            return y
+            return self.conv.forward(x, ctx, finite=True)
         s = self.sn.step(x, ctx)
         ctx.observe(self.name, s)
         return self.conv.forward(s, ctx)

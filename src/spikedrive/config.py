@@ -9,16 +9,21 @@ choices (the shortcut's are ``blocks.SHORTCUTS``), is declared beside it
 with :func:`errors.setting`, and :func:`errors.check_fields`, which every
 settings record calls first, enforces it after the field's type and
 finiteness. ``ModelConfig.__post_init__`` adds only that ``depths`` has
-five entries. The SDSA settings' rules are ``attention.SDSAConfig``'s:
-``ModelConfig`` builds one per transformer stage instead of restating them.
-The neuron settings' are ``neuron.LIFParams``'s.
+five entries and that no stage width exceeds ``sys.maxsize``. The SDSA
+settings' defaults and rules are ``attention.SDSAConfig``'s:
+``ModelConfig.sdsa`` builds one per transformer stage instead of restating
+them. The neuron settings' are ``neuron.LIFParams``'s. :func:`fields_of`
+picks a record's settings out of a wider set of named values, so a caller
+that holds them under the same names (``estimator.SpikingClassifier``,
+``train.OptimState``) passes them on without listing them again.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, is_dataclass
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .attention import SDSAConfig
 from .blocks import SHORTCUTS
@@ -27,7 +32,7 @@ from .kernels import conv_output_size
 from .neuron import LIFParams
 
 __all__ = ["ModelConfig", "TrainConfig", "parse_config", "parse_config_text",
-           "config_to_text", "stage_dims", "Stage", "stages"]
+           "config_to_text", "fields_of", "stage_dims", "Stage", "stages"]
 
 STAGE4_TABLE = {32: 360, 48: 480, 64: 640}
 
@@ -45,15 +50,21 @@ PYRAMID = (
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The ``[model]`` section. ``sdsa_variant``, ``heads`` and
+    ``threshold_scale`` are the SDSA settings of every transformer stage:
+    their defaults are ``attention.SDSAConfig``'s class attributes and their
+    rules its checks, run on each stage's :meth:`sdsa` record as the config
+    is built. ``lif`` is the ``[lif]`` section."""
+
     base_channels: int = setting(32, "[1, inf)")
     num_classes: int = setting(1000, "[1, inf)")
     in_channels: int = setting(3, "[1, inf)")
     resolution: int = setting(224, "[16, inf)")
     timesteps: int = setting(1, "[1, inf)")
     depths: tuple[int, ...] = setting((1, 1, 2, 6, 2), "[0, inf)")
-    sdsa_variant: int = 3
-    heads: int = 8
-    threshold_scale: float = 0.125
+    sdsa_variant: int = SDSAConfig.variant
+    heads: int = SDSAConfig.heads
+    threshold_scale: float = SDSAConfig.threshold_scale
     shortcut: str = setting("MS", SHORTCUTS)
     seed: int = setting(0, "[0, inf)")
     stage4_dim: int | None = setting(None, "[1, inf)")
@@ -64,12 +75,25 @@ class ModelConfig:
         object.__setattr__(self, "depths", tuple(self.depths))
         if len(self.depths) != 5:
             raise ConfigError("depths must be five non-negative block counts")
+        if max(self.dims) > sys.maxsize:
+            raise ConfigError(f"base_channels {self.base_channels} makes a stage wider "
+                              f"than {sys.maxsize}")
         for d in self.dims[3:]:  # the SDSA rules, checked on each transformer stage
-            SDSAConfig(self.sdsa_variant, self.heads, d, self.threshold_scale)
+            self.sdsa(d)
+
+    def sdsa(self, dim: int) -> SDSAConfig:
+        """The attention settings of a transformer stage of width ``dim``."""
+        return SDSAConfig(self.sdsa_variant, self.heads, dim, self.threshold_scale)
 
     @property
     def dims(self) -> tuple[int, int, int, int, int]:
         return stage_dims(self.base_channels, self.stage4_dim)
+
+
+def fields_of(cls, values) -> dict:
+    """The entries of the mapping ``values`` that name a field of the
+    dataclass ``cls``, for building a ``cls`` from a wider set of values."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
 
 def stage_dims(c: int, stage4: int | None = None) -> tuple[int, int, int, int, int]:

@@ -63,42 +63,47 @@ E_MAC_PJ = 4.6
 
 def flops_conv(k: int, h: int, w: int, c_in: int, c_out: int) -> int:
     """Multiply-accumulates of a dense conv layer: k^2 * h * w * c_in * c_out
-    with (h, w) the output feature map size."""
-    if min(k, h, w, c_in, c_out) <= 0:
-        raise ArgError("conv FLOPs need positive dimensions")
+    with (h, w) the output feature map size. The one statement of the FLOPs
+    formula and its dimension rule: each argument is an integer >= 1
+    (``errors.check_int``, ``ArgError`` naming it)."""
+    for name, value in zip(("k", "h", "w", "c_in", "c_out"), (k, h, w, c_in, c_out)):
+        check_int(name, value, 1)
     return k * k * h * w * c_in * c_out
 
 
 def flops_conv_dw(k: int, h: int, w: int, c: int) -> int:
-    """Depthwise conv: one input channel per output channel."""
-    if min(k, h, w, c) <= 0:
-        raise ArgError("conv FLOPs need positive dimensions")
-    return k * k * h * w * c
+    """Depthwise conv: :func:`flops_conv` with one input channel per output
+    channel."""
+    return flops_conv(k, h, w, 1, c)
 
 
 def flops_mlp(i: int, o: int) -> int:
-    if i <= 0 or o <= 0:
-        raise ArgError("mlp FLOPs need positive dimensions")
-    return i * o
+    """Linear layer of ``i`` inputs and ``o`` outputs: :func:`flops_conv` of
+    a 1x1 conv on a 1x1 map, so a bad ``i`` or ``o`` is named ``c_in`` or
+    ``c_out``."""
+    return flops_conv(1, 1, 1, i, o)
 
 
 def sdsa_flops(variant: int, n: int, d: int, timesteps: int, rates) -> int:
     """Operator cost per Table-of-operators row: T * R_hat * N * D for the
     mask variants, T * R_hat * N * D^2 for the matmul variants. ``rates`` is
-    the measured firing rate(s) whose sum forms R_hat."""
+    the measured firing rate(s) whose sum forms R_hat. ``n`` and ``d`` are
+    integers >= 0 and ``timesteps`` one >= 1 (``errors.check_int``)."""
     if variant not in VARIANTS:
         raise ArgError(f"unknown SDSA variant {variant}")
-    if n < 0 or d < 0 or timesteps < 1:
-        raise ArgError("bad dimensions")
+    check_int("n", n, 0)
+    check_int("d", d, 0)
+    check_int("timesteps", timesteps, 1)
     r_hat = float(sum(rates)) if hasattr(rates, "__iter__") else float(rates)
     base = n * d if variant in (1, 2) else n * d * d
     return int(round(timesteps * r_hat * base))
 
 
 def vsa_flops(n: int, d: int) -> int:
-    """Float attention baseline: QKV projections, two matmuls, scale, softmax."""
-    if n < 0 or d < 0:
-        raise ArgError("bad dimensions")
+    """Float attention baseline: QKV projections, two matmuls, scale, softmax.
+    ``n`` and ``d`` are integers >= 0 (``errors.check_int``)."""
+    check_int("n", n, 0)
+    check_int("d", d, 0)
     if n == 0:
         return 0
     return 3 * n * d * d + 2 * n * n * d + 3 * n * n

@@ -7,9 +7,10 @@ type, and, for a field built by :func:`setting`, an interval or the choices
 of a str field. :func:`check_fields` enforces both for every settings record
 (``config.ModelConfig`` and ``TrainConfig``, ``neuron.LIFParams``,
 ``attention.SDSAConfig``), field by field in declaration order: type, then
-finiteness for a float, then the declared values, each refusal a
-``ConfigError`` naming the field. A record's ``__post_init__`` keeps only
-the rules that join fields or are not a per-field range."""
+finiteness for a float or ``check_int``'s upper bound for an int, then the
+declared values, each refusal a ``ConfigError`` naming the field. A
+record's ``__post_init__`` keeps only the rules that join fields or are not
+a per-field range."""
 
 import functools
 import math
@@ -151,12 +152,18 @@ def _is_finite(value) -> bool:
         return False
 
 
+# the limit every value of an int or a float field must keep, and its name:
+# check_int's bound, and finiteness
+_LIMITS = {int: (lambda v: v <= sys.maxsize, f"<= {sys.maxsize}"),
+           float: (_is_finite, "finite")}
+
+
 @functools.cache
 def _checks(cls) -> tuple:
     """Per field of the dataclass ``cls``: its name, whether None passes,
     whether it holds a sequence, the rule each value must pass and its name,
-    whether a value must be finite, and the values :func:`setting` allows
-    (a test and its wording) or None."""
+    the limit of an int or a float value (``_LIMITS``) or None, and the
+    values :func:`setting` allows (a test and its wording) or None."""
     checks = []
     for f in fields(cls):
         t = field_types(cls)[f.name]
@@ -164,7 +171,7 @@ def _checks(cls) -> tuple:
         many = allowed[0] == tuple[int, ...]
         t = int if many else allowed[0]
         fits, what = _RULES.get(t) or ((lambda v, t=t: isinstance(v, t)), f"a {t.__name__}")
-        checks.append((f.name, type(None) in allowed, many, fits, what, t is float,
+        checks.append((f.name, type(None) in allowed, many, fits, what, _LIMITS.get(t),
                        f.metadata.get("allowed")))
     return tuple(checks)
 
@@ -176,10 +183,11 @@ def check_fields(record):
     its type: an int by :func:`is_int`, a float any real number but a
     ``bool``, a ``tuple[int, ...]`` a sequence of such ints, and any other
     field (str, bool, a dataclass) an instance of its class. A float must
-    then be finite, and last, lie in the field's declared interval or
-    choices. None passes where the annotation allows it. Every settings
-    record calls this first in its ``__post_init__``."""
-    for name, none_ok, many, fits, what, finite, allowed in _checks(type(record)):
+    then be finite and an int at most ``sys.maxsize``, as for
+    :func:`check_int`, and last, each value must lie in the field's declared
+    interval or choices. None passes where the annotation allows it. Every
+    settings record calls this first in its ``__post_init__``."""
+    for name, none_ok, many, fits, what, limit, allowed in _checks(type(record)):
         value = getattr(record, name)
         if value is None and none_ok:
             continue
@@ -188,7 +196,7 @@ def check_fields(record):
         for v in value if many else (value,):
             if not fits(v):
                 raise ConfigError(f"{name}: {_shown(v)} is not {what}")
-            if finite and not _is_finite(v):
-                raise ConfigError(f"{name} must be finite, got {_shown(v)}")
+            if limit and not limit[0](v):
+                raise ConfigError(f"{name} must be {limit[1]}, got {_shown(v)}")
             if allowed and not allowed[0](v):
                 raise ConfigError(f"{name} must be {allowed[1]}, got {_shown(v)}")

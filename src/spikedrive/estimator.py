@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ModelConfig, TrainConfig
+from .config import ModelConfig, TrainConfig, fields_of
 from .errors import ArgError, ConfigError
 from .model import Model, build_model
 from .neuron import LIFParams
@@ -24,9 +24,13 @@ __all__ = ["SpikingClassifier", "check_images", "check_labels"]
 class SpikingClassifier:
     """Image classifier with the estimator interface.
 
-    Parameters mirror the model and training configs. They are the init
-    fields, so ``get_params`` round-trips; the fitted attributes (ending in
-    ``_``) are set by ``fit`` and are not parameters.
+    Each parameter is a setting of ``ModelConfig``, ``TrainConfig`` or
+    ``LIFParams`` under its field name (``seed`` seeds both configs), with a
+    toy-scale default; ``fit`` passes each to the records that have it, by
+    name (``config.fields_of``), and takes the class count, channels and
+    resolution from the data. The parameters are the init fields, so
+    ``get_params`` round-trips; the fitted attributes (ending in ``_``) are
+    set by ``fit`` and are not parameters.
     """
 
     base_channels: int = 8
@@ -59,21 +63,11 @@ class SpikingClassifier:
     def fit(self, X, y):
         data = Dataset(X, y)
         self.classes_, data.labels = np.unique(data.labels, return_inverse=True)
-        cfg = ModelConfig(
-            base_channels=self.base_channels,
-            num_classes=len(self.classes_),
-            in_channels=data.images.shape[1],
-            resolution=data.images.shape[2],
-            timesteps=self.timesteps,
-            depths=tuple(self.depths),
-            sdsa_variant=self.sdsa_variant,
-            heads=self.heads,
-            shortcut=self.shortcut,
-            seed=self.seed,
-            lif=LIFParams(surrogate_window=self.surrogate_window),
-        )
-        tc = TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-                         label_smoothing=self.label_smoothing, seed=self.seed)
+        params = self.get_params()
+        cfg = ModelConfig(**fields_of(ModelConfig, params), num_classes=len(self.classes_),
+                          in_channels=data.images.shape[1], resolution=data.images.shape[2],
+                          lif=LIFParams(**fields_of(LIFParams, params)))
+        tc = TrainConfig(**fields_of(TrainConfig, params))
         self.model_ = build_model(cfg)
         self.history_ = train_toy(self.model_, data, self.epochs, tc=tc)
         return self

@@ -52,11 +52,12 @@ the rest:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgError, ShapeError
+from .errors import ArgError, ShapeError, is_int
 from .tensors import DenseTensor, IntTensor, SpikeTensor, check_same_shape
 
 __all__ = [
@@ -133,15 +134,19 @@ class ConvKernel:
 
 
 def _check_groups(c_out: int, groups: int):
-    if groups < 1 or c_out % groups:
+    if not is_int(groups) or groups < 1 or c_out % groups:
         raise ShapeError(f"groups must be a positive divisor of the {c_out} output "
                          f"channels, got {groups}")
 
 
 def _check_geometry(stride: int, padding: int):
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv needs stride >= 1 and padding >= 0, got stride {stride}, "
-                         f"padding {padding}")
+    """Raise ``ShapeError`` unless ``stride`` and ``padding`` are integers
+    (``errors.is_int``, so numpy ints pass), at most ``sys.maxsize``, with
+    stride >= 1 and padding >= 0."""
+    if not (is_int(stride) and is_int(padding) and 1 <= stride <= sys.maxsize
+            and 0 <= padding <= sys.maxsize):
+        raise ShapeError(f"conv needs integer stride >= 1 and padding >= 0, at most "
+                         f"sys.maxsize, got stride {stride}, padding {padding}")
 
 
 @dataclass

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .attention import SDSAConfig
 from .autodiff import Tape, Var
 from .blocks import SN, ConvBlock, Downsample, ForwardContext, Module, TransformerBlock
 from .config import ModelConfig, TrainConfig, config_to_text, parse_config_text, stages
@@ -58,9 +57,7 @@ class Model(Module):
             if st.kind == "conv":
                 blocks = [ConvBlock(rng, st.dim, lif, sc, name=b) for b in st.blocks]
             else:
-                sdsa = SDSAConfig(variant=cfg.sdsa_variant, heads=cfg.heads, dim=st.dim,
-                                  threshold_scale=cfg.threshold_scale)
-                blocks = [TransformerBlock(rng, st.dim, lif, sdsa, sc, name=b)
+                blocks = [TransformerBlock(rng, st.dim, lif, cfg.sdsa(st.dim), sc, name=b)
                           for b in st.blocks]
             setattr(self, attr, blocks)
         self.head_sn = SN(lif, name="head.sn")

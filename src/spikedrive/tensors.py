@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgError, EmptyTensorError, InvalidEventError, ParseError, ShapeError, check_int
+from .errors import (ArgError, EmptyTensorError, InvalidEventError, ParseError, ShapeError,
+                     check_int, is_int)
 
 __all__ = [
     "DenseTensor",
@@ -193,12 +194,19 @@ def load_event_file(path, bins: int, resolution: tuple[int, int],
     with ``channels=1`` polarity is ignored.
 
     Returns a ``(T, 1, C, H, W)`` spike tensor. An empty file yields the
-    all-zero tensor.
+    all-zero tensor. ``bins`` and each side of ``resolution`` = (H, W) must
+    be integers >= 1 (``errors.check_int``), and ``channels`` 1 or 2; any
+    other value raises ``ArgError``.
     """
     check_int("bins", bins, 1)
-    if channels not in (1, 2):
+    if not (is_int(channels) and channels in (1, 2)):
         raise ArgError("channels must be 1 or 2")
-    h, w = resolution
+    try:
+        h, w = resolution
+    except (TypeError, ValueError):
+        raise ArgError("resolution must be a (height, width) pair") from None
+    check_int("resolution height", h, 1)
+    check_int("resolution width", w, 1)
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var, backward
-from .config import TrainConfig
+from .config import TrainConfig, fields_of
 from .errors import ArgError, DivergenceError, check_int
 from .model import Model
 from .tensors import real_array
@@ -53,8 +53,7 @@ class OptimState:
 
     @classmethod
     def from_config(cls, tc: TrainConfig) -> "OptimState":
-        return cls(lr=tc.lr, weight_decay=tc.weight_decay, beta1=tc.beta1,
-                   beta2=tc.beta2, eps=tc.eps)
+        return cls(**fields_of(cls, vars(tc)))
 
 
 def step(optim: OptimState, params: list[Var], lr: float | None = None):
@@ -133,10 +132,15 @@ def make_blobs(n: int, resolution: int = 32, classes: int = 2, seed: int = 0,
                channels: int = 3) -> Dataset:
     """Image blobs: class y lights up spatial quadrant y mod 4 on top of pixel
     noise of standard deviation 0.25. Up to four classes are linearly
-    separable by quadrant; beyond four, classes share quadrants. ``n`` or
-    ``classes`` below 1, or not an integer, raises ``ArgError``."""
+    separable by quadrant; beyond four, classes share quadrants. ``n``,
+    ``classes`` or ``channels`` below 1, a ``resolution`` below 2 (a
+    quadrant is at least one pixel), a ``seed`` below 0, or any of them not
+    an integer, raises ``ArgError`` (``errors.check_int``)."""
     check_int("n", n, 1)
     check_int("classes", classes, 1)
+    check_int("resolution", resolution, 2)
+    check_int("channels", channels, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     images = rng.normal(0.0, 0.25, (n, channels, resolution, resolution))
     labels = rng.integers(0, classes, size=n)
@@ -163,7 +167,9 @@ def _iter_batches(data: Dataset, batch_size: int, rng: np.random.Generator,
 
 def evaluate(model: Model, data: Dataset, timesteps: int | None = None,
              batch_size: int = 64) -> tuple[float, float]:
-    """Eval-mode (loss, accuracy) over a dataset."""
+    """Eval-mode (loss, accuracy) over a dataset. A ``batch_size`` that is
+    not an integer >= 1 raises ``ArgError``."""
+    check_int("batch_size", batch_size, 1)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(data), batch_size):
